@@ -5,7 +5,8 @@ Subcommands: ``represent``, ``sample``, ``equiv``, ``densities``,
 writes them to stdout for piping).  Every command is deterministic in
 its arguments and input bytes.
 
-Exit codes: 0 success/pass, 1 test failed, 2 spec error, 3 scale error.
+Exit codes: 0 success/pass, 1 test failed, 2 spec, argument or I/O
+error, 3 scale error.
 """
 
 from __future__ import annotations
@@ -180,6 +181,26 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _open_unit_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unirep",
@@ -203,9 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a random graph and write its edge list")
     p.add_argument("spec")
     p.add_argument("--kernel", default=None)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="affects speed only, never output")
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="affects speed only, never output"
+    )
     p.add_argument("--out", "-o", default="-")
     p.add_argument("--latents", default=None, help="also write 'i x_i' latent lines here")
     p.set_defaults(func=cmd_sample)
@@ -213,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide whether two specs induce the same joint law")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--runs", type=int, default=10000)
+    p.add_argument("--runs", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=_open_unit_float, default=0.01)
     p.add_argument("--kernel", default=None, help="graph kernel to compare in mc mode")
     p.set_defaults(func=cmd_equiv)
 
@@ -242,7 +265,7 @@ def main(argv=None) -> int:
     except ScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UnirepError as exc:
+    except (UnirepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

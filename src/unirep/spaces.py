@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
@@ -182,19 +184,27 @@ def interval_partition(space: DiscreteSpace) -> IntervalPartition:
     """Partition [0,1) into cells with lengths equal to the atom probabilities.
 
     Cells follow the space's atom order (no sorting), so cell index k
-    corresponds to atom k.  Breakpoints are prefix sums of the
-    renormalized probabilities, clipped to [0,1] and with the final
-    breakpoint forced to exactly 1; each cell length matches its atom
-    probability to within one ulp of the prefix-sum computation.
+    corresponds to atom k.  Breakpoint k is the exact prefix sum of the
+    first k renormalized probabilities, rounded once to the nearest
+    float and clipped to 1; every breakpoint after the last positive
+    atom is exactly 1.  Equal exact sums round to equal floats, so
+    zero-probability atoms get exactly empty cells, and the rounding
+    slack of the whole sum lands on the last positive cell.
+
+    The partition is built once per validated space and then reused,
+    because samplers ask for it on every draw.
     """
     space = validate_space(space)
-    bp = [0.0]
-    acc = 0.0
-    for p in space.probs[:-1]:
-        acc += p
-        bp.append(min(max(acc, bp[-1]), 1.0))
-    bp.append(1.0)
-    return IntervalPartition(tuple(bp), space.atom_ids)
+    partition = space.__dict__.get("_partition_cache")
+    if partition is None:
+        last = max(k for k, p in enumerate(space.probs) if p > 0.0)
+        # float(Fraction) rounds correctly, like fsum of each prefix, in O(K)
+        prefix = accumulate(map(Fraction, space.probs[:last]))
+        bp = [0.0, *(min(float(s), 1.0) for s in prefix)]
+        bp.extend([1.0] * (len(space) + 1 - len(bp)))
+        partition = IntervalPartition(tuple(bp), space.atom_ids)
+        object.__setattr__(space, "_partition_cache", partition)
+    return partition
 
 
 def lookup_cell(partition: IntervalPartition, u: float) -> int:

@@ -240,3 +240,61 @@ class TestDeterminism:
             assert main(["represent", spec, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def run_cli(argv, capsys):
+    """Exit code and stderr of one CLI call, argparse rejections included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+class TestBadInput:
+    def test_missing_spec_file_exit_2(self, tmp_path, capsys):
+        code, err = run_cli(["encode", str(tmp_path / "missing.json")], capsys)
+        assert code == 2
+        assert_one_error_line(err)
+
+    def test_non_integer_enum_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REP_MAX_ENUM", "abc")
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        code, err = run_cli(["equiv", spec, spec, "--n", "2"], capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "REP_MAX_ENUM" in err
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("cmd_sample", ["sample", "SPEC", "--n", "0"]),
+            ("cmd_sample", ["sample", "SPEC", "--n", "5", "--threads", "-3"]),
+            ("cmd_sample", ["sample", "SPEC", "--n", "5", "--threads", "0"]),
+            ("cmd_equiv", ["equiv", "SPEC", "SPEC", "--n", "-1"]),
+            ("cmd_equiv", ["equiv", "SPEC", "SPEC", "--n", "2.5"]),
+            ("cmd_equiv", ["equiv", "SPEC", "SPEC", "--n", "3", "--mode", "mc", "--runs", "0"]),
+            ("cmd_equiv", ["equiv", "SPEC", "SPEC", "--n", "3", "--mode", "mc", "--alpha", "2"]),
+            ("cmd_equiv", ["equiv", "SPEC", "SPEC", "--n", "3", "--mode", "mc", "--alpha", "0"]),
+            ("cmd_equiv", ["equiv", "SPEC", "SPEC", "--n", "3", "--mode", "mc", "--alpha", "1"]),
+            ("cmd_equiv", ["equiv", "SPEC", "SPEC", "--n", "3", "--mode", "mc", "--alpha", "nan"]),
+        ],
+    )
+    def test_numeric_arguments_rejected_before_command(
+        self, tmp_path, capsys, monkeypatch, command, argv
+    ):
+        import unirep.cli
+
+        calls = []
+        monkeypatch.setattr(unirep.cli, command, lambda args: calls.append(args) or 0)
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        code, err = run_cli([spec if a == "SPEC" else a for a in argv], capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert calls == []
+

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -26,7 +28,8 @@ from unirep import (
     step_family_as_space,
     tv_distance,
 )
-from unirep.equivalence import canonical_keys
+from unirep.equivalence import _chi2_sf, canonical_keys
+from unirep.sampling import derive_seed
 
 from util import (
     LABELS3,
@@ -378,3 +381,71 @@ class TestCanonicalKeys:
             ("g", (1, 2)),
             ("g", (2, 1)),
         )
+
+
+class TestClosedFormTails:
+    """The standard-library tails used by mc_two_sample_test, checked
+    against scipy.stats on a grid."""
+
+    DFS = [*range(1, 40), 63, 100, 255, 511, 1023]
+
+    def test_chi2_sf_matches_scipy(self):
+        from scipy.stats import chi2
+
+        for df in self.DFS:
+            for x in np.geomspace(1e-6, 1500.0, 60):
+                ref = chi2.sf(x, df)
+                if ref > 1e-300:
+                    assert _chi2_sf(float(x), df) == pytest.approx(ref, rel=1e-10), (df, x)
+
+    def test_chi2_sf_edges(self):
+        assert _chi2_sf(0.0, 1) == 1.0
+        assert _chi2_sf(0.0, 4) == 1.0
+        assert _chi2_sf(2.0, 2) == math.exp(-1.0)
+        assert _chi2_sf(1e5, 1023) == 0.0
+
+    def test_two_sided_normal_matches_scipy(self):
+        from scipy.stats import norm
+
+        for z in np.linspace(0.0, 37.0, 371):
+            ref = 2.0 * norm.sf(z)
+            if ref > 1e-300:
+                assert math.erfc(z / math.sqrt(2.0)) == pytest.approx(ref, rel=1e-10), z
+
+    def test_chi2_report_pvalue_matches_scipy(self):
+        from scipy.stats import chi2
+
+        ka, kb = const_graph_kernel(0.4), const_graph_kernel(0.45)
+        report = mc_two_sample_test(
+            lambda s: sample_graph(ka, 3, s), lambda s: sample_graph(kb, 3, s), 3, 2000, 4
+        )
+        ref = chi2.sf(report["statistic"], report["df"])
+        assert report["pvalues"]["labeled_graphs"] == pytest.approx(ref, rel=1e-10)
+
+    def test_ztest_report_pvalue_matches_scipy(self):
+        from scipy.stats import norm
+
+        # the "graphs" are the derived seeds themselves, so the statistic
+        # samples can be rebuilt here
+        def stat(s):
+            return float(s % 101)
+
+        report = mc_two_sample_test(
+            lambda s: s, lambda s: s + 3, 40, 300, 2, statistics=[("mod", stat)]
+        )
+        xa = np.array([stat(derive_seed(2, 0, r)) for r in range(300)])
+        xb = np.array([stat(derive_seed(2, 1, r) + 3) for r in range(300)])
+        z = abs(xa.mean() - xb.mean()) / math.sqrt((xa.var(ddof=1) + xb.var(ddof=1)) / 300)
+        ref = 2.0 * norm.sf(z)
+        assert report["pvalues"]["mod"] == pytest.approx(ref, rel=1e-10)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    script = (
+        "import sys, unirep, unirep.cli;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

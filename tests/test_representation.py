@@ -17,6 +17,7 @@ from unirep import (
     check_symmetry,
     exact_joint_law,
     interval_partition,
+    lookup_cell,
     quantile,
     quantile_array,
     represent_family,
@@ -257,6 +258,19 @@ class TestRepresentFamily:
         sp2, fam2 = step_family_as_space(represent_family(sp, fam))
         law_rep = exact_joint_law(sp2, fam2, 3)
         assert tv_distance(law_src, law_rep) <= 1e-9
+
+    def test_zero_prob_atom_stays_unreachable(self):
+        # a naive running sum of ten 0.1 ends at 0.9999999999999999, not 1
+        sp = space("abcdefghijz", [0.1] * 10 + [0.0])
+        part = interval_partition(sp)
+        assert part.lengths[-1] == 0.0
+        assert lookup_cell(part, 1.0 - 2.0**-53) != 10
+        k = table_kernel("f", sp, {(a,): float(i) for i, a in enumerate(sp.atom_ids)}, REAL)
+        fam = KernelFamily((k,))
+        law_src = exact_joint_law(sp, fam, 2)
+        law_rep = exact_joint_law(*step_family_as_space(represent_family(sp, fam)), 2)
+        assert law_rep.support_size == law_src.support_size == 100
+        assert set(law_rep.support) == set(law_src.support)
 
     def test_partition_matches_space(self):
         sp = space("abc", (0.5, 0.3, 0.2))
