@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ArityError, PowerError, RangeError, ScaleError, SpecError
-from .kernels import Kernel, KernelFamily, value_array
+from .kernels import Kernel, KernelFamily
 from .sampling import RandomGraph, derive_seed, graph_bitmask, pair_list
 from .spaces import DiscreteSpace, IntervalPartition, validate_space
 
@@ -131,20 +131,30 @@ def exact_joint_law(
             f"{_enum_cap(cap)}; use the statistical mode or raise REP_MAX_ENUM"
         )
     keys = canonical_keys(family, n)
-    lookups = []
+    # Coordinate c of the value vector at assignment a is
+    # flat[base[c] + a @ strides[:, c]]: every kernel's values sit once
+    # in ``flat``, so support vectors share those Python scalars.
+    digits = size ** np.arange(n - 1, -1, -1)
+    strides = np.zeros((n, len(keys)), dtype=np.int64)
+    flat, base = [], []
     for k in family:
-        for idx in permutations(range(1, n + 1), k.arity):
-            lookups.append((k.table, idx))
+        for idx in permutations(range(n), k.arity):
+            strides[list(idx), len(base)] = digits[n - k.arity :]
+            base.append(len(flat))
+        flat.extend(k.values.ravel().tolist())
+    probs = np.asarray(space.probs)
     support: dict[tuple, float] = {}
-    for assign in product(range(size), repeat=n):
-        prob = 1.0
-        for a in assign:
-            prob *= space.probs[a]
-        if prob == 0.0:
-            continue
-        atoms = tuple(space.atom_ids[a] for a in assign)
-        vec = tuple(tab[tuple(atoms[t - 1] for t in idx)] for tab, idx in lookups)
-        support[vec] = support.get(vec, 0.0) + prob
+    for lo in range(0, size**n, 1024):  # blocks of assignments bound the memory
+        assign = np.arange(lo, min(lo + 1024, size**n))[:, None] // digits % size
+        prob = np.ones(len(assign))
+        for j in range(n):  # the same left-to-right product as a scalar loop
+            prob *= probs[assign[:, j]]
+        offsets = (assign @ strides + base).tolist()
+        for p, offset in zip(prob.tolist(), offsets):
+            if p == 0.0:
+                continue
+            vec = tuple(map(flat.__getitem__, offset))
+            support[vec] = support.get(vec, 0.0) + p
     return JointLaw(n, keys, support)
 
 
@@ -152,8 +162,8 @@ def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFam
     """View a step family as a table family on its cell space.
 
     Cells become atoms with the cell lengths as probabilities (cell
-    labels are kept as atom ids), and the cell maps are copied into
-    tables.  Because step kernels are constant on cells, the exact
+    labels are kept as atom ids), and the value arrays are passed on
+    unchanged.  Because step kernels are constant on cells, the exact
     joint law of the output under atom sampling equals the law the step
     family induces under Lebesgue sampling of [0,1); this is what makes
     exact comparison of step families possible.
@@ -162,23 +172,7 @@ def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFam
         raise SpecError("step_family_as_space expects a family of step kernels")
     partition = family.domain
     space = validate_space(partition.cell_labels, partition.lengths)
-    labels = partition.cell_labels
-    out = []
-    for k in family:
-        table = {
-            tuple(labels[c] for c in key): v for key, v in k.table.items()
-        }
-        out.append(
-            Kernel(
-                name=k.name,
-                arity=k.arity,
-                value_space=k.value_space,
-                domain=space,
-                table=table,
-                symmetric=k.symmetric,
-            )
-        )
-    return space, KernelFamily(tuple(out))
+    return space, family.on_domain(space)
 
 
 def tv_distance(law1: JointLaw, law2: JointLaw) -> float:
@@ -263,12 +257,15 @@ PATTERNS: dict[str, PatternGraph] = {
 }
 
 
-def _weights_and_values(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(kernel.domain, DiscreteSpace):
-        weights = np.asarray(kernel.domain.probs)
-    else:
-        weights = np.asarray(kernel.domain.lengths)
-    return weights, value_array(kernel)
+def _weights_and_values(kernel: Kernel, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weights and values of an arity-2 kernel with values in [0,1]."""
+    if kernel.arity != 2:
+        raise ArityError(f"{what} needs an arity-2 kernel, got {kernel.arity}")
+    if kernel.values.min() < 0.0 or kernel.values.max() > 1.0:
+        raise RangeError(f"{what} needs kernel values in [0,1]")
+    domain = kernel.domain
+    weights = domain.probs if isinstance(domain, DiscreteSpace) else domain.lengths
+    return np.asarray(weights), kernel.values
 
 
 def hom_density(kernel: Kernel, pattern: PatternGraph) -> float:
@@ -285,11 +282,7 @@ def hom_density(kernel: Kernel, pattern: PatternGraph) -> float:
     RangeError
         If kernel values leave [0,1].
     """
-    if kernel.arity != 2:
-        raise ArityError(f"hom_density needs an arity-2 kernel, got {kernel.arity}")
-    weights, values = _weights_and_values(kernel)
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise RangeError("hom_density needs kernel values in [0,1]")
+    weights, values = _weights_and_values(kernel, "hom_density")
     size = len(weights)
     terms = []
     for assign in product(range(size), repeat=pattern.num_vertices):
@@ -317,11 +310,7 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
     ScaleError
         If ``2^(n choose 2) * K^n`` exceeds the enumeration cap.
     """
-    if kernel.arity != 2:
-        raise ArityError(f"graph law needs an arity-2 kernel, got {kernel.arity}")
-    weights, values = _weights_and_values(kernel)
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise RangeError("graph sampling needs kernel values in [0,1]")
+    weights, values = _weights_and_values(kernel, "graph law")
     pairs = pair_list(n)
     num_graphs = 1 << len(pairs)
     size = len(weights)
@@ -419,16 +408,20 @@ def mc_two_sample_test(
     Raises
     ------
     PowerError
-        If too few runs leave fewer than two valid frequency buckets
-        while the samples differ; carries an estimated sufficient run
-        count.
+        If the z-test gets fewer than two runs (a sample variance needs
+        two), or if too few runs leave fewer than two valid frequency
+        buckets while the samples differ; carries an estimated
+        sufficient run count.
     """
-    if runs < 1:
-        raise PowerError("need at least one run")
+    chi2 = statistics is None and n <= 5
+    min_runs = 1 if chi2 else 2  # a z-test needs two runs for a sample variance
+    if runs < min_runs:
+        test = "chi-squared" if chi2 else "z"
+        raise PowerError(f"{runs} runs are too few for the {test} test", required_runs=min_runs)
     graphs_a = [sampler_a(derive_seed(seed, 0, r)) for r in range(runs)]
     graphs_b = [sampler_b(derive_seed(seed, 1, r)) for r in range(runs)]
 
-    if statistics is None and n <= 5:
+    if chi2:
         counts_a = Counter(graph_bitmask(g.edges.tolist(), n) for g in graphs_a)
         counts_b = Counter(graph_bitmask(g.edges.tolist(), n) for g in graphs_b)
         observed = sorted(set(counts_a) | set(counts_b))
@@ -483,9 +476,7 @@ def mc_two_sample_test(
     for name, fn in stats:
         xa = np.array([fn(g) for g in graphs_a])
         xb = np.array([fn(g) for g in graphs_b])
-        va = xa.var(ddof=1) if runs > 1 else 0.0
-        vb = xb.var(ddof=1) if runs > 1 else 0.0
-        denom = math.sqrt(va / runs + vb / runs)
+        denom = math.sqrt(xa.var(ddof=1) / runs + xb.var(ddof=1) / runs)
         diff = float(xa.mean() - xb.mean())
         if denom == 0.0:
             p = 1.0 if diff == 0.0 else 0.0

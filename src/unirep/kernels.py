@@ -4,17 +4,20 @@ A :class:`Kernel` is an arity-m function given by a full table: either
 over atom-id tuples of a :class:`~unirep.spaces.DiscreteSpace` (a table
 kernel) or over cell-index tuples of an
 :class:`~unirep.spaces.IntervalPartition` (a step kernel, i.e. a
-function on [0,1]^m constant on cell boxes).  Values are stored and
-compared bit-exactly: every downstream equivalence test draws both of
-its sides from the same tables, so exact equality is the correct
-comparison for joint-law support points.
+function on [0,1]^m constant on cell boxes).  The values are stored
+once, in the read-only ndarray :attr:`Kernel.values` of shape
+``(K,) * arity`` indexed by atom or cell position (int64 for labels,
+float64 otherwise); :attr:`Kernel.table` is a read-only mapping view of
+it that returns Python ``int`` or ``float``.  Values are compared
+bit-exactly: every downstream equivalence test draws both of its sides
+from the same arrays, so exact equality is the correct comparison for
+joint-law support points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
-from types import MappingProxyType
+from dataclasses import dataclass, field
+from itertools import permutations, product
 from typing import Mapping
 
 import numpy as np
@@ -50,32 +53,52 @@ class ValueSpace:
         elif self.num_labels is not None:
             raise SpecError("num_labels only applies to kind 'labels'", field="value_space")
 
-    def check_value(self, v, where: str):
+    @property
+    def dtype(self):
+        return np.int64 if self.kind == "labels" else np.float64
+
+    def check_type(self, v, where: str, key: tuple):
         if self.kind == "labels":
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise SpecError(f"{where}: label value must be an integer, got {v!r}")
-            if not 0 <= v < self.num_labels:
-                raise RangeError(f"{where}: label {v} outside 0..{self.num_labels - 1}")
-        else:
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.floating, np.integer)):
-                raise SpecError(f"{where}: value must be a number, got {v!r}")
-            if not np.isfinite(v):
-                raise RangeError(f"{where}: value {v} is not finite")
-            if self.kind == "unit" and not 0.0 <= v <= 1.0:
-                raise RangeError(f"{where}: value {v} outside [0,1]")
+                raise SpecError(f"{where} at {key!r}: label value must be an integer, got {v!r}")
+        elif isinstance(v, bool) or not isinstance(v, (int, float, np.floating, np.integer)):
+            raise SpecError(f"{where} at {key!r}: value must be a number, got {v!r}")
+
+    def outside(self, values: np.ndarray) -> tuple[np.ndarray, str]:
+        """Mask of the entries of ``values`` outside this space, and why."""
+        if self.kind == "labels":
+            return (values < 0) | (values >= self.num_labels), f"outside 0..{self.num_labels - 1}"
+        if self.kind == "unit":
+            return ~((values >= 0.0) & (values <= 1.0)), "outside [0,1]"
+        return ~np.isfinite(values), "is not finite"
 
 
-REAL = ValueSpace("real")
-UNIT = ValueSpace("unit")
+class _TableView(Mapping):
+    """Read-only mapping from domain tuples to the Python scalars of a
+    value array, given the position of each domain coordinate."""
 
+    def __init__(self, values: np.ndarray, index: dict):
+        self._values = values
+        self._index = index
 
-def labels(k: int) -> ValueSpace:
-    return ValueSpace("labels", k)
+    def __getitem__(self, key):
+        if not isinstance(key, tuple) or len(key) != self._values.ndim:
+            raise KeyError(key)
+        try:
+            return self._values[tuple(self._index[c] for c in key)].item()
+        except (KeyError, TypeError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return product(self._index, repeat=self._values.ndim)
+
+    def __len__(self) -> int:
+        return self._values.size
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """An arity-m function given by a full table over its domain.
+    """An arity-m function given by its full table of values.
 
     Parameters
     ----------
@@ -87,9 +110,12 @@ class Kernel:
         Table kernels live on a discrete space (keys are atom-id
         tuples); step kernels live on an interval partition (keys are
         0-based cell-index tuples).
-    table : mapping
-        Must cover every tuple of the domain, ``len(domain)**arity``
-        entries in total.
+    table : mapping or ndarray
+        A mapping must cover every tuple of the domain,
+        ``len(domain)**arity`` entries in total.  An ndarray has shape
+        ``(len(domain),) * arity`` and is indexed by atom position or
+        cell index.  After construction this attribute is a read-only
+        mapping view of :attr:`values`.
     symmetric : bool
         Declared flag; verified eagerly, never trusted.
     """
@@ -98,8 +124,9 @@ class Kernel:
     arity: int
     value_space: ValueSpace
     domain: DiscreteSpace | IntervalPartition
-    table: Mapping[tuple, object]
+    table: Mapping[tuple, object] | np.ndarray = field(repr=False)
     symmetric: bool = False
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity == float("inf"):
@@ -108,36 +135,65 @@ class Kernel:
             raise ArityError(f"arity must be a positive integer, got {self.arity!r}")
         if not isinstance(self.domain, (DiscreteSpace, IntervalPartition)):
             raise SpecError(f"unsupported kernel domain {type(self.domain).__name__}")
-        keyset = self._domain_keys()
-        table = dict(self.table)
-        m = self.arity
-        expected = len(keyset) ** m
         where = f"kernel {self.name!r}"
-        for key, v in table.items():
-            if not isinstance(key, tuple) or len(key) != m:
-                raise SpecError(f"{where}: table key {key!r} is not an arity-{m} tuple")
-            for coord in key:
-                if coord not in keyset:
-                    raise SpecError(f"{where}: table key {key!r} references unknown {coord!r}")
-            self.value_space.check_value(v, f"{where} at {key!r}")
-        if len(table) != expected:
-            raise SpecError(
-                f"{where}: table has {len(table)} entries, needs all {expected} tuples"
+        index = {c: i for i, c in enumerate(self._coords)}
+        values = self.table
+        if not isinstance(values, np.ndarray):
+            values = self._values_from_mapping(dict(values), index, where)
+        elif values.flags.writeable:  # never share an array the caller can change
+            values = values.copy()
+        shape = (len(index),) * self.arity
+        if values.shape != shape:
+            raise SpecError(f"{where}: value array has shape {values.shape}, needs {shape}")
+        if values.dtype.kind not in ("iu" if self.value_space.kind == "labels" else "iuf"):
+            raise SpecError(f"{where}: {values.dtype} values do not fit {self.value_space.kind!r}")
+        values = values.astype(self.value_space.dtype, copy=False)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "table", _TableView(values, index))
+        outside, why = self.value_space.outside(values)
+        if outside.any():
+            idx = tuple(np.argwhere(outside)[0])
+            raise RangeError(
+                f"{where} at {self.key_at(idx)!r}: value {values[idx].item()!r} {why}"
             )
-        object.__setattr__(self, "table", MappingProxyType(table))
         if self.symmetric:
             ok, witness = check_symmetry(self)
             if not ok:
                 raise SymmetryError(
                     f"{where} declared symmetric but "
-                    f"{witness[0]} -> {table[witness[0]]!r} while "
-                    f"{witness[1]} -> {table[witness[1]]!r}"
+                    f"{witness[0]} -> {self.table[witness[0]]!r} while "
+                    f"{witness[1]} -> {self.table[witness[1]]!r}"
                 )
 
-    def _domain_keys(self) -> set:
+    @property
+    def _coords(self):
         if isinstance(self.domain, DiscreteSpace):
-            return set(self.domain.atom_ids)
-        return set(range(len(self.domain)))
+            return self.domain.atom_ids
+        return range(len(self.domain))
+
+    def _values_from_mapping(self, table: Mapping, index: dict, where: str) -> np.ndarray:
+        m = self.arity
+        positions = []
+        for key, v in table.items():
+            position = [index.get(c, -1) for c in key] if isinstance(key, tuple) else []
+            if len(position) != m or -1 in position:
+                raise SpecError(f"{where}: table key {key!r} is not an arity-{m} domain tuple")
+            self.value_space.check_type(v, where, key)
+            positions.append(position)
+        size = len(index)
+        if len(table) != size**m:
+            raise SpecError(f"{where}: table has {len(table)} entries, needs all {size**m} tuples")
+        values = np.empty((size,) * m, dtype=self.value_space.dtype)
+        try:
+            values[tuple(np.array(positions).T)] = list(table.values())
+        except OverflowError:
+            raise RangeError(f"{where}: a value is too large for {values.dtype} storage") from None
+        return values
+
+    def key_at(self, index) -> tuple:
+        """The domain tuple at an index of :attr:`values`."""
+        return tuple(self._coords[i] for i in index)
 
     @property
     def is_step(self) -> bool:
@@ -184,6 +240,20 @@ class KernelFamily:
     def names(self) -> tuple[str, ...]:
         return tuple(k.name for k in self.kernels)
 
+    def on_domain(self, domain, values=None) -> KernelFamily:
+        """The same kernels on another domain: atom or cell k of
+        ``domain`` takes the place of position k.  ``values``, one array
+        per kernel, replaces the kernels' value arrays; by default they
+        are passed on unchanged."""
+        if values is None:
+            values = [k.values for k in self.kernels]
+        return KernelFamily(
+            tuple(
+                Kernel(k.name, k.arity, k.value_space, domain, v, k.symmetric)
+                for k, v in zip(self.kernels, values)
+            )
+        )
+
 
 def eval_kernel(kernel: Kernel, point: tuple):
     """Evaluate a kernel at a point of its domain.
@@ -204,17 +274,16 @@ def eval_kernel(kernel: Kernel, point: tuple):
             f"kernel {kernel.name!r} has arity {kernel.arity}, got {len(point)} coordinates"
         )
     if kernel.is_step:
-        key = tuple(lookup_cell(kernel.domain, u) for u in point)
+        index = tuple(lookup_cell(kernel.domain, u) for u in point)
     else:
-        space = kernel.domain
-        for a in point:
-            space.index(a)  # raises SpecError on unknown atoms
-        key = point
-    return kernel.table[key]
+        index = tuple(kernel.domain.index(a) for a in point)
+    return kernel.values[index].item()
 
 
 def check_symmetry(kernel: Kernel):
     """Exhaustively check invariance under coordinate permutations.
+
+    Compares the value array with each of its m! axis transposes.
 
     Returns
     -------
@@ -223,28 +292,16 @@ def check_symmetry(kernel: Kernel):
         ``(False, (key, permuted_key))`` with a witness pair of tuples
         carrying different values.
     """
-    if kernel.arity == 1:
-        return True, None
-    table = kernel.table
-    for key, v in table.items():
-        for perm in permutations(key):
-            if table[perm] != v:
-                return False, (key, perm)
+    values = kernel.values
+    for axes in permutations(range(kernel.arity)):
+        differ = np.argwhere(values != values.transpose(axes))
+        if len(differ):
+            index = tuple(differ[0])
+            moved = [index[axes.index(axis)] for axis in range(kernel.arity)]
+            return False, (kernel.key_at(index), kernel.key_at(moved))
     return True, None
 
 
 def value_array(kernel: Kernel) -> np.ndarray:
-    """Dense ndarray of shape ``(K,) * arity`` holding the table values,
-    indexed by atom position (table kernels) or cell index (step kernels)."""
-    if isinstance(kernel.domain, DiscreteSpace):
-        pos = {a: i for i, a in enumerate(kernel.domain.atom_ids)}
-        keymap = lambda key: tuple(pos[a] for a in key)  # noqa: E731
-        size = len(kernel.domain)
-    else:
-        keymap = lambda key: key  # noqa: E731
-        size = len(kernel.domain)
-    dtype = np.int64 if kernel.value_space.kind == "labels" else np.float64
-    out = np.empty((size,) * kernel.arity, dtype=dtype)
-    for key, v in kernel.table.items():
-        out[keymap(key)] = v
-    return out
+    """The kernel's read-only value array, :attr:`Kernel.values`."""
+    return kernel.values

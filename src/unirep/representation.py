@@ -31,13 +31,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
 from .errors import DomainError, KindError, MeasurabilityError, SpecError
-from .kernels import Kernel, KernelFamily, ValueSpace
+from .kernels import KernelFamily, ValueSpace
 from .spaces import Cdf, DiscreteSpace, interval_partition, validate_space
 
 __all__ = [
@@ -240,23 +239,7 @@ def represent_family(space: DiscreteSpace, family: KernelFamily) -> KernelFamily
         raise SpecError("represent_family expects a family of table kernels")
     if family.domain != space:
         raise SpecError("family is defined over a different space")
-    partition = interval_partition(space)
-    out = []
-    for k in family:
-        table = {
-            tuple(space.index(a) for a in key): v for key, v in k.table.items()
-        }
-        out.append(
-            Kernel(
-                name=k.name,
-                arity=k.arity,
-                value_space=k.value_space,
-                domain=partition,
-                table=table,
-                symmetric=k.symmetric,
-            )
-        )
-    return KernelFamily(tuple(out))
+    return family.on_domain(interval_partition(space))
 
 
 def cantor_represent_family(
@@ -286,51 +269,28 @@ def cantor_represent_family(
         raise SpecError("family is defined over a different space")
     generators = [tuple(g) for g in generators]  # may be a one-shot iterable
     codes = cantor_encode(space, generators)
-
+    # position of each atom's class representative, the first atom with its code
+    first: dict[tuple, int] = {}
+    rep_of = np.array([first.setdefault(codes[a].bits, i) for i, a in enumerate(space.atom_ids)])
     for k in family:
-        seen: dict[tuple, tuple] = {}
-        for key in _ordered_keys(space, k.arity):
-            code_key = tuple(codes[a].bits for a in key)
-            v = k.table[key]
-            if code_key in seen:
-                first_key, first_v = seen[code_key]
-                if v != first_v:
-                    raise MeasurabilityError(k.name, (first_key, key), (first_v, v))
-            else:
-                seen[code_key] = (key, v)
+        rep_values = k.values[np.ix_(*[rep_of] * k.arity)]
+        differ = np.argwhere(k.values != rep_values)
+        if len(differ):
+            # the first mismatch in product order; its representative
+            # tuple is the first tuple of its code class in that order
+            index = tuple(differ[0])
+            witness = (k.key_at(rep_of[list(index)]), k.key_at(index))
+            values = (rep_values[index].item(), k.values[index].item())
+            raise MeasurabilityError(k.name, witness, values)
 
     classes = sigma_atoms(space, generators)
     classes = sorted(classes, key=lambda members: codes[members[0]].bits)
-    reps = [members[0] for members in classes]
-    merged_ids = tuple(str(codes[rep]) for rep in reps)
+    reps = [space.index(members[0]) for members in classes]
+    merged_ids = tuple(str(codes[members[0]]) for members in classes)
     merged_probs = tuple(
         sum(space.probs[space.index(a)] for a in members) for members in classes
     )
     merged = validate_space(merged_ids, merged_probs)
-    partition = interval_partition(merged)
-
-    out = []
-    for k in family:
-        table = {}
-        for idx_key in _ordered_keys_indices(len(classes), k.arity):
-            atom_key = tuple(reps[i] for i in idx_key)
-            table[idx_key] = k.table[atom_key]
-        out.append(
-            Kernel(
-                name=k.name,
-                arity=k.arity,
-                value_space=k.value_space,
-                domain=partition,
-                table=table,
-                symmetric=k.symmetric,
-            )
-        )
-    return KernelFamily(tuple(out))
-
-
-def _ordered_keys(space: DiscreteSpace, arity: int):
-    return product(space.atom_ids, repeat=arity)
-
-
-def _ordered_keys_indices(size: int, arity: int):
-    return product(range(size), repeat=arity)
+    return family.on_domain(
+        interval_partition(merged), [k.values[np.ix_(*[reps] * k.arity)] for k in family]
+    )

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ArityError, RangeError, SymmetryError, UnsupportedError
-from .kernels import Kernel, KernelFamily, value_array
+from .kernels import Kernel, KernelFamily
 from .spaces import (
     IntervalPartition,
     interval_partition,
@@ -51,10 +51,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 _TWO53 = float(1 << 53)
-
-# Pair evaluation switches from the pure-Python scalar path to the
-# vectorized path above this many draws; both paths are bit-identical.
-_VECTOR_THRESHOLD = 512
 
 
 def _avalanche(x: int) -> int:
@@ -239,35 +235,18 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
     """
     _check_graph_kernel(kernel)
     latents = sample_latents(kernel.domain, n, seed)
-    values = value_array(kernel)
     cells = latents.cells
-    if n < 2:
-        edges = np.empty((0, 2), dtype=np.int64)
-        return RandomGraph(n, edges, latents)
-
     pairs = pair_list(n)
-    if len(pairs) <= _VECTOR_THRESHOLD:
-        keep = [
-            (i, j)
-            for i, j in pairs.tolist()
-            if unit_uniform(seed, 1, i, j) < values[cells[i - 1], cells[j - 1]]
-        ]
-        edges = np.array(keep, dtype=np.int64).reshape(-1, 2)
-        return RandomGraph(n, edges, latents)
-
     iv = pairs[:, 0].astype(np.uint64)
     jv = pairs[:, 1].astype(np.uint64)
-    probs = values[cells[iv - 1], cells[jv - 1]]
+    probs = kernel.values[cells[iv - 1], cells[jv - 1]]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, len(pairs), threads + 1, dtype=int)
-        chunks = [(bounds[t], bounds[t + 1]) for t in range(threads)]
+        chunks = zip(np.array_split(iv, threads), np.array_split(jv, threads))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            coin_parts = list(
-                pool.map(lambda lohi: unit_uniform_array(seed, 1, iv[lohi[0]:lohi[1]], jv[lohi[0]:lohi[1]]), chunks)
-            )
-        coins = np.concatenate(coin_parts)
+            parts = pool.map(lambda ij: unit_uniform_array(seed, 1, *ij), chunks)
+            coins = np.concatenate(list(parts))
     else:
         coins = unit_uniform_array(seed, 1, iv, jv)
     edges = pairs[coins < probs]
@@ -286,16 +265,13 @@ def sample_graph_bitmasks(kernel: Kernel, n: int, seeds: np.ndarray) -> np.ndarr
     if len(pairs) > 64:
         raise ArityError(f"bitmask sampling needs n(n-1)/2 <= 64, got n={n}")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    partition = _as_partition(kernel.domain)
-    bp = np.asarray(partition.breakpoints)
     vidx = np.arange(1, n + 1, dtype=np.uint64)
     u = unit_uniform_array(seeds[:, None], 0, 0, vidx[None, :])
-    cells = np.searchsorted(bp, u, side="right") - 1
+    cells = lookup_cells(_as_partition(kernel.domain), u)
     iv = pairs[:, 0].astype(np.uint64)
     jv = pairs[:, 1].astype(np.uint64)
     coins = unit_uniform_array(seeds[:, None], 1, iv[None, :], jv[None, :])
-    values = value_array(kernel)
-    probs = values[cells[:, iv - 1], cells[:, jv - 1]]
+    probs = kernel.values[cells[:, iv - 1], cells[:, jv - 1]]
     bits = coins < probs
     weights = np.uint64(1) << np.arange(len(pairs), dtype=np.uint64)
     return (bits.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
@@ -327,13 +303,9 @@ def sample_array(family: KernelFamily, n: int, seed: int) -> SampleArray:
                 f"kernel {k.name!r} has arity {k.arity} > n = {n}"
             )
     latents = sample_latents(family.domain, n, seed)
+    cells = latents.cells.tolist()
     values: dict[tuple, object] = {}
     for k in family:
-        step = k.is_step
         for idx in permutations(range(1, n + 1), k.arity):
-            if step:
-                key = tuple(int(latents.cells[t - 1]) for t in idx)
-            else:
-                key = tuple(latents.atoms[t - 1] for t in idx)
-            values[(k.name, idx)] = k.table[key]
+            values[(k.name, idx)] = k.values[tuple(cells[t - 1] for t in idx)].item()
     return SampleArray(n, latents, MappingProxyType(values))

@@ -166,7 +166,7 @@ class IntervalPartition:
             raise SpecError("need exactly one more breakpoint than cells")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise SpecError("breakpoints must start at 0 and end at 1")
-        if any(b1 > b2 for b1, b2 in zip(bp, bp[1:])):
+        if not all(b1 <= b2 for b1, b2 in zip(bp, bp[1:])):  # NaN fails too
             raise SpecError("breakpoints must be nondecreasing")
         if len(set(labels)) != len(labels):
             raise SpecError("cell labels must be pairwise distinct")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 from .errors import SpecError
@@ -58,7 +58,10 @@ class SpecDocument:
 
 def load_spec(path) -> SpecDocument:
     """Parse and validate a spec file from disk."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path} is not UTF-8 text: {exc.reason}") from None
     return loads_spec(text, source=str(path))
 
 
@@ -109,6 +112,16 @@ def parse_spec(doc: dict) -> SpecDocument:
     return SpecDocument(space, partition, generators, family, cdfs)
 
 
+def _numbers(items, path: str) -> list[float]:
+    """The floats of a JSON list of numbers; anything else is a SpecError."""
+    if isinstance(items, list) and all(type(x) in (int, float) for x in items):
+        try:
+            return [float(x) for x in items]
+        except OverflowError:
+            pass
+    raise SpecError("must be a list of numbers in the 64-bit float range", field=path)
+
+
 def _parse_space(block, path: str = "space") -> DiscreteSpace:
     if not isinstance(block, dict):
         raise SpecError("must be an object with atoms and probs", field=path)
@@ -125,8 +138,7 @@ def _parse_space(block, path: str = "space") -> DiscreteSpace:
                 f"atom ids in spec files are comma-free strings, got {a!r}",
                 field=f"{path}.atoms",
             )
-    if not isinstance(probs, list):
-        raise SpecError("must be a list", field=f"{path}.probs")
+    probs = _numbers(probs, f"{path}.probs")
     try:
         return validate_space(atoms, probs)
     except SpecError as exc:
@@ -141,8 +153,11 @@ def _parse_partition(block, path: str = "partition") -> IntervalPartition:
         cells = block["cells"]
     except KeyError as exc:
         raise SpecError(f"missing field {exc.args[0]!r}", field=path) from None
+    bp = _numbers(bp, f"{path}.breakpoints")
+    if not isinstance(cells, list) or not all(isinstance(c, (str, int)) for c in cells):
+        raise SpecError("must be a list of string or integer labels", field=f"{path}.cells")
     try:
-        return IntervalPartition(tuple(float(b) for b in bp), tuple(cells))
+        return IntervalPartition(tuple(bp), tuple(cells))
     except SpecError as exc:
         raise SpecError(exc.message, field=path) from None
 
@@ -156,8 +171,9 @@ def _parse_cdf(block, path: str) -> Cdf:
         isinstance(p, list) and len(p) == 2 for p in points
     ):
         raise SpecError("points must be a list of [x, c] pairs", field=f"{path}.points")
+    points = [_numbers(p, f"{path}.points") for p in points]
     try:
-        return Cdf(kind, tuple((float(x), float(c)) for x, c in points))
+        return Cdf(kind, tuple(map(tuple, points)))
     except SpecError as exc:
         raise SpecError(exc.message, field=f"{path}.{exc.field or 'points'}") from None
 
@@ -189,7 +205,9 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
         raise SpecError("kernel name must be a nonempty string", field=f"{path}.name")
     arity = block["arity"]
     value_space = _parse_value_space(block["value_space"], f"{path}.value_space")
-    symmetric = bool(block.get("symmetric", False))
+    symmetric = block.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise SpecError(f"must be true or false, got {symmetric!r}", field=f"{path}.symmetric")
     raw = block["values"]
     if not isinstance(raw, dict):
         raise SpecError("values must be an object", field=f"{path}.values")
@@ -247,11 +265,11 @@ def dump_represented(family: KernelFamily) -> dict:
     if not isinstance(family.domain, IntervalPartition):
         raise SpecError("dump_represented expects a family of step kernels")
     partition = family.domain
+    cells = range(len(partition))
     kernels = []
     for k in family:
-        values = {
-            ",".join(str(c) for c in key): v for key, v in sorted(k.table.items())
-        }
+        keys = (",".join(map(str, key)) for key in product(cells, repeat=k.arity))
+        values = dict(zip(keys, k.values.ravel().tolist()))
         kernels.append(
             {
                 "name": k.name,

@@ -66,6 +66,22 @@ class TestRepresent:
         assert doc.family.names == ("f",)
         assert doc.partition is not None
 
+    def test_integer_literal_in_real_kernel_written_as_float(self, tmp_path, capsys):
+        doc = {
+            "space": {"atoms": ["a", "b"], "probs": [0.5, 0.5]},
+            "kernels": [
+                {"name": "r", "arity": 1, "value_space": "real", "values": {"a": 1, "b": 2.5}},
+                {"name": "l", "arity": 1, "value_space": {"labels": 3}, "values": {"a": 2, "b": 0}},
+            ],
+        }
+        assert main(["represent", write_spec(tmp_path, doc)]) == 0
+        artifact = json.loads(capsys.readouterr().out)
+        real, lab = artifact["kernels"]
+        assert real["values"] == {"0": 1.0, "1": 2.5}
+        assert type(real["values"]["0"]) is float
+        assert lab["values"] == {"0": 2, "1": 0}
+        assert type(lab["values"]["0"]) is int
+
     def test_via_cantor_equivalent_to_direct(self, tmp_path):
         spec = write_spec(tmp_path, DEMO_SPEC)
         direct = tmp_path / "direct.json"
@@ -256,6 +272,47 @@ def assert_one_error_line(err):
     assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+def _spec_bytes(doc, huge_literal=None):
+    """A spec document as file bytes; ``huge_literal`` replaces the value 7."""
+    text = json.dumps(doc)
+    return (text.replace(": 7", ": " + huge_literal) if huge_literal else text).encode()
+
+
+def _demo_with(path, value):
+    doc = json.loads(json.dumps(DEMO_SPEC))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+_CELL_KERNEL = {"name": "f", "arity": 2, "value_space": "unit", "symmetric": True,
+                "values": {"0,0": 0.5, "0,1": 0.2, "1,1": 0.9}}
+_ARITY1 = {"a": 7, "b": 0, "c": 1}
+
+MALFORMED_SPECS = {
+    "partition_cells_lists": _spec_bytes(
+        {"partition": {"breakpoints": [0, 0.5, 1], "cells": [["a"], ["b"]]},
+         "kernels": [_CELL_KERNEL]}),
+    "breakpoints_string": _spec_bytes(
+        {"partition": {"breakpoints": [0, "q", 1], "cells": ["a", "b"]},
+         "kernels": [_CELL_KERNEL]}),
+    "breakpoint_nan": _spec_bytes(
+        {"partition": {"breakpoints": [0, float("nan"), 1], "cells": ["a", "b"]},
+         "kernels": [_CELL_KERNEL]}),
+    "not_utf8": b"\xff\xfe",
+    "probs_string": _spec_bytes(_demo_with(["space", "probs"], ["x", 0.5, 0.5])),
+    "probs_null": _spec_bytes(_demo_with(["space", "probs"], [None, 0.5, 0.5])),
+    "symmetric_string": _spec_bytes(_demo_with(["kernels", 0, "symmetric"], "false")),
+    "real_value_400_digits": _spec_bytes(_demo_with(["kernels"], [
+        {"name": "r", "arity": 1, "value_space": "real", "values": _ARITY1}]), "9" * 400),
+    "label_value_400_digits": _spec_bytes(_demo_with(["kernels"], [
+        {"name": "r", "arity": 1, "value_space": {"labels": 3}, "values": _ARITY1}]), "9" * 400),
+}
+
+
 class TestBadInput:
     def test_missing_spec_file_exit_2(self, tmp_path, capsys):
         code, err = run_cli(["encode", str(tmp_path / "missing.json")], capsys)
@@ -298,3 +355,19 @@ class TestBadInput:
         assert_one_error_line(err)
         assert calls == []
 
+
+    def test_ztest_with_one_run_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        argv = ["equiv", spec, spec, "--mode", "mc", "--n", "12", "--runs", "1"]
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "runs >= 2" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.json"
+        path.write_bytes(MALFORMED_SPECS[case])
+        code, err = run_cli(["sample", str(path), "--n", "3"], capsys)
+        assert code == 2, err
+        assert_one_error_line(err)

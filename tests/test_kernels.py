@@ -17,7 +17,7 @@ from unirep import (
 )
 from unirep.kernels import value_array
 
-from util import LABELS3, UNIT, const_graph_kernel, random_kernel, space, table_kernel, two_block_kernel
+from util import LABELS3, REAL, UNIT, const_graph_kernel, random_kernel, space, table_kernel, two_block_kernel
 
 
 class TestKernelValidation:
@@ -178,3 +178,71 @@ class TestValueArray:
         sp = space("ab", (0.5, 0.5))
         k = table_kernel("f", sp, {("a",): 0.25, ("b",): 0.75})
         assert value_array(k).tolist() == [0.25, 0.75]
+
+
+class TestValueStorage:
+    def test_table_view_returns_python_scalars(self):
+        sp = space("ab", (0.5, 0.5))
+        cases = [
+            (LABELS3, {("a",): 2, ("b",): 0}, int),
+            (REAL, {("a",): 1, ("b",): -2.5}, float),
+            (UNIT, {("a",): 0.25, ("b",): 1}, float),
+        ]
+        for vs, table, kind in cases:
+            k = table_kernel("f", sp, table, value_space=vs)
+            assert k.table == table
+            assert dict(k.table) == table
+            assert all(type(v) is kind for v in k.table.values())
+            assert list(k.table) == [("a",), ("b",)]
+
+    def test_step_kernel_table_keys_are_cell_indices(self):
+        k = two_block_kernel(within=0.1, across=0.9)
+        assert dict(k.table) == {(0, 0): 0.1, (0, 1): 0.9, (1, 0): 0.9, (1, 1): 0.1}
+        with pytest.raises(KeyError):
+            k.table[(0, 2)]
+        with pytest.raises(KeyError):
+            k.table[(0,)]
+
+    def test_values_and_view_are_read_only(self):
+        k = two_block_kernel()
+        assert not k.values.flags.writeable
+        with pytest.raises(ValueError):
+            k.values[0, 0] = 0.5
+        with pytest.raises(TypeError):
+            k.table[(0, 0)] = 0.5
+
+    def test_array_input_equals_mapping_input(self):
+        sp = space("ab", (0.5, 0.5))
+        table = {("a", "a"): 0.2, ("a", "b"): 0.7, ("b", "a"): 0.7, ("b", "b"): 0.5}
+        from_map = table_kernel("f", sp, table, symmetric=True)
+        from_array = Kernel("f", 2, UNIT, sp, np.array([[0.2, 0.7], [0.7, 0.5]]), True)
+        assert from_array == from_map
+        other = Kernel("f", 2, UNIT, sp, np.array([[0.2, 0.7], [0.7, 0.6]]), True)
+        assert other != from_map
+
+    def test_array_input_checked(self):
+        sp = space("ab", (0.5, 0.5))
+        with pytest.raises(SpecError):
+            Kernel("f", 2, UNIT, sp, np.zeros((2, 3)))
+        with pytest.raises(SpecError):
+            Kernel("f", 1, LABELS3, sp, np.array([0.0, 1.0]))
+        with pytest.raises(RangeError):
+            Kernel("f", 1, UNIT, sp, np.array([0.5, np.nan]))
+        with pytest.raises(SymmetryError):
+            Kernel("f", 2, UNIT, sp, np.array([[0.1, 0.2], [0.3, 0.4]]), True)
+
+    def test_values_too_large_for_storage(self):
+        sp = space("ab", (0.5, 0.5))
+        with pytest.raises(RangeError):
+            table_kernel("f", sp, {("a",): 10**400, ("b",): 0.5}, value_space=REAL)
+        with pytest.raises(RangeError):
+            table_kernel("f", sp, {("a",): 10**30, ("b",): 0}, value_space=LABELS3)
+
+    def test_symmetry_witness_on_arity_three(self):
+        sp = space("abc", (0.2, 0.3, 0.5))
+        table = {(x, y, z): 0.5 for x in "abc" for y in "abc" for z in "abc"}
+        table[("c", "a", "b")] = 0.25
+        ok, (t1, t2) = check_symmetry(table_kernel("f", sp, table))
+        assert not ok
+        assert sorted(t1) == sorted(t2) == ["a", "b", "c"]
+        assert table[t1] != table[t2]

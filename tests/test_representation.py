@@ -338,6 +338,21 @@ class TestCantorRepresentFamily:
         assert err.values[0] != err.values[1]
         assert err.kernel_name == "f"
 
+    def test_witness_with_merged_class(self):
+        # a and c share a code, as do b and d; the first mismatch in
+        # product order is (c, b), whose class representative is (a, b)
+        sp = space("abcd", (0.1, 0.2, 0.3, 0.4))
+        cls = {"a": 0, "b": 1, "c": 0, "d": 1}
+        base = {(0, 0): 0.1, (0, 1): 0.4, (1, 0): 0.4, (1, 1): 0.7}
+        table = {(x, y): base[cls[x], cls[y]] for x in "abcd" for y in "abcd"}
+        table[("d", "a")] = 0.9
+        table[("c", "b")] = 0.8
+        fam = KernelFamily((table_kernel("f", sp, table),))
+        with pytest.raises(MeasurabilityError) as excinfo:
+            cantor_represent_family(sp, [["a", "c"]], fam)
+        assert excinfo.value.witness == (("a", "b"), ("c", "b"))
+        assert excinfo.value.values == (0.4, 0.8)
+
     def test_empty_generators_with_constant_family(self):
         sp = space("ab", (0.4, 0.6))
         fam = KernelFamily((table_kernel("f", sp, {("a",): 0.7, ("b",): 0.7}),))

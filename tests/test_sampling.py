@@ -31,6 +31,7 @@ from util import (
     UNIT,
     const_graph_kernel,
     random_kernel,
+    sample_graph_pairwise,
     space,
     table_kernel,
     two_block_kernel,
@@ -154,18 +155,15 @@ class TestSampleGraph:
         assert g.edges.tolist() == expected
 
     def test_scalar_and_vector_paths_agree(self):
-        # n=40 crosses the vectorization threshold; force both paths
-        import unirep.sampling as sampling
-
-        k = two_block_kernel()
-        g_vec = sample_graph(k, 40, 5)
-        old = sampling._VECTOR_THRESHOLD
-        sampling._VECTOR_THRESHOLD = 10**9
-        try:
-            g_scalar = sample_graph(k, 40, 5)
-        finally:
-            sampling._VECTOR_THRESHOLD = old
-        assert g_vec.edges.tolist() == g_scalar.edges.tolist()
+        # the per-pair scalar oracle, on both domain kinds; n=3 and n=31
+        # are sizes an earlier scalar fast path used to serve
+        sp = space("ab", (0.3, 0.7))
+        cross = {("a", "a"): 0.2, ("a", "b"): 0.9, ("b", "a"): 0.9, ("b", "b"): 0.4}
+        for k in (two_block_kernel(), table_kernel("f", sp, cross, symmetric=True)):
+            for n in (3, 31, 40):
+                for seed in (5, 6):
+                    expected = sample_graph_pairwise(k, n, seed).tolist()
+                    assert sample_graph(k, n, seed).edges.tolist() == expected
 
     def test_threads_do_not_change_output(self):
         k = two_block_kernel()

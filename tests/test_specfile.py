@@ -83,6 +83,14 @@ class TestLoadSpec:
         assert doc.family.kernels[0].table[("a",)] == 1
         assert isinstance(doc.family.kernels[0].table[("a",)], int)
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_symmetric_must_be_boolean(self, flag):
+        bad = json.loads(json.dumps(DEMO))
+        bad["kernels"][0]["symmetric"] = flag
+        with pytest.raises(SpecError) as excinfo:
+            loads_spec(json.dumps(bad))
+        assert excinfo.value.field == "kernels[0].symmetric"
+
     def test_bad_value_space(self):
         bad = json.loads(json.dumps(DEMO))
         bad["kernels"][0]["value_space"] = "octonion"

@@ -12,8 +12,12 @@ from unirep import (
     Kernel,
     KernelFamily,
     ValueSpace,
+    eval_kernel,
+    sample_latents,
+    unit_uniform,
     validate_space,
 )
+from unirep.sampling import pair_list
 
 REAL = ValueSpace("real")
 UNIT = ValueSpace("unit")
@@ -61,6 +65,20 @@ def two_block_kernel(within=0.1, across=0.9, name="f"):
     return Kernel(
         name=name, arity=2, value_space=UNIT, domain=part, table=table, symmetric=True
     )
+
+
+def sample_graph_pairwise(kernel, n, seed):
+    """Per-pair oracle for ``sample_graph``: the edge list, one scalar
+    coin ``unit_uniform(seed, 1, i, j)`` and one scalar kernel lookup
+    per pair, in pair order."""
+    latents = sample_latents(kernel.domain, n, seed)
+    points = latents.uniforms.tolist() if kernel.is_step else latents.atoms
+    keep = [
+        (i, j)
+        for i, j in pair_list(n).tolist()
+        if unit_uniform(seed, 1, i, j) < eval_kernel(kernel, (points[i - 1], points[j - 1]))
+    ]
+    return np.array(keep, dtype=np.int64).reshape(-1, 2)
 
 
 def random_space(rng, size, ids=None):
