@@ -1,9 +1,9 @@
 """Deciding whether two function families induce the same joint distribution.
 
-At small scale the decision is exact: :func:`exact_joint_law`
-enumerates every atom assignment and aggregates the full vector of
-kernel values over all distinct-index tuples, and :func:`tv_distance`
-compares two such laws by bit-exact support matching (valid because
+At small scale the decision is exact: :func:`exact_joint_law`,
+:func:`hom_density` and :func:`graph_law_exact` are sums over one
+enumerator of Omega^n, :func:`_assignments`, and :func:`tv_distance`
+compares two joint laws by bit-exact support matching (valid because
 both laws draw their values from identical tables; upstream modules
 copy values, never recompute them through different arithmetic).
 
@@ -22,9 +22,9 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -102,6 +102,20 @@ def canonical_keys(family: KernelFamily, n: int) -> tuple[tuple[str, tuple[int, 
     return tuple(keys)
 
 
+def _assignments(weights: np.ndarray, n: int, block: int = 1024) -> Iterator[tuple]:
+    """Blocks ``(assign, prob)`` of at most ``block`` assignments of n points
+    to cells, in lexicographic order: ``assign[r, j]`` is the cell of point j
+    and ``prob[r]`` the left-to-right product of its cells' weights."""
+    size = len(weights)
+    digits = size ** np.arange(n - 1, -1, -1)
+    for lo in range(0, size**n, block):
+        assign = np.arange(lo, min(lo + block, size**n))[:, None] // digits % size
+        prob = np.ones(len(assign))
+        for j in range(n):
+            prob *= weights[assign[:, j]]
+        yield assign, prob
+
+
 def exact_joint_law(
     space: DiscreteSpace,
     family: KernelFamily,
@@ -142,13 +156,8 @@ def exact_joint_law(
             strides[list(idx), len(base)] = digits[n - k.arity :]
             base.append(len(flat))
         flat.extend(k.values.ravel().tolist())
-    probs = np.asarray(space.probs)
     support: dict[tuple, float] = {}
-    for lo in range(0, size**n, 1024):  # blocks of assignments bound the memory
-        assign = np.arange(lo, min(lo + 1024, size**n))[:, None] // digits % size
-        prob = np.ones(len(assign))
-        for j in range(n):  # the same left-to-right product as a scalar loop
-            prob *= probs[assign[:, j]]
+    for assign, prob in _assignments(np.asarray(space.probs), n):
         offsets = (assign @ strides + base).tolist()
         for p, offset in zip(prob.tolist(), offsets):
             if p == 0.0:
@@ -283,18 +292,14 @@ def hom_density(kernel: Kernel, pattern: PatternGraph) -> float:
         If kernel values leave [0,1].
     """
     weights, values = _weights_and_values(kernel, "hom_density")
-    size = len(weights)
-    terms = []
-    for assign in product(range(size), repeat=pattern.num_vertices):
-        w = 1.0
-        for c in assign:
-            w *= weights[c]
-        if w == 0.0:
-            continue
-        for u, v in pattern.edges:
-            w *= values[assign[u], assign[v]]
-        terms.append(w)
-    return math.fsum(terms)
+
+    def terms():  # streamed, so that only one block is held at a time
+        for assign, prob in _assignments(weights, pattern.num_vertices):
+            for u, v in pattern.edges:
+                prob *= values[assign[:, u], assign[:, v]]
+            yield from prob.tolist()
+
+    return math.fsum(terms())
 
 
 def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarray:
@@ -320,17 +325,14 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
         )
     masks = np.arange(num_graphs)
     law = np.zeros(num_graphs)
-    for assign in product(range(size), repeat=n):
-        w = 1.0
-        for c in assign:
-            w *= weights[c]
-        if w == 0.0:
-            continue
-        acc = np.full(num_graphs, w)
+    # blocks of at most 2^16 (assignment, graph) terms bound the memory
+    for assign, prob in _assignments(weights, n, block=max(1, (1 << 16) // num_graphs)):
+        acc = np.repeat(prob[:, None], num_graphs, axis=1)
         for p, (i, j) in enumerate(pairs.tolist()):
-            pe = values[assign[i - 1], assign[j - 1]]
+            pe = values[assign[:, i - 1], assign[:, j - 1]][:, None]
             acc *= np.where((masks >> p) & 1, pe, 1.0 - pe)
-        law += acc
+        for row in acc:  # row by row, so the sums match a per-assignment loop bit for bit
+            law += row
     return law
 
 
@@ -340,8 +342,8 @@ def _edge_count(g: RandomGraph) -> float:
 
 def _triangle_count(g: RandomGraph) -> float:
     adj = np.zeros((g.n, g.n))
-    for i, j in g.edges.tolist():
-        adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1.0
+    i, j = g.edges.T - 1
+    adj[i, j] = adj[j, i] = 1.0
     return float(np.trace(adj @ adj @ adj) / 6.0)
 
 

@@ -17,7 +17,7 @@ joint-law support points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -139,7 +139,7 @@ class Kernel:
         index = {c: i for i, c in enumerate(self._coords)}
         values = self.table
         if not isinstance(values, np.ndarray):
-            values = self._values_from_mapping(dict(values), index, where)
+            values = values_from_table(dict(values), index, self.arity, self.value_space, where)
         elif values.flags.writeable:  # never share an array the caller can change
             values = values.copy()
         shape = (len(index),) * self.arity
@@ -171,25 +171,6 @@ class Kernel:
         if isinstance(self.domain, DiscreteSpace):
             return self.domain.atom_ids
         return range(len(self.domain))
-
-    def _values_from_mapping(self, table: Mapping, index: dict, where: str) -> np.ndarray:
-        m = self.arity
-        positions = []
-        for key, v in table.items():
-            position = [index.get(c, -1) for c in key] if isinstance(key, tuple) else []
-            if len(position) != m or -1 in position:
-                raise SpecError(f"{where}: table key {key!r} is not an arity-{m} domain tuple")
-            self.value_space.check_type(v, where, key)
-            positions.append(position)
-        size = len(index)
-        if len(table) != size**m:
-            raise SpecError(f"{where}: table has {len(table)} entries, needs all {size**m} tuples")
-        values = np.empty((size,) * m, dtype=self.value_space.dtype)
-        try:
-            values[tuple(np.array(positions).T)] = list(table.values())
-        except OverflowError:
-            raise RangeError(f"{where}: a value is too large for {values.dtype} storage") from None
-        return values
 
     def key_at(self, index) -> tuple:
         """The domain tuple at an index of :attr:`values`."""
@@ -255,6 +236,34 @@ class KernelFamily:
         )
 
 
+def values_from_table(
+    table: Mapping, index: dict, arity: int, value_space: ValueSpace, where: str, orbits=False
+) -> np.ndarray:
+    """The value array of a table from domain tuples (coordinates placed by
+    ``index``) to values.  With ``orbits``, the table lists one tuple per
+    orbit of the coordinate permutations, and each tuple takes the value
+    listed under its position-sorted self, at a cost linear in the table."""
+    positions = []
+    for key, v in table.items():
+        position = [index.get(c, -1) for c in key] if isinstance(key, tuple) else []
+        if len(position) != arity or -1 in position:
+            raise SpecError(f"{where}: table key {key!r} is not an arity-{arity} domain tuple")
+        value_space.check_type(v, where, key)
+        positions.append(sorted(position) if orbits else position)
+    listed = np.full((len(index),) * arity, -1)  # the entry listed at each position tuple
+    listed[tuple(np.array(positions, dtype=np.int64).reshape(-1, arity).T)] = range(len(table))
+    which = listed[tuple(np.sort(np.indices(listed.shape), axis=0))] if orbits else listed
+    if (which < 0).any():
+        count = (which >= 0).sum()
+        raise SpecError(f"{where}: table has {count} entries, needs all {which.size} tuples")
+    dtype = np.dtype(value_space.dtype)
+    try:
+        values = np.array(list(table.values()), dtype=dtype)
+    except OverflowError:
+        raise RangeError(f"{where}: a value is too large for {dtype} storage") from None
+    return values[which]
+
+
 def eval_kernel(kernel: Kernel, point: tuple):
     """Evaluate a kernel at a point of its domain.
 
@@ -283,7 +292,9 @@ def eval_kernel(kernel: Kernel, point: tuple):
 def check_symmetry(kernel: Kernel):
     """Exhaustively check invariance under coordinate permutations.
 
-    Compares the value array with each of its m! axis transposes.
+    Compares the value array with its m - 1 adjacent axis swaps, which
+    generate all m! permutations; taken from the last swap down, the first
+    that fails is the first failing permutation in lexicographic order.
 
     Returns
     -------
@@ -293,7 +304,8 @@ def check_symmetry(kernel: Kernel):
         carrying different values.
     """
     values = kernel.values
-    for axes in permutations(range(kernel.arity)):
+    for i in reversed(range(kernel.arity - 1)):
+        axes = (*range(i), i + 1, i, *range(i + 2, kernel.arity))
         differ = np.argwhere(values != values.transpose(axes))
         if len(differ):
             index = tuple(differ[0])

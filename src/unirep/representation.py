@@ -29,7 +29,6 @@ for the encoding route) so outputs are reproducible.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, KindError, MeasurabilityError, SpecError
 from .kernels import KernelFamily, ValueSpace
-from .spaces import Cdf, DiscreteSpace, interval_partition, validate_space
+from .spaces import Cdf, DiscreteSpace, interval_partition, unit_points, validate_space
 
 __all__ = [
     "quantile",
@@ -70,25 +69,12 @@ def quantile(cdf: Cdf, u: float) -> float:
     DomainError
         If ``u`` is outside [0, 1).
     """
-    if not 0.0 <= u < 1.0:
-        raise DomainError(f"u={u!r} outside [0,1)")
-    xs, cs = cdf.xs, cdf.cums
-    if cdf.kind == "step":
-        return xs[bisect_right(cs, u)]
-    j = bisect_left(cs, u)
-    if j == 0:
-        return xs[0]
-    x0, x1 = xs[j - 1], xs[j]
-    c0, c1 = cs[j - 1], cs[j]
-    return x0 + (u - c0) * (x1 - x0) / (c1 - c0)
+    return float(quantile_array(cdf, u))
 
 
 def quantile_array(cdf: Cdf, u: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`quantile`, bit-identical to the scalar version."""
-    u = np.asarray(u, dtype=float)
-    if u.size and (u.min() < 0.0 or u.max() >= 1.0):
-        bad = u[(u < 0.0) | (u >= 1.0)][0]
-        raise DomainError(f"u={bad!r} outside [0,1)")
+    """:func:`quantile` at every entry of ``u``."""
+    u = unit_points(u)
     xs = np.asarray(cdf.xs)
     cs = np.asarray(cdf.cums)
     if cdf.kind == "step":
@@ -97,7 +83,8 @@ def quantile_array(cdf: Cdf, u: np.ndarray) -> np.ndarray:
     jc = np.clip(j, 1, len(xs) - 1)
     x0, x1 = xs[jc - 1], xs[jc]
     c0, c1 = cs[jc - 1], cs[jc]
-    interp = x0 + (u - c0) * (x1 - x0) / (c1 - c0)
+    with np.errstate(invalid="ignore"):  # 0/0 only at u = 0 on a flat start, replaced below
+        interp = x0 + (u - c0) * (x1 - x0) / (c1 - c0)
     return np.where(j == 0, xs[0], interp)
 
 

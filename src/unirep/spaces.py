@@ -20,7 +20,6 @@ threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -220,19 +219,22 @@ def lookup_cell(partition: IntervalPartition, u: float) -> int:
     DomainError
         If ``u`` is outside [0, 1).
     """
-    if not 0.0 <= u < 1.0:
-        raise DomainError(f"u={u!r} outside [0,1)")
-    return bisect_right(partition.breakpoints, u) - 1
+    return int(lookup_cells(partition, u))
 
 
 def lookup_cells(partition: IntervalPartition, u: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`lookup_cell`; bit-identical to the scalar version."""
-    u = np.asarray(u, dtype=float)
-    if u.size and (u.min() < 0.0 or u.max() >= 1.0):
-        bad = u[(u < 0.0) | (u >= 1.0)][0]
-        raise DomainError(f"u={bad!r} outside [0,1)")
+    """:func:`lookup_cell` of every entry of ``u``."""
     bp = np.asarray(partition.breakpoints, dtype=float)
-    return np.searchsorted(bp, u, side="right") - 1
+    return np.searchsorted(bp, unit_points(u), side="right") - 1
+
+
+def unit_points(u) -> np.ndarray:
+    """``u`` as a float array; DomainError names its first entry outside [0, 1)."""
+    u = np.asarray(u, dtype=float)
+    outside = ~((u >= 0.0) & (u < 1.0))
+    if outside.any():
+        raise DomainError(f"u={u[outside][0].item()!r} outside [0,1)")
+    return u
 
 
 @dataclass(frozen=True)
@@ -286,21 +288,10 @@ class Cdf:
 
     def evaluate(self, x: float) -> float:
         """F(x)."""
-        xs, cs = self.xs, self.cums
-        if self.kind == "step":
-            j = bisect_right(xs, x)
-            return cs[j - 1] if j > 0 else 0.0
-        if x <= xs[0]:
-            return 0.0
-        if x >= xs[-1]:
-            return 1.0
-        j = bisect_right(xs, x)
-        x0, x1 = xs[j - 1], xs[j]
-        c0, c1 = cs[j - 1], cs[j]
-        return c0 + (x - x0) * (c1 - c0) / (x1 - x0)
+        return float(self.evaluate_array(x))
 
     def evaluate_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`evaluate` with identical arithmetic."""
+        """F at every entry of ``x``."""
         x = np.asarray(x, dtype=float)
         xs = np.asarray(self.xs)
         cs = np.asarray(self.cums)
@@ -311,7 +302,8 @@ class Cdf:
         j = np.clip(j, 1, len(xs) - 1)
         x0, x1 = xs[j - 1], xs[j]
         c0, c1 = cs[j - 1], cs[j]
-        out = c0 + (x - x0) * (c1 - c0) / (x1 - x0)
+        inside = np.clip(x, xs[0], xs[-1])  # the clipped lanes are replaced below
+        out = c0 + (inside - x0) * (c1 - c0) / (x1 - x0)
         return np.where(x <= xs[0], 0.0, np.where(x >= xs[-1], 1.0, out))
 
 
@@ -340,9 +332,7 @@ def transport_map(cdf: Cdf) -> Callable:
         )
 
     def mapped(x):
-        if isinstance(x, np.ndarray):
-            return cdf.evaluate_array(x)
-        return cdf.evaluate(float(x))
+        return cdf.evaluate_array(x) if isinstance(x, np.ndarray) else cdf.evaluate(x)
 
     return mapped
 

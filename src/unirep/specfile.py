@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from pathlib import Path
 
 from .errors import SpecError
-from .kernels import Kernel, KernelFamily, ValueSpace
+from .kernels import Kernel, KernelFamily, ValueSpace, values_from_table
 from .spaces import Cdf, DiscreteSpace, IntervalPartition, validate_space
 
 __all__ = ["SpecDocument", "load_spec", "loads_spec", "dump_represented"]
@@ -213,12 +213,14 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
         raise SpecError("values must be an object", field=f"{path}.values")
 
     by_cells = isinstance(domain, IntervalPartition)
+    position = {c: i for i, c in enumerate(range(len(domain)) if by_cells else domain.atom_ids)}
     table: dict[tuple, object] = {}
+    first: dict[tuple, tuple] = {}  # symmetric: sorted positions -> first key listed
     for key_text, v in raw.items():
         parts = key_text.split(",") if key_text else [""]
         if by_cells:
             try:
-                key = tuple(int(p) for p in parts)
+                key = tuple(map(int, parts))
             except ValueError:
                 raise SpecError(
                     f"cell-table key {key_text!r} is not a comma-joined index tuple",
@@ -228,19 +230,21 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
             key = tuple(parts)
         if value_space.kind == "labels" and isinstance(v, float) and v.is_integer():
             v = int(v)
-        if symmetric:
-            for perm in permutations(key):
-                if perm in table and table[perm] != v:
-                    raise SpecError(
-                        f"symmetric orbit of {key_text!r} lists conflicting values",
-                        field=f"{path}.values",
-                    )
-                table[perm] = v
-        else:
-            if key in table:
-                raise SpecError(f"duplicate key {key_text!r}", field=f"{path}.values")
-            table[key] = v
+        if symmetric and len(key) == arity and None not in (pos := tuple(map(position.get, key))):
+            key = first.setdefault(tuple(sorted(pos)), key)  # one key per orbit
+            if key in table and table[key] != v:
+                raise SpecError(
+                    f"symmetric orbit of {key_text!r} lists conflicting values",
+                    field=f"{path}.values",
+                )
+        elif not symmetric and key in table:
+            raise SpecError(f"duplicate key {key_text!r}", field=f"{path}.values")
+        table[key] = v
     try:
+        if symmetric and type(arity) is int and arity > 0:  # other arities fail in Kernel
+            table = values_from_table(
+                table, position, arity, value_space, f"kernel {name!r}", orbits=True
+            )
         return Kernel(
             name=name,
             arity=arity,

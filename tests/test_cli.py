@@ -229,6 +229,33 @@ class TestDensities:
         spec = write_spec(tmp_path, const_spec(0.3))
         assert main(["densities", spec, "--patterns", "pentagon"]) == 2
 
+    def test_lines_pinned(self, tmp_path, capsys):
+        # a zero-probability atom, zero and unit values; the expected lines
+        # are the output of the per-assignment loop this command once ran
+        values = {
+            "a,a": 0.1, "a,b": 0.7, "a,c": 0.0, "a,d": 0.35, "a,e": 1.0, "a,z": 0.9,
+            "b,b": 0.45, "b,c": 0.2, "b,d": 0.0, "b,e": 0.6, "b,z": 0.3,
+            "c,c": 0.8, "c,d": 0.55, "c,e": 0.15, "c,z": 1.0,
+            "d,d": 0.05, "d,e": 0.4, "d,z": 0.0,
+            "e,e": 0.95, "e,z": 0.5, "z,z": 0.25,
+        }
+        doc = {
+            "space": {"atoms": list("abcdez"), "probs": [0.3, 0.1, 0.25, 0.2, 0.15, 0.0]},
+            "kernels": [{
+                "name": "f", "arity": 2, "value_space": "unit", "symmetric": True,
+                "values": values,
+            }],
+        }
+        spec = write_spec(tmp_path, doc)
+        assert main(["densities", spec, "--patterns", "edge,p3,triangle,c4,k4"]) == 0
+        assert capsys.readouterr().out == (
+            "edge 0.379125\n"
+            "p3 0.1545778125\n"
+            "triangle 0.07564396875\n"
+            "c4 0.0317054624609\n"
+            "k4 0.0117972926864\n"
+        )
+
 
 class TestEncode:
     def test_codes_and_sigma_atoms(self, tmp_path, capsys):
@@ -363,6 +390,26 @@ class TestBadInput:
         assert code == 2
         assert_one_error_line(err)
         assert "runs >= 2" in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("c,a", 0.9, "symmetric orbit of 'c,a' lists conflicting values"),
+            ("a,q", 0.9, "table key ('a', 'q') is not an arity-2 domain tuple"),
+            ("b,c", None, "table has 7 entries, needs all 9 tuples"),
+        ],
+    )
+    def test_symmetric_orbit_errors_exit_2(self, tmp_path, capsys, key, value, message):
+        doc = json.loads(json.dumps(DEMO_SPEC))
+        values = doc["kernels"][0]["values"]
+        if value is None:
+            del values[key]
+        else:
+            values[key] = value
+        code, err = run_cli(["sample", write_spec(tmp_path, doc), "--n", "3"], capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "kernels[0].values" in err and message in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
     def test_malformed_spec_exit_2(self, tmp_path, capsys, case):

@@ -1,7 +1,7 @@
 import math
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from unirep import (
     ArityError,
     JointLaw,
+    Kernel,
     KernelFamily,
     PATTERNS,
     PatternGraph,
@@ -28,7 +29,7 @@ from unirep import (
     step_family_as_space,
     tv_distance,
 )
-from unirep.equivalence import _chi2_sf, canonical_keys
+from unirep.equivalence import _chi2_sf, _triangle_count, canonical_keys
 from unirep.sampling import derive_seed
 
 from util import (
@@ -36,6 +37,8 @@ from util import (
     REAL,
     UNIT,
     const_graph_kernel,
+    graph_law_loop,
+    hom_density_loop,
     random_family,
     random_kernel,
     random_space,
@@ -43,6 +46,30 @@ from util import (
     table_kernel,
     two_block_kernel,
 )
+
+
+def oracle_kernels():
+    """Random arity-2 kernels with zero-probability atoms and zero values,
+    symmetric or not, and step kernels, one with an empty cell."""
+    rng = np.random.default_rng(38)
+    kernels = [two_block_kernel()]
+    for trial in range(16):
+        size = int(rng.integers(2, 6))
+        probs = rng.dirichlet(np.ones(size))
+        probs[trial % size] = 0.0
+        sp = space([f"a{k}" for k in range(size)], probs / probs.sum())
+        values = rng.random((size, size))
+        values[rng.random((size, size)) < 0.3] = 0.0
+        symmetric = trial % 2 == 0
+        if symmetric:
+            values = np.triu(values) + np.triu(values, 1).T
+        kernels.append(Kernel("f", 2, UNIT, sp, values, symmetric=symmetric))
+    kernels.append(represent_family(sp, KernelFamily(kernels[-1:])).kernels[0])
+    # 7^4 = 2401 assignments: several blocks of the enumeration at n = 4
+    sp = space([f"b{k}" for k in range(7)], [0.25, 0.0, 0.125, 0.125, 0.25, 0.125, 0.125])
+    values = rng.random((7, 7))
+    kernels.append(Kernel("g", 2, UNIT, sp, np.triu(values) + np.triu(values, 1).T, True))
+    return kernels
 
 
 def cross_kernel(sp, name="f"):
@@ -256,6 +283,11 @@ class TestHomDensity:
                 d_rep = hom_density(fam.kernels[0], PATTERNS[name])
                 assert d_rep == pytest.approx(d_src, rel=1e-12)
 
+    def test_equals_scalar_loop(self):
+        for k in oracle_kernels():
+            for pattern in PATTERNS.values():
+                assert hom_density(k, pattern) == hom_density_loop(k, pattern)
+
     def test_wrong_arity(self):
         sp = space("ab", (0.5, 0.5))
         k = table_kernel("f", sp, {("a",): 0.5, ("b",): 0.25})
@@ -294,6 +326,11 @@ class TestGraphLawExact:
             k = random_kernel(rng, sp, 2, UNIT, "f", symmetric=True)
             law = graph_law_exact(k, 3)
             assert math.fsum(law.tolist()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_equals_scalar_loop(self):
+        for k in oracle_kernels():
+            for n in (2, 3, 4):
+                assert graph_law_exact(k, n).tolist() == graph_law_loop(k, n).tolist()
 
     def test_scale_error(self):
         with pytest.raises(ScaleError):
@@ -367,6 +404,18 @@ class TestMcTwoSampleTest:
         assert report["mode"] == "ztest"
         assert set(report["pvalues"]) == {"edge_count", "triangle_count"}
         assert report["pass"]
+
+
+def test_triangle_count_matches_triple_count():
+    cases = ((1, 0.5, 1), (3, 0.0, 2), (3, 1.0, 3), (12, 0.5, 4), (25, 0.3, 5), (25, 0.9, 6))
+    for n, p, seed in cases:
+        g = sample_graph(const_graph_kernel(p), n, seed)
+        edges = set(map(tuple, g.edges.tolist()))
+        triples = sum(
+            {(i, j), (j, k), (i, k)} <= edges
+            for i, j, k in combinations(range(1, n + 1), 3)
+        )
+        assert _triangle_count(g) == triples
 
 
 class TestCanonicalKeys:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,25 @@ class TestCheckSymmetry:
         assert sorted(t1) == sorted(t2)
         assert k.table[t1] != k.table[t2]
         assert {t1, t2} == {("a", "b"), ("b", "a")}
+
+    def test_witness_of_first_failing_permutation(self):
+        # oracle: the first permutation in lexicographic order that changes
+        # the array, and its first differing index in C order
+        rng = np.random.default_rng(47)
+        for trial in range(40):
+            sp = space("abc"[: 2 + trial % 2], [0.5, 0.5] if trial % 2 == 0 else [0.2, 0.3, 0.5])
+            arity = 2 + trial % 3
+            k = random_kernel(rng, sp, arity, LABELS3, "f")
+            for axes in permutations(range(arity)):
+                differ = np.argwhere(k.values != k.values.transpose(axes))
+                if len(differ):
+                    index = tuple(differ[0])
+                    moved = [index[axes.index(axis)] for axis in range(arity)]
+                    expected = (False, (k.key_at(index), k.key_at(moved)))
+                    break
+            else:
+                expected = (True, None)
+            assert check_symmetry(k) == expected
 
     def test_arity_one_always_symmetric(self):
         sp = space("ab", (0.5, 0.5))

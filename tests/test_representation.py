@@ -47,6 +47,18 @@ def scan_quantile(cdf, u):
     raise AssertionError("u beyond final cumulative")
 
 
+def scan_quantile_pwl(cdf, u):
+    """Independent oracle: interpolate below the first knot whose
+    cumulative reaches u."""
+    for j, (x1, c1) in enumerate(cdf.points):
+        if c1 >= u:
+            if j == 0:
+                return x1
+            x0, c0 = cdf.points[j - 1]
+            return x0 + (u - c0) * (x1 - x0) / (c1 - c0)
+    raise AssertionError("u beyond final cumulative")
+
+
 class TestQuantileStep:
     def test_two_jump_example(self):
         cdf = Cdf("step", ((0.0, 0.3), (1.0, 1.0)))
@@ -122,18 +134,32 @@ class TestQuantilePiecewiseLinear:
         cdf = Cdf("pwl", ((2.0, 0.0), (3.0, 1.0)))
         assert quantile(cdf, 0.0) == 2.0
 
+    def test_zero_on_flat_start(self):
+        cdf = Cdf("pwl", ((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)))
+        assert quantile(cdf, 0.0) == 0.0
+        assert quantile_array(cdf, [0.0, 0.5]).tolist() == [0.0, 1.5]
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(45)
         cdf = Cdf("pwl", ((-1.0, 0.0), (0.0, 0.25), (2.0, 0.75), (2.5, 1.0)))
-        u = rng.random(500)
-        vec = quantile_array(cdf, u)
-        assert vec.tolist() == [quantile(cdf, x) for x in u.tolist()]
+        u = np.concatenate((rng.random(500), cdf.cums[:-1]))
+        oracle = [scan_quantile_pwl(cdf, x) for x in u.tolist()]
+        assert quantile_array(cdf, u).tolist() == oracle
+        assert [quantile(cdf, x) for x in u.tolist()] == oracle
 
     def test_vectorized_matches_scalar_step(self):
         rng = np.random.default_rng(46)
         cdf = random_step_cdf(rng)
-        u = rng.random(500)
-        assert quantile_array(cdf, u).tolist() == [quantile(cdf, x) for x in u.tolist()]
+        u = np.concatenate((rng.random(500), cdf.cums[:-1]))
+        assert quantile_array(cdf, u).tolist() == [scan_quantile(cdf, x) for x in u.tolist()]
+
+    @pytest.mark.parametrize("bad", [1.0, -0.25, float("nan")])
+    def test_domain_error_names_plain_float(self, bad):
+        cdf = Cdf("pwl", ((0.0, 0.0), (1.0, 1.0)))
+        for inverse in (lambda: quantile(cdf, bad), lambda: quantile_array(cdf, [0.5, bad])):
+            with pytest.raises(DomainError) as excinfo:
+                inverse()
+            assert str(excinfo.value) == f"u={bad!r} outside [0,1)"
 
 
 class TestBorelEmbedding:

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -116,9 +117,18 @@ class TestLookupCell:
     def test_vectorized_matches_scalar(self):
         part = interval_partition(space("abcd", (0.1, 0.0, 0.55, 0.35)))
         rng = np.random.default_rng(5)
-        u = rng.random(1000)
-        vec = lookup_cells(part, u)
-        assert [lookup_cell(part, x) for x in u.tolist()] == vec.tolist()
+        u = np.concatenate((rng.random(1000), part.breakpoints[:-1]))
+        oracle = [bisect_right(part.breakpoints, x) - 1 for x in u.tolist()]
+        assert lookup_cells(part, u).tolist() == oracle
+        assert [lookup_cell(part, x) for x in u.tolist()] == oracle
+
+    @pytest.mark.parametrize("bad", [1.0, -0.25, float("nan")])
+    def test_domain_error_names_plain_float(self, bad):
+        part = IntervalPartition((0.0, 1.0), ("a",))
+        for lookup in (lambda: lookup_cell(part, bad), lambda: lookup_cells(part, [0.5, bad])):
+            with pytest.raises(DomainError) as excinfo:
+                lookup()
+            assert str(excinfo.value) == f"u={bad!r} outside [0,1)"
 
     def test_never_returns_empty_cell_and_frequencies(self):
         # 1e5 uniforms: empirical cell frequencies within 4 sigma of lengths

@@ -9,7 +9,7 @@ from unirep import (
     represent_family,
 )
 
-from util import REAL, random_family, random_space, space
+from util import LABELS3, REAL, UNIT, random_family, random_kernel, random_space, space
 
 import numpy as np
 
@@ -47,6 +47,48 @@ class TestLoadSpec:
         assert k.table[("b", "a")] == 0.4
         assert k.table[("c", "a")] == 0.6
         assert len(k.table) == 9
+
+    def test_symmetric_arity_12_orbits(self):
+        # one entry per orbit, 13 of the 4096 tuples, each listed b's first
+        values = {
+            ",".join(["b"] * j + ["a"] * (12 - j)): j / 12 for j in range(13)
+        }
+        doc = {
+            "space": {"atoms": ["a", "b"], "probs": [0.5, 0.5]},
+            "kernels": [{
+                "name": "f", "arity": 12, "value_space": "unit", "symmetric": True,
+                "values": values,
+            }],
+        }
+        k = loads_spec(json.dumps(doc)).family.kernels[0]
+        assert len(k.table) == 4096
+        rng = np.random.default_rng(54)
+        for key in rng.choice(["a", "b"], size=(200, 12)).tolist():
+            assert k.table[tuple(key)] == key.count("b") / 12
+
+    def test_orbit_listing_equals_full_table(self):
+        # one randomly permuted key per orbit loads the kernel of the full table
+        rng = np.random.default_rng(55)
+        for trial in range(30):
+            sp = random_space(rng, int(rng.integers(1, 5)))
+            arity = int(rng.integers(1, 5))
+            vs = (REAL, UNIT, LABELS3)[trial % 3]
+            kernel = random_kernel(rng, sp, arity, vs, "f", symmetric=True)
+            listed = {}
+            for key, v in kernel.table.items():
+                if tuple(sorted(key, key=sp.index)) == key:
+                    listed[",".join(rng.permutation(key))] = v
+            doc = {
+                "space": {"atoms": list(sp.atom_ids), "probs": list(sp.probs)},
+                "kernels": [{
+                    "name": "f", "arity": arity, "symmetric": True,
+                    "value_space": {"labels": 3} if vs == LABELS3 else vs.kind,
+                    "values": {k: listed[k] for k in rng.permutation(list(listed))},
+                }],
+            }
+            loaded = loads_spec(json.dumps(doc)).family.kernels[0]
+            assert loaded.values.dtype == kernel.values.dtype
+            assert loaded.values.tolist() == kernel.values.tolist()
 
     def test_conflicting_orbit_rejected(self):
         bad = json.loads(json.dumps(DEMO))

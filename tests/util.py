@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -79,6 +80,49 @@ def sample_graph_pairwise(kernel, n, seed):
         if unit_uniform(seed, 1, i, j) < eval_kernel(kernel, (points[i - 1], points[j - 1]))
     ]
     return np.array(keep, dtype=np.int64).reshape(-1, 2)
+
+
+def _weights(kernel):
+    domain = kernel.domain
+    return np.asarray(domain.lengths if kernel.is_step else domain.probs)
+
+
+def hom_density_loop(kernel, pattern):
+    """Scalar oracle for ``hom_density``: one Python loop over the K^v
+    assignments, skipping zero-weight ones, summed with ``fsum``."""
+    weights, values = _weights(kernel), kernel.values
+    terms = []
+    for assign in product(range(len(weights)), repeat=pattern.num_vertices):
+        w = 1.0
+        for c in assign:
+            w *= weights[c]
+        if w == 0.0:
+            continue
+        for u, v in pattern.edges:
+            w *= values[assign[u], assign[v]]
+        terms.append(w)
+    return math.fsum(terms)
+
+
+def graph_law_loop(kernel, n):
+    """Scalar oracle for ``graph_law_exact``: one assignment of the K^n
+    at a time, skipping zero-weight ones."""
+    weights, values = _weights(kernel), kernel.values
+    pairs = pair_list(n)
+    masks = np.arange(1 << len(pairs))
+    law = np.zeros(len(masks))
+    for assign in product(range(len(weights)), repeat=n):
+        w = 1.0
+        for c in assign:
+            w *= weights[c]
+        if w == 0.0:
+            continue
+        acc = np.full(len(masks), w)
+        for p, (i, j) in enumerate(pairs.tolist()):
+            pe = values[assign[i - 1], assign[j - 1]]
+            acc *= np.where((masks >> p) & 1, pe, 1.0 - pe)
+        law += acc
+    return law
 
 
 def random_space(rng, size, ids=None):
