@@ -141,12 +141,7 @@ def cmd_equiv(args) -> int:
     kernel_a = _select_kernel(fam_a, args.kernel)
     kernel_b = _select_kernel(fam_b, args.kernel)
     report = mc_two_sample_test(
-        lambda s: sample_graph(kernel_a, args.n, s),
-        lambda s: sample_graph(kernel_b, args.n, s),
-        args.n,
-        args.runs,
-        args.seed,
-        alpha=args.alpha,
+        kernel_a, kernel_b, args.n, args.runs, args.seed, alpha=args.alpha
     )
     report["n"] = args.n
     _print_report(report)

@@ -9,7 +9,8 @@ copy values, never recompute them through different arithmetic).
 
 Beyond enumeration scale, :func:`mc_two_sample_test` compares sampled
 graph laws statistically: labeled-graph frequency chi-squared for small
-n, summary-statistic z-tests for larger n.
+n, summary-statistic z-tests for larger n.  Its default observations
+come from edge-indicator rows, which a kernel side draws in bulk.
 
 ``exact_joint_law`` and ``graph_law_exact`` refuse to enumerate more
 than a configured number of assignments (default 10^7, overridable via
@@ -22,6 +23,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ArityError, PowerError, RangeError, ScaleError, SpecError
 from .kernels import Kernel, KernelFamily
-from .sampling import RandomGraph, derive_seed, graph_bitmask, pair_list
+from .sampling import derive_seed, pair_list, sample_graph, sample_graph_edges
 from .spaces import DiscreteSpace, IntervalPartition, validate_space
 
 __all__ = [
@@ -336,21 +338,31 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
     return law
 
 
-def _edge_count(g: RandomGraph) -> float:
-    return float(g.edge_count)
+def _observations(side, n: int, seeds: list, chi2: bool, block_pairs: int = 1 << 16):
+    """One side's observations for ``seeds``: labeled-graph bitmasks (chi2), else
+    a row of edge counts and a row of triangle counts ``trace(A^3) / 6``, from
+    edge-indicator rows (column p for pair p of :func:`pair_list`) drawn in
+    blocks of about ``block_pairs`` pairs, so that memory stays bounded."""
+    pairs = n * (n - 1) // 2
+    iu, ju = np.triu_indices(n, k=1)
+    step = max(1, block_pairs // max(pairs, 1))
+    observed = []
+    for block in (seeds[lo : lo + step] for lo in range(0, len(seeds), step)):
+        if isinstance(side, Kernel):
+            rows = sample_graph_edges(side, n, block)
+        else:
+            rows = np.zeros((len(block), pairs), dtype=bool)
+            for row, s in zip(rows, block):
+                i, j = side(s).edges.T
+                row[(i - 1) * (2 * n - i) // 2 + j - i - 1] = True
+        if chi2:
+            observed.append(rows @ (1 << np.arange(pairs)))
+            continue
+        adj = np.zeros((len(rows), n, n))
+        adj[:, iu, ju] = adj[:, ju, iu] = rows
+        observed.append(np.stack((rows.sum(axis=1), np.einsum("rij,rji->r", adj @ adj, adj) / 6)))
+    return np.concatenate(observed, axis=-1)
 
-
-def _triangle_count(g: RandomGraph) -> float:
-    adj = np.zeros((g.n, g.n))
-    i, j = g.edges.T - 1
-    adj[i, j] = adj[j, i] = 1.0
-    return float(np.trace(adj @ adj @ adj) / 6.0)
-
-
-_DEFAULT_STATISTICS: tuple[tuple[str, Callable[[RandomGraph], float]], ...] = (
-    ("edge_count", _edge_count),
-    ("triangle_count", _triangle_count),
-)
 
 _CHI2_FLOOR = 5.0
 
@@ -379,8 +391,8 @@ def _chi2_sf(x: float, df: int) -> float:
 
 
 def mc_two_sample_test(
-    sampler_a: Callable[[int], RandomGraph],
-    sampler_b: Callable[[int], RandomGraph],
+    sampler_a: Kernel | Callable,
+    sampler_b: Kernel | Callable,
     n: int,
     runs: int,
     seed: int,
@@ -391,8 +403,10 @@ def mc_two_sample_test(
 
     Each sampler is called ``runs`` times with seeds derived from the
     master seed (disjoint derivation tags for the two sides, so "same
-    kernel, two seeds" is a genuine null case).  For n <= 5 the test is
-    a two-sample chi-squared on labeled-graph frequencies, merging
+    kernel, two seeds" is a genuine null case).  A sampler may also be a
+    ``Kernel``, meaning exactly ``lambda s: sample_graph(kernel, n, s)``;
+    without ``statistics`` its graphs are drawn in bulk.  For n <= 5 the
+    test is a two-sample chi-squared on labeled-graph frequencies, merging
     graphs whose pooled expected count falls below 5 into a tail
     bucket; for larger n (or when ``statistics`` is given) it is a
     two-sample z-test per summary statistic (default: edge count and
@@ -420,12 +434,20 @@ def mc_two_sample_test(
     if runs < min_runs:
         test = "chi-squared" if chi2 else "z"
         raise PowerError(f"{runs} runs are too few for the {test} test", required_runs=min_runs)
-    graphs_a = [sampler_a(derive_seed(seed, 0, r)) for r in range(runs)]
-    graphs_b = [sampler_b(derive_seed(seed, 1, r)) for r in range(runs)]
+    sides = (sampler_a, sampler_b)
+    seeds = [[derive_seed(seed, tag, r) for r in range(runs)] for tag in (0, 1)]
+    if statistics is None:
+        names = ("edge_count", "triangle_count")
+        obs_a, obs_b = (_observations(side, n, ss, chi2) for side, ss in zip(sides, seeds))
+    else:
+        names = stats = dict(statistics)  # a repeated name keeps its last function
+        samplers = [partial(sample_graph, s, n) if isinstance(s, Kernel) else s for s in sides]
+        graphs = ([sampler(s) for s in ss] for sampler, ss in zip(samplers, seeds))
+        obs_a, obs_b = ([np.array([fn(g) for g in gs]) for fn in stats.values()] for gs in graphs)
 
     if chi2:
-        counts_a = Counter(graph_bitmask(g.edges.tolist(), n) for g in graphs_a)
-        counts_b = Counter(graph_bitmask(g.edges.tolist(), n) for g in graphs_b)
+        counts_a = Counter(obs_a.tolist())
+        counts_b = Counter(obs_b.tolist())
         observed = sorted(set(counts_a) | set(counts_b))
         totals = {g: counts_a.get(g, 0) + counts_b.get(g, 0) for g in observed}
         big = [g for g in observed if totals[g] / 2.0 >= _CHI2_FLOOR]
@@ -472,12 +494,9 @@ def mc_two_sample_test(
             "alpha": alpha,
         }
 
-    stats = tuple(statistics) if statistics is not None else _DEFAULT_STATISTICS
     pvalues = {}
     details = {}
-    for name, fn in stats:
-        xa = np.array([fn(g) for g in graphs_a])
-        xb = np.array([fn(g) for g in graphs_b])
+    for name, xa, xb in zip(names, obs_a, obs_b):
         denom = math.sqrt(xa.var(ddof=1) / runs + xb.var(ddof=1) / runs)
         diff = float(xa.mean() - xb.mean())
         if denom == 0.0:

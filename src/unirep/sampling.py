@@ -12,10 +12,15 @@ edge-evaluation order.  Streams keep draw families disjoint:
 
 Vertex indices are 1-based throughout, matching the edge-list output
 format.
+
+One private core, :func:`_draw_edges`, draws every graph edge, for one
+seed (:func:`sample_graph`) or a column of seeds at once
+(:func:`sample_graph_edges`, bit-identical row by row).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -28,7 +33,6 @@ from .spaces import (
     IntervalPartition,
     interval_partition,
     lookup_cells,
-    validate_space,
 )
 
 __all__ = [
@@ -43,7 +47,7 @@ __all__ = [
     "sample_array",
     "pair_list",
     "graph_bitmask",
-    "sample_graph_bitmasks",
+    "sample_graph_edges",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -99,16 +103,11 @@ def unit_uniform_array(seed, stream, i, j) -> np.ndarray:
     ``seed`` may also be an array (broadcast against ``i`` and ``j``).
     Bit-identical to the scalar version at every position.
     """
-    if isinstance(seed, np.ndarray):
-        with np.errstate(over="ignore"):
-            x = (seed.astype(np.uint64) + np.uint64(_GOLDEN)) ^ np.uint64(
-                int(stream) & _MASK64
-            )
-        x = _avalanche_arr(x)
-    else:
-        x = np.uint64(_avalanche(((int(seed) + _GOLDEN) & _MASK64) ^ (int(stream) & _MASK64)))
-    x = _avalanche_arr(x ^ np.asarray(i, dtype=np.uint64))
-    x = _avalanche_arr(x ^ np.asarray(j, dtype=np.uint64))
+    x = seed.astype(np.uint64) if isinstance(seed, np.ndarray) else np.uint64(int(seed) & _MASK64)
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(_GOLDEN)
+    for v in (int(stream) & _MASK64, i, j):
+        x = _avalanche_arr(x ^ np.asarray(v, dtype=np.uint64))
     return (x >> np.uint64(11)).astype(np.float64) / _TWO53
 
 
@@ -140,10 +139,16 @@ class Latents:
         return len(self.atoms)
 
 
-def _as_partition(target) -> IntervalPartition:
-    if isinstance(target, IntervalPartition):
-        return target
-    return interval_partition(validate_space(target))
+def _latent_draws(target, n: int, seed):
+    """Partition, uniforms and cells of :func:`sample_latents`; a ``(R, 1)``
+    seed column gives one row of uniforms and cells per seed."""
+    if n == float("inf"):
+        raise UnsupportedError("n = infinity is out of scope")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise UnsupportedError(f"n must be a positive integer, got {n!r}")
+    partition = target if isinstance(target, IntervalPartition) else interval_partition(target)
+    u = unit_uniform_array(seed, 0, 0, np.arange(1, n + 1, dtype=np.uint64))
+    return partition, u, lookup_cells(partition, u)
 
 
 def sample_latents(target, n: int, seed: int) -> Latents:
@@ -158,15 +163,8 @@ def sample_latents(target, n: int, seed: int) -> Latents:
     UnsupportedError
         If ``n`` is infinite (only finite samples are in scope).
     """
-    if n == float("inf"):
-        raise UnsupportedError("n = infinity is out of scope")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise UnsupportedError(f"n must be a positive integer, got {n!r}")
-    partition = _as_partition(target)
-    u = unit_uniform_array(seed, 0, 0, np.arange(1, n + 1, dtype=np.uint64))
-    cells = lookup_cells(partition, u)
-    atoms = tuple(partition.cell_labels[c] for c in cells)
-    return Latents(u, cells, atoms)
+    partition, u, cells = _latent_draws(target, n, seed)
+    return Latents(u, cells, tuple(partition.cell_labels[c] for c in cells))
 
 
 @dataclass(frozen=True)
@@ -218,6 +216,29 @@ def graph_bitmask(edges: Iterable[tuple[int, int]], n: int) -> int:
     return mask
 
 
+def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, threads: int = 1):
+    """Pairs ``i < j`` of the last axis of ``cells`` (1-based, :func:`pair_list`
+    order) and whether ``unit_uniform(seed, 1, i, j) < values[cells[i-1], cells[j-1]]``.
+    ``seed`` is an int or a ``(R, 1)`` uint64 column, one seed per row of
+    ``cells``; ``threads`` (at most one per CPU) chunks the coins along the pairs."""
+    iu, ju = np.triu_indices(cells.shape[-1], k=1)
+    probs = values[cells[..., iu], cells[..., ju]]
+    iu += 1
+    ju += 1
+    iv, jv = iu.view(np.uint64), ju.view(np.uint64)
+    threads = min(threads, os.cpu_count() or 1)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        chunks = zip(np.array_split(iv, threads), np.array_split(jv, threads))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = pool.map(lambda ij: unit_uniform_array(seed, 1, *ij), chunks)
+            coins = np.concatenate(list(parts), axis=-1)
+    else:
+        coins = unit_uniform_array(seed, 1, iv, jv)
+    return iu, ju, coins < probs
+
+
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:
     """Sample the random graph whose edge ij appears with probability
     ``kernel(X_i, X_j)``, conditionally independently given the latents.
@@ -225,7 +246,7 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
     The edge coin for pair (i, j) is ``unit_uniform(seed, 1, i, j)``,
     so the output is bit-identical for a fixed seed under any degree of
     parallelism or edge-evaluation order.  ``threads`` only chunks the
-    work; it never changes the result.
+    work (capped at the CPU count); it never changes the result.
 
     Raises
     ------
@@ -235,46 +256,18 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
     """
     _check_graph_kernel(kernel)
     latents = sample_latents(kernel.domain, n, seed)
-    cells = latents.cells
-    pairs = pair_list(n)
-    iv = pairs[:, 0].astype(np.uint64)
-    jv = pairs[:, 1].astype(np.uint64)
-    probs = kernel.values[cells[iv - 1], cells[jv - 1]]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = zip(np.array_split(iv, threads), np.array_split(jv, threads))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda ij: unit_uniform_array(seed, 1, *ij), chunks)
-            coins = np.concatenate(list(parts))
-    else:
-        coins = unit_uniform_array(seed, 1, iv, jv)
-    edges = pairs[coins < probs]
-    return RandomGraph(n, edges, latents)
+    i, j, keep = _draw_edges(kernel.values, latents.cells, seed, threads)
+    return RandomGraph(n, np.column_stack((i[keep], j[keep])), latents)
 
 
-def sample_graph_bitmasks(kernel: Kernel, n: int, seeds: np.ndarray) -> np.ndarray:
-    """Bulk sampler for labeled-graph frequency tests.
-
-    Returns one bitmask per seed (pair p of :func:`pair_list` maps to
-    bit p), each bit-identical to the graph :func:`sample_graph` would
-    produce for that seed.  Requires n(n-1)/2 <= 64.
-    """
+def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
+    """A ``(len(seeds), n choose 2)`` bool array: entry ``[r, p]`` says whether
+    pair p of :func:`pair_list` is an edge of ``sample_graph(kernel, n, seeds[r])``.
+    Its memory grows with its size, so draw long seed arrays in blocks."""
     _check_graph_kernel(kernel)
-    pairs = pair_list(n)
-    if len(pairs) > 64:
-        raise ArityError(f"bitmask sampling needs n(n-1)/2 <= 64, got n={n}")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    vidx = np.arange(1, n + 1, dtype=np.uint64)
-    u = unit_uniform_array(seeds[:, None], 0, 0, vidx[None, :])
-    cells = lookup_cells(_as_partition(kernel.domain), u)
-    iv = pairs[:, 0].astype(np.uint64)
-    jv = pairs[:, 1].astype(np.uint64)
-    coins = unit_uniform_array(seeds[:, None], 1, iv[None, :], jv[None, :])
-    probs = kernel.values[cells[:, iv - 1], cells[:, jv - 1]]
-    bits = coins < probs
-    weights = np.uint64(1) << np.arange(len(pairs), dtype=np.uint64)
-    return (bits.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
+    column = np.asarray(seeds, dtype=np.uint64)[:, None]
+    cells = _latent_draws(kernel.domain, n, column)[2]
+    return _draw_edges(kernel.values, cells, column)[2]
 
 
 @dataclass(frozen=True)
@@ -303,9 +296,9 @@ def sample_array(family: KernelFamily, n: int, seed: int) -> SampleArray:
                 f"kernel {k.name!r} has arity {k.arity} > n = {n}"
             )
     latents = sample_latents(family.domain, n, seed)
-    cells = latents.cells.tolist()
     values: dict[tuple, object] = {}
     for k in family:
-        for idx in permutations(range(1, n + 1), k.arity):
-            values[(k.name, idx)] = k.values[tuple(cells[t - 1] for t in idx)].item()
+        perms = list(permutations(range(1, n + 1), k.arity))
+        gathered = k.values[tuple(latents.cells[np.array(perms) - 1].T)].tolist()
+        values.update(zip(((k.name, idx) for idx in perms), gathered))
     return SampleArray(n, latents, MappingProxyType(values))

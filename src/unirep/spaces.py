@@ -189,21 +189,14 @@ def interval_partition(space: DiscreteSpace) -> IntervalPartition:
     atom is exactly 1.  Equal exact sums round to equal floats, so
     zero-probability atoms get exactly empty cells, and the rounding
     slack of the whole sum lands on the last positive cell.
-
-    The partition is built once per validated space and then reused,
-    because samplers ask for it on every draw.
     """
     space = validate_space(space)
-    partition = space.__dict__.get("_partition_cache")
-    if partition is None:
-        last = max(k for k, p in enumerate(space.probs) if p > 0.0)
-        # float(Fraction) rounds correctly, like fsum of each prefix, in O(K)
-        prefix = accumulate(map(Fraction, space.probs[:last]))
-        bp = [0.0, *(min(float(s), 1.0) for s in prefix)]
-        bp.extend([1.0] * (len(space) + 1 - len(bp)))
-        partition = IntervalPartition(tuple(bp), space.atom_ids)
-        object.__setattr__(space, "_partition_cache", partition)
-    return partition
+    last = max(k for k, p in enumerate(space.probs) if p > 0.0)
+    # float(Fraction) rounds correctly, like fsum of each prefix, in O(K)
+    prefix = accumulate(map(Fraction, space.probs[:last]))
+    bp = [0.0, *(min(float(s), 1.0) for s in prefix)]
+    bp.extend([1.0] * (len(space) + 1 - len(bp)))
+    return IntervalPartition(tuple(bp), space.atom_ids)
 
 
 def lookup_cell(partition: IntervalPartition, u: float) -> int:

@@ -33,7 +33,7 @@ from unirep import (
     tv_distance,
 )
 from unirep.cli import main
-from unirep.sampling import derive_seed, graph_bitmask, sample_graph_bitmasks
+from unirep.sampling import derive_seed, sample_graph_edges
 
 from util import (
     LABELS3,
@@ -201,8 +201,9 @@ def test_c06_graph_law_exactness():
     law = graph_law_exact(kernel, n)
     assert math.fsum(law.tolist()) == pytest.approx(1.0, abs=1e-9)
     seeds = np.array([derive_seed(GRID_SEED, 6, r) for r in range(runs)], dtype=np.uint64)
-    masks = sample_graph_bitmasks(kernel, n, seeds)
-    counts = np.bincount(masks.astype(np.int64), minlength=8)
+    rows = sample_graph_edges(kernel, n, seeds)
+    masks = rows @ (1 << np.arange(rows.shape[1]))
+    counts = np.bincount(masks, minlength=8)
     expected = runs * law
     assert expected.min() >= 5
     result = chisquare(counts, f_exp=expected)

@@ -36,6 +36,49 @@ CONST_SPEC = {
 }
 
 
+# ``equiv --mode mc`` stdout on DEMO_SPEC against itself (seed 0), captured
+# from the per-graph sampler that the bulk edge rows replaced
+MC_CHI2_STDOUT = (
+    '{\n'
+    '  "pass": true,\n'
+    '  "pvalues": {\n'
+    '    "labeled_graphs": 0.28538988293829165\n'
+    '  },\n'
+    '  "mode": "chi2",\n'
+    '  "statistic": 8.565295131208211,\n'
+    '  "df": 7,\n'
+    '  "buckets": 8,\n'
+    '  "runs": 2000,\n'
+    '  "alpha": 0.01,\n'
+    '  "n": 3\n'
+    '}\n'
+)
+
+MC_ZTEST_STDOUT = (
+    '{\n'
+    '  "pass": true,\n'
+    '  "pvalues": {\n'
+    '    "edge_count": 0.1493172220771233,\n'
+    '    "triangle_count": 0.18303997811142328\n'
+    '  },\n'
+    '  "mode": "ztest",\n'
+    '  "means": {\n'
+    '    "edge_count": {\n'
+    '      "mean_a": 22.89,\n'
+    '      "mean_b": 23.62\n'
+    '    },\n'
+    '    "triangle_count": {\n'
+    '      "mean_a": 9.7,\n'
+    '      "mean_b": 10.575\n'
+    '    }\n'
+    '  },\n'
+    '  "runs": 200,\n'
+    '  "alpha": 0.01,\n'
+    '  "n": 12\n'
+    '}\n'
+)
+
+
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -199,6 +242,14 @@ class TestEquiv:
         report = json.loads(capsys.readouterr().out)
         assert report["mode"] == "chi2"
         assert report["pass"] is True
+
+    def test_mc_stdout_pinned(self, tmp_path, capsys):
+        a = write_spec(tmp_path, DEMO_SPEC, "a.json")
+        b = write_spec(tmp_path, DEMO_SPEC, "b.json")
+        assert main(["equiv", a, b, "--mode", "mc", "--n", "3", "--runs", "2000"]) == 0
+        assert capsys.readouterr().out == MC_CHI2_STDOUT
+        assert main(["equiv", a, b, "--mode", "mc", "--n", "12", "--runs", "200"]) == 0
+        assert capsys.readouterr().out == MC_ZTEST_STDOUT
 
 
 class TestDensities:

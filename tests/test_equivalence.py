@@ -29,8 +29,8 @@ from unirep import (
     step_family_as_space,
     tv_distance,
 )
-from unirep.equivalence import _chi2_sf, _triangle_count, canonical_keys
-from unirep.sampling import derive_seed
+from unirep.equivalence import _chi2_sf, _observations, canonical_keys
+from unirep.sampling import derive_seed, graph_bitmask
 
 from util import (
     LABELS3,
@@ -406,16 +406,85 @@ class TestMcTwoSampleTest:
         assert report["pass"]
 
 
+class TestMcKernelSides:
+    """A Kernel side means exactly ``lambda s: sample_graph(kernel, n, s)``."""
+
+    @staticmethod
+    def _kernels():
+        sp = space("abc", (0.5, 0.3, 0.2))
+        values = {("a", "a"): 0.1, ("a", "b"): 0.4, ("a", "c"): 0.6,
+                  ("b", "b"): 0.2, ("b", "c"): 0.5, ("c", "c"): 0.3}
+        values.update({(j, i): v for (i, j), v in list(values.items())})
+        kernel = table_kernel("f", sp, values, symmetric=True)
+        return kernel, represent_family(sp, KernelFamily((kernel,))).kernels[0]
+
+    @staticmethod
+    def _outcome(a, b, n, runs, seed, **kwargs):
+        try:
+            return mc_two_sample_test(a, b, n, runs, seed, **kwargs)
+        except PowerError as exc:
+            return ("PowerError", str(exc), exc.required_runs)
+
+    def test_reports_equal_lambda_sides(self):
+        table, step = self._kernels()
+        cases = ((1, 50), (3, 400), (3, 3), (5, 300), (8, 60), (8, 1), (31, 40))
+        for n, runs in cases:
+            for seed in (0, 7, -3):
+                def lam(kernel, n=n):
+                    return lambda s: sample_graph(kernel, n, s)
+
+                expected = self._outcome(lam(table), lam(step), n, runs, seed)
+                assert self._outcome(table, step, n, runs, seed) == expected
+                assert self._outcome(table, lam(step), n, runs, seed) == expected
+                assert self._outcome(step, step, n, runs, seed) == self._outcome(
+                    lam(step), lam(step), n, runs, seed
+                )
+
+    def test_blocks_do_not_change_observations(self):
+        table, _ = self._kernels()
+        seeds = [derive_seed(3, 0, r) for r in range(50)]
+        for n in (1, 3, 8):
+            masks = [graph_bitmask(sample_graph(table, n, s).edges.tolist(), n) for s in seeds]
+            assert _observations(table, n, seeds, chi2=True).tolist() == masks
+            for chi2 in (True, False):
+                whole = _observations(table, n, seeds, chi2).tolist()
+                for block in (1, 7, 100):
+                    assert _observations(table, n, seeds, chi2, block).tolist() == whole
+                    side = lambda s, n=n: sample_graph(table, n, s)  # noqa: E731
+                    assert _observations(side, n, seeds, chi2, block).tolist() == whole
+
+    def test_statistics_with_kernel_side(self):
+        table, step = self._kernels()
+        stats = [
+            ("edges", lambda g: float(g.edge_count)),
+            ("first_cell", lambda g: float(g.latents.cells[0])),
+        ]
+        for n in (3, 8):
+            expected = mc_two_sample_test(
+                lambda s: sample_graph(table, n, s), lambda s: sample_graph(step, n, s),
+                n, 100, 5, statistics=stats,
+            )
+            assert expected["mode"] == "ztest" and set(expected["pvalues"]) == {"edges", "first_cell"}
+            assert mc_two_sample_test(table, step, n, 100, 5, statistics=stats) == expected
+            assert mc_two_sample_test(table, step, n, 100, 5, statistics=iter(stats)) == expected
+
+
 def test_triangle_count_matches_triple_count():
+    # the batched z-test observations of a kernel side and of a callable
+    # side, graph by graph, against brute-force edge and triple counts
     cases = ((1, 0.5, 1), (3, 0.0, 2), (3, 1.0, 3), (12, 0.5, 4), (25, 0.3, 5), (25, 0.9, 6))
     for n, p, seed in cases:
-        g = sample_graph(const_graph_kernel(p), n, seed)
-        edges = set(map(tuple, g.edges.tolist()))
-        triples = sum(
-            {(i, j), (j, k), (i, k)} <= edges
-            for i, j, k in combinations(range(1, n + 1), 3)
-        )
-        assert _triangle_count(g) == triples
+        kernel = const_graph_kernel(p)
+        seeds = [seed, seed + 100, seed + 200]
+        for side in (kernel, lambda s: sample_graph(kernel, n, s)):
+            edge_counts, triangles = _observations(side, n, seeds, chi2=False)
+            for s, e, t in zip(seeds, edge_counts.tolist(), triangles.tolist()):
+                edges = set(map(tuple, sample_graph(kernel, n, s).edges.tolist()))
+                triples = sum(
+                    {(i, j), (j, k), (i, k)} <= edges
+                    for i, j, k in combinations(range(1, n + 1), 3)
+                )
+                assert (e, t) == (len(edges), triples)
 
 
 class TestCanonicalKeys:

@@ -1,11 +1,14 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import unirep
 from unirep import (
     ArityError,
     KernelFamily,
@@ -13,6 +16,7 @@ from unirep import (
     SymmetryError,
     UnsupportedError,
     interval_partition,
+    represent_family,
     sample_array,
     sample_graph,
     sample_latents,
@@ -21,16 +25,19 @@ from unirep import (
 )
 from unirep.sampling import (
     derive_seed,
-    graph_bitmask,
     pair_list,
-    sample_graph_bitmasks,
+    sample_graph_edges,
 )
 
 from util import (
+    LABELS3,
     REAL,
     UNIT,
     const_graph_kernel,
+    random_family,
     random_kernel,
+    random_space,
+    sample_array_loop,
     sample_graph_pairwise,
     space,
     table_kernel,
@@ -171,6 +178,42 @@ class TestSampleGraph:
         g8 = sample_graph(k, 60, 123, threads=8)
         assert g1.edges.tolist() == g8.edges.tolist()
 
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # a recorder stands in for the pool and runs map serially, so no
+        # thread is started whatever the requested count
+        import concurrent.futures
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers, self.chunks = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                parts = [fn(item) for item in items]
+                self.chunks = len(parts)
+                return parts
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        k = two_block_kernel()
+        expected = sample_graph(k, 40, 8, threads=1).edges.tolist()
+        for cpus in (os.cpu_count(), 4, None):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            pools.clear()
+            assert sample_graph(k, 40, 8, threads=10**6).edges.tolist() == expected
+            workers = [(p.max_workers, p.chunks) for p in pools]
+            if (cpus or 1) > 1:
+                assert workers == [(cpus, cpus)]
+            else:
+                assert workers == []
+
     def test_table_kernel_domain(self):
         sp = space("ab", (0.5, 0.5))
         table = {("a", "a"): 0.0, ("a", "b"): 1.0, ("b", "a"): 1.0, ("b", "b"): 0.0}
@@ -205,10 +248,11 @@ class TestBitmaskSampler:
     def test_matches_sample_graph(self):
         k = two_block_kernel()
         seeds = [derive_seed(2, 0, r) for r in range(50)]
-        masks = sample_graph_bitmasks(k, 4, np.array(seeds, dtype=np.uint64))
-        for seed, mask in zip(seeds, masks.tolist()):
+        rows = sample_graph_edges(k, 4, np.array(seeds, dtype=np.uint64))
+        assert rows.shape == (50, 6) and rows.dtype == bool
+        for seed, row in zip(seeds, rows):
             g = sample_graph(k, 4, seed)
-            assert graph_bitmask(g.edges.tolist(), 4) == mask
+            assert g.edges.tolist() == pair_list(4)[row].tolist()
 
     def test_pair_order(self):
         assert pair_list(4).tolist() == [
@@ -255,3 +299,55 @@ class TestSampleArray:
         k = random_kernel(rng, sp, 2, UNIT, "f")
         with pytest.raises(ArityError):
             sample_array(KernelFamily((k,)), 1, 0)
+
+    def test_equals_per_tuple_lookup(self):
+        # table and step families of arity 1-3: the same keys in the same
+        # order, the same values and the same Python scalar types
+        rng = np.random.default_rng(25)
+        kinds = [("f", 1, UNIT, False), ("g", 2, REAL, True), ("h", 3, LABELS3, False)]
+        for trial in range(12):
+            sp = random_space(rng, int(rng.integers(1, 5)))
+            table = random_family(rng, sp, kinds[: 1 + trial % 3])
+            for family in (table, represent_family(sp, table)):
+                for n in range(family.kernels[-1].arity, 5):
+                    for seed in (trial, -trial - 1):
+                        got = list(sample_array(family, n, seed).values.items())
+                        expected = list(sample_array_loop(family, n, seed).items())
+                        assert got == expected
+                        assert [type(v) for _, v in got] == [type(v) for _, v in expected]
+            with pytest.raises(ArityError, match=r"kernel 'h' has arity 3 > n = 2"):
+                sample_array(random_family(rng, sp, kinds), 2, trial)
+
+
+# sample_graph at n = 2000 in a fresh process: peak RSS growth over the
+# RSS just before the call, per vertex pair, on a sparse kernel.  The peak
+# is VmHWM, not getrusage's ru_maxrss: Linux carries ru_maxrss across
+# exec, so a child of a large test process would report the parent's peak.
+MEMORY_PROBE = """
+from unirep import IntervalPartition, Kernel, ValueSpace, sample_graph
+
+def status_kb(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field))
+
+n = 2000
+part = IntervalPartition((0.0, 1.0), ("o",))
+kernel = Kernel(name="f", arity=2, value_space=ValueSpace("unit"), domain=part,
+                table={(0, 0): 10.0 / n}, symmetric=True)
+sample_graph(kernel, 3, 0)
+before_kb = status_kb("VmRSS:")
+sample_graph(kernel, n, 1)
+print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1) // 2))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_sample_graph_peak_bytes_per_pair():
+    # 48 B: the two pair-index arrays (16), the gathered probabilities (8)
+    # and at most three 8-byte arrays in the coin hash (24)
+    src = str(Path(unirep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE], capture_output=True, text=True, check=True, env=env
+    )
+    assert float(out.stdout) <= 56.0, out.stdout

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -80,6 +80,18 @@ def sample_graph_pairwise(kernel, n, seed):
         if unit_uniform(seed, 1, i, j) < eval_kernel(kernel, (points[i - 1], points[j - 1]))
     ]
     return np.array(keep, dtype=np.int64).reshape(-1, 2)
+
+
+def sample_array_loop(family, n, seed):
+    """Per-tuple oracle for ``sample_array``: one ``eval_kernel`` call per
+    ordered tuple of distinct indices, in ``permutations`` order."""
+    latents = sample_latents(family.domain, n, seed)
+    values = {}
+    for k in family:
+        points = latents.uniforms.tolist() if k.is_step else latents.atoms
+        for idx in permutations(range(1, n + 1), k.arity):
+            values[(k.name, idx)] = eval_kernel(k, tuple(points[t - 1] for t in idx))
+    return values
 
 
 def _weights(kernel):
