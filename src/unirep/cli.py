@@ -6,7 +6,7 @@ writes them to stdout for piping).  Every command is deterministic in
 its arguments and input bytes.
 
 Exit codes: 0 success/pass, 1 test failed, 2 spec, argument or I/O
-error, 3 scale error.
+error, 3 scale error (including memory that cannot be allocated).
 """
 
 from __future__ import annotations
@@ -128,11 +128,13 @@ def cmd_equiv(args) -> int:
             print(f"error: {exc}; retry with --mode mc", file=sys.stderr)
             return 3
         tv = tv_distance(law_a, law_b)
-        passed = tv <= EXACT_TV_TOL
+        support_equal = law_a.support.keys() == law_b.support.keys()
+        passed = support_equal and tv <= EXACT_TV_TOL
         report = {
             "mode": "exact",
             "n": args.n,
             "tv": tv,
+            "support_equal": support_equal,
             "pass": passed,
             "support_size": len(set(law_a.support) | set(law_b.support)),
         }
@@ -257,7 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScaleError as exc:
+    except (ScaleError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UnirepError, OSError) as exc:

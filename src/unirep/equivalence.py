@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
@@ -338,11 +337,12 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
     return law
 
 
-def _observations(side, n: int, seeds: list, chi2: bool, block_pairs: int = 1 << 16):
-    """One side's observations for ``seeds``: labeled-graph bitmasks (chi2), else
-    a row of edge counts and a row of triangle counts ``trace(A^3) / 6``, from
-    edge-indicator rows (column p for pair p of :func:`pair_list`) drawn in
-    blocks of about ``block_pairs`` pairs, so that memory stays bounded."""
+def _observations(side, n: int, seeds, chi2: bool, block_pairs: int = 1 << 16):
+    """One side's observations for ``seeds``: labeled-graph
+    bitmasks (chi2), else a row of edge counts and a row of triangle counts
+    ``trace(A^3) / 6``, from edge-indicator rows (column p for pair p of
+    :func:`pair_list`) drawn in blocks of about ``block_pairs`` pairs, so that
+    memory stays bounded.  A callable side gets each seed as a Python int."""
     pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
     step = max(1, block_pairs // max(pairs, 1))
@@ -352,7 +352,7 @@ def _observations(side, n: int, seeds: list, chi2: bool, block_pairs: int = 1 <<
             rows = sample_graph_edges(side, n, block)
         else:
             rows = np.zeros((len(block), pairs), dtype=bool)
-            for row, s in zip(rows, block):
+            for row, s in zip(rows, map(int, block)):
                 i, j = side(s).edges.T
                 row[(i - 1) * (2 * n - i) // 2 + j - i - 1] = True
         if chi2:
@@ -401,9 +401,10 @@ def mc_two_sample_test(
 ) -> dict:
     """Statistical comparison of two graph samplers.
 
-    Each sampler is called ``runs`` times with seeds derived from the
-    master seed (disjoint derivation tags for the two sides, so "same
-    kernel, two seeds" is a genuine null case).  A sampler may also be a
+    Each sampler is called ``runs`` times with seeds (Python ints)
+    derived from the master seed in one array (disjoint derivation tags
+    for the two sides, so "same kernel, two seeds" is a genuine null
+    case).  A sampler may also be a
     ``Kernel``, meaning exactly ``lambda s: sample_graph(kernel, n, s)``;
     without ``statistics`` its graphs are drawn in bulk.  For n <= 5 the
     test is a two-sample chi-squared on labeled-graph frequencies, merging
@@ -435,37 +436,37 @@ def mc_two_sample_test(
         test = "chi-squared" if chi2 else "z"
         raise PowerError(f"{runs} runs are too few for the {test} test", required_runs=min_runs)
     sides = (sampler_a, sampler_b)
-    seeds = [[derive_seed(seed, tag, r) for r in range(runs)] for tag in (0, 1)]
+    seeds = [derive_seed(seed, tag, np.arange(runs, dtype=np.uint64)) for tag in (0, 1)]
     if statistics is None:
         names = ("edge_count", "triangle_count")
         obs_a, obs_b = (_observations(side, n, ss, chi2) for side, ss in zip(sides, seeds))
     else:
         names = stats = dict(statistics)  # a repeated name keeps its last function
         samplers = [partial(sample_graph, s, n) if isinstance(s, Kernel) else s for s in sides]
-        graphs = ([sampler(s) for s in ss] for sampler, ss in zip(samplers, seeds))
+        graphs = ([sampler(s) for s in ss.tolist()] for sampler, ss in zip(samplers, seeds))
         obs_a, obs_b = ([np.array([fn(g) for g in gs]) for fn in stats.values()] for gs in graphs)
 
     if chi2:
-        counts_a = Counter(obs_a.tolist())
-        counts_b = Counter(obs_b.tolist())
-        observed = sorted(set(counts_a) | set(counts_b))
-        totals = {g: counts_a.get(g, 0) + counts_b.get(g, 0) for g in observed}
-        big = [g for g in observed if totals[g] / 2.0 >= _CHI2_FLOOR]
-        tail = [g for g in observed if g not in set(big)]
-        buckets = [[g] for g in big]
-        if tail:
-            buckets.append(tail)
-        if len(buckets) < 2:
-            if counts_a == counts_b:
+        distinct, inverse = np.unique(np.concatenate((obs_a, obs_b)), return_inverse=True)
+        counts = np.stack([np.bincount(side, minlength=len(distinct)) for side in np.split(inverse, 2)])
+        totals = counts.sum(axis=0)
+        big = totals / 2.0 >= _CHI2_FLOOR
+        # one bucket per frequent graph in ascending order, then one tail bucket
+        cells = counts[:, big]
+        if not big.all():
+            cells = np.column_stack((cells, counts[:, ~big].sum(axis=1)))
+        buckets = cells.shape[1]
+        if buckets < 2:
+            if (counts[0] == counts[1]).all():
                 return {
                     "pass": True,
                     "pvalues": {"labeled_graphs": 1.0},
                     "mode": "chi2",
                     "runs": runs,
                     "alpha": alpha,
-                    "buckets": len(buckets),
+                    "buckets": buckets,
                 }
-            ranked = sorted(totals.values(), reverse=True)
+            ranked = sorted(totals.tolist(), reverse=True)
             second = ranked[1] if len(ranked) > 1 else 0
             # need runs * (second / (2 runs)) >= floor for the second cell
             required = math.ceil(2.0 * _CHI2_FLOOR * runs / second) if second else None
@@ -474,14 +475,11 @@ def mc_two_sample_test(
                 f"expected count >= {_CHI2_FLOOR}",
                 required_runs=required,
             )
-        stat = 0.0
-        for bucket in buckets:
-            tot = sum(totals[g] for g in bucket)
-            expect = tot / 2.0
-            oa = sum(counts_a.get(g, 0) for g in bucket)
-            ob = sum(counts_b.get(g, 0) for g in bucket)
+        stat = 0.0  # bucket by bucket in Python floats, so the statistic keeps its bits
+        for oa, ob in cells.T.tolist():
+            expect = (oa + ob) / 2.0
             stat += (oa - expect) ** 2 / expect + (ob - expect) ** 2 / expect
-        df = len(buckets) - 1
+        df = buckets - 1
         pvalue = _chi2_sf(stat, df)
         return {
             "pass": pvalue >= alpha,
@@ -489,7 +487,7 @@ def mc_two_sample_test(
             "mode": "chi2",
             "statistic": stat,
             "df": df,
-            "buckets": len(buckets),
+            "buckets": buckets,
             "runs": runs,
             "alpha": alpha,
         }

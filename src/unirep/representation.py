@@ -270,13 +270,10 @@ def cantor_represent_family(
             values = (rep_values[index].item(), k.values[index].item())
             raise MeasurabilityError(k.name, witness, values)
 
-    classes = sigma_atoms(space, generators)
-    classes = sorted(classes, key=lambda members: codes[members[0]].bits)
-    reps = [space.index(members[0]) for members in classes]
-    merged_ids = tuple(str(codes[members[0]]) for members in classes)
-    merged_probs = tuple(
-        sum(space.probs[space.index(a)] for a in members) for members in classes
-    )
+    merged_codes = sorted(first)
+    reps = [first[bits] for bits in merged_codes]
+    merged_ids = tuple(str(CantorCode(bits)) for bits in merged_codes)
+    merged_probs = tuple(sum(space.probs[i] for i in np.flatnonzero(rep_of == r)) for r in reps)
     merged = validate_space(merged_ids, merged_probs)
     return family.on_domain(
         interval_partition(merged), [k.values[np.ix_(*[reps] * k.arity)] for k in family]

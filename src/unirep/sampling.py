@@ -1,14 +1,19 @@
 """Deterministic, order-independent sampling of latents, arrays, and graphs.
 
 Every random draw here is a pure function of ``(seed, stream, i, j)``
-through one fixed 64-bit mixing function, so results are bit-identical
-across platforms, across processes, and under any parallel schedule or
-edge-evaluation order.  Streams keep draw families disjoint:
+through one fixed 64-bit counter hash, :func:`_mix` (the splitmix64
+finalizer applied after each of three xor-folds), so results are
+bit-identical across platforms, across processes, and under any
+parallel schedule or edge-evaluation order.  The hash has one uint64
+implementation: :func:`unit_uniform` is one draw of
+:func:`unit_uniform_array`, and :func:`derive_seed` takes an integer or
+an integer array.  Streams keep draw families disjoint:
 
 - stream 0: latent variables, one draw per vertex index;
 - stream 1: edge coins, one draw per vertex pair (i, j) with i < j;
-- streams 2 and up: reserved per kernel for auxiliary randomness
-  (unused at present; kernel values are deterministic given latents).
+- streams 2 to 0xD4: reserved per kernel for auxiliary randomness
+  (unused at present; kernel values are deterministic given latents);
+- streams 0xD5 and up: :func:`derive_seed`, at stream ``0xD5 + tag``.
 
 Vertex indices are 1-based throughout, matching the edge-list output
 format.
@@ -51,75 +56,67 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MULT1 = 0xBF58476D1CE4E5B9
-_MULT2 = 0x94D049BB133111EB
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
+_MULT2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
 
 
-def _avalanche(x: int) -> int:
-    x ^= x >> 30
-    x = (x * _MULT1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MULT2) & _MASK64
-    x ^= x >> 31
-    return x
+def _u64(v):
+    """``v`` mod 2^64 as uint64: a scalar for an integer, else an array."""
+    if isinstance(v, (int, np.integer)):
+        return np.uint64(int(v) & _MASK64)
+    return np.asarray(v).astype(np.uint64, copy=False)
 
 
-def _mix(seed: int, stream: int, i: int, j: int) -> int:
-    x = (seed + _GOLDEN) & _MASK64
-    for v in (stream, i, j):
-        x = _avalanche(x ^ (v & _MASK64))
-    return x
+def _mix(seed, stream, i, j):
+    """The 64-bit counter state of ``(seed, stream, i, j)``, broadcast over arrays.
 
-
-def unit_uniform(seed: int, stream: int, i: int, j: int) -> float:
-    """Uniform draw in [0,1), a pure function of its four arguments.
-
-    The 64-bit counter state is ``seed + 0x9E3779B97F4A7C15`` xor-folded
-    with ``stream``, ``i``, ``j`` in turn, each fold followed by the
-    avalanche sequence ``x ^= x>>30; x *= 0xBF58476D1CE4E5B9;
-    x ^= x>>27; x *= 0x94D049BB133111EB; x ^= x>>31`` (all mod 2^64).
-    The result is the high 53 bits divided by 2^53, so the value is
-    bit-exact across platforms with no double-rounding.
+    ``seed + 0x9E3779B97F4A7C15`` is xor-folded with ``stream``, ``i``,
+    ``j`` in turn, each fold followed by the avalanche sequence
+    ``x ^= x>>30; x *= 0xBF58476D1CE4E5B9; x ^= x>>27;
+    x *= 0x94D049BB133111EB; x ^= x>>31``, all mod 2^64.
     """
-    return (_mix(seed, stream, i, j) >> 11) / _TWO53
-
-
-def _avalanche_arr(x: np.ndarray) -> np.ndarray:
     # uint64 wraparound is the point here; silence overflow accounting
     with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(30))
-        x = x * np.uint64(_MULT1)
-        x = x ^ (x >> np.uint64(27))
-        x = x * np.uint64(_MULT2)
-        x = x ^ (x >> np.uint64(31))
+        x = _u64(seed) + _GOLDEN
+        for v in (stream, i, j):
+            x = x ^ _u64(v)
+            x ^= x >> np.uint64(30)
+            x *= _MULT1
+            x ^= x >> np.uint64(27)
+            x *= _MULT2
+            x ^= x >> np.uint64(31)
     return x
 
 
 def unit_uniform_array(seed, stream, i, j) -> np.ndarray:
-    """Vectorized :func:`unit_uniform` over ``i`` and/or ``j`` arrays.
+    """Uniform draws in [0,1), a pure function of their four arguments,
+    each an integer or an integer array (broadcast together).
 
-    ``seed`` may also be an array (broadcast against ``i`` and ``j``).
-    Bit-identical to the scalar version at every position.
+    The result is the high 53 bits of the counter state divided by 2^53,
+    so every value is bit-exact across platforms with no double-rounding.
+    Integers are taken mod 2^64, so negative ones never raise.
     """
-    x = seed.astype(np.uint64) if isinstance(seed, np.ndarray) else np.uint64(int(seed) & _MASK64)
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(_GOLDEN)
-    for v in (int(stream) & _MASK64, i, j):
-        x = _avalanche_arr(x ^ np.asarray(v, dtype=np.uint64))
-    return (x >> np.uint64(11)).astype(np.float64) / _TWO53
+    return (_mix(seed, stream, i, j) >> np.uint64(11)) / _TWO53
 
 
-def derive_seed(seed: int, tag: int, index: int) -> int:
-    """A 64-bit seed derived from ``(seed, tag, index)``.
+def unit_uniform(seed: int, stream: int, i: int, j: int) -> float:
+    """One draw of :func:`unit_uniform_array`, as a Python float."""
+    return float(unit_uniform_array(seed, stream, i, j))
+
+
+def derive_seed(seed: int, tag: int, index):
+    """A 64-bit seed derived from ``(seed, tag, index)``: a Python int for an
+    integer ``index``, a uint64 array for an array of them.
 
     Used by statistical harnesses to give repeated runs (and the two
     sides of a two-sample test) disjoint randomness from one master
     seed.  Tags live at 0xD5 and above so derived draws never collide
     with the sampling streams 0, 1, 2+.
     """
-    return _mix(seed, 0xD5 + tag, index, 0)
+    x = _mix(seed, 0xD5 + tag, index, 0)
+    return x if isinstance(x, np.ndarray) else int(x)
 
 
 @dataclass(frozen=True)

@@ -203,8 +203,26 @@ class TestEquiv:
         assert main(["equiv", spec, str(rep), "--n", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
+        assert report["support_equal"] is True
         assert report["tv"] <= 1e-9
         assert report["mode"] == "exact"
+
+    def test_support_differing_at_tiny_atom_fails(self, tmp_path, capsys):
+        # TV is about 1e-12, under the 1e-9 gate; only the supports tell
+        docs = [
+            {
+                "space": {"atoms": ["a", "b"], "probs": [1 - 1e-12, 1e-12]},
+                "kernels": [{"name": "r", "arity": 1, "value_space": "real",
+                             "values": {"a": 0.5, "b": b_value}}],
+            }
+            for b_value in (0.7, 0.5)
+        ]
+        a, b = (write_spec(tmp_path, doc, f"{k}.json") for k, doc in enumerate(docs))
+        assert main(["equiv", a, b, "--n", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["tv"] <= 1e-9
+        assert report["support_equal"] is False
+        assert report["pass"] is False
 
     def test_different_constants_fail(self, tmp_path, capsys):
         a = write_spec(tmp_path, const_spec(0.3), "a.json")
@@ -433,6 +451,14 @@ class TestBadInput:
         assert_one_error_line(err)
         assert calls == []
 
+
+    def test_run_count_too_large_exit_3(self, tmp_path, capsys):
+        # the seed array would take 7 PiB, which numpy refuses before allocating
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        argv = ["equiv", spec, spec, "--mode", "mc", "--n", "3", "--runs", str(10**15)]
+        code, err = run_cli(argv, capsys)
+        assert code == 3
+        assert_one_error_line(err)
 
     def test_ztest_with_one_run_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, DEMO_SPEC)

@@ -442,9 +442,10 @@ class TestMcKernelSides:
 
     def test_blocks_do_not_change_observations(self):
         table, _ = self._kernels()
-        seeds = [derive_seed(3, 0, r) for r in range(50)]
+        seeds = derive_seed(3, 0, np.arange(50, dtype=np.uint64))
         for n in (1, 3, 8):
-            masks = [graph_bitmask(sample_graph(table, n, s).edges.tolist(), n) for s in seeds]
+            graphs = [sample_graph(table, n, s) for s in seeds.tolist()]
+            masks = [graph_bitmask(g.edges.tolist(), n) for g in graphs]
             assert _observations(table, n, seeds, chi2=True).tolist() == masks
             for chi2 in (True, False):
                 whole = _observations(table, n, seeds, chi2).tolist()
@@ -467,6 +468,50 @@ class TestMcKernelSides:
             assert expected["mode"] == "ztest" and set(expected["pvalues"]) == {"edges", "first_cell"}
             assert mc_two_sample_test(table, step, n, 100, 5, statistics=stats) == expected
             assert mc_two_sample_test(table, step, n, 100, 5, statistics=iter(stats)) == expected
+
+    def test_callable_sides_get_python_ints(self):
+        table, _ = self._kernels()
+        got = []
+
+        def side(s):
+            got.append(s)
+            return sample_graph(table, 3, s)
+
+        stats = [("edges", lambda g: float(g.edge_count))]
+        for kwargs in ({}, {"statistics": stats}):
+            got.clear()
+            self._outcome(side, side, 3, 20, -3, **kwargs)
+            runs = np.arange(20, dtype=np.uint64)
+            assert got == derive_seed(-3, 0, runs).tolist() + derive_seed(-3, 1, runs).tolist()
+            assert {type(s) for s in got} == {int}
+
+    @pytest.mark.parametrize(
+        "n, runs, seed, expected",
+        [
+            # a tail bucket of rare graphs
+            (5, 300, 0, {"pvalues": {"labeled_graphs": 0.21912793371541162},
+                         "statistic": 3.0361990950226243, "df": 2, "buckets": 3}),
+            (4, 500, 7, {"pvalues": {"labeled_graphs": 0.434168794464881},
+                         "statistic": 42.85880539798892, "df": 42, "buckets": 43}),
+            (2, 30, 2, {"pvalues": {"labeled_graphs": 0.7952497535349383},
+                        "statistic": 0.06734006734006734, "df": 1, "buckets": 2}),
+            (1, 50, 0, {"pvalues": {"labeled_graphs": 1.0}, "buckets": 1}),
+            (3, 3, 0, ("PowerError", "3 runs leave fewer than two frequency buckets with "
+                       "expected count >= 5.0 (try runs >= 15)", 15)),
+        ],
+    )
+    def test_chi2_reports_pinned(self, n, runs, seed, expected):
+        # captured from the Counter-based bucket reduction the arrays replaced
+        table, step = self._kernels()
+        report = self._outcome(table, step, n, runs, seed)
+        if isinstance(expected, tuple):
+            assert report == expected
+            return
+        assert report == {"pass": True, "mode": "chi2", "runs": runs, "alpha": 0.01, **expected}
+        assert [type(report[k]) for k in ("pass", "buckets")] == [bool, int]
+        if "df" in report:
+            assert [type(report[k]) for k in ("statistic", "df")] == [float, int]
+            assert type(report["pvalues"]["labeled_graphs"]) is float
 
 
 def test_triangle_count_matches_triple_count():
@@ -551,8 +596,9 @@ class TestClosedFormTails:
         report = mc_two_sample_test(
             lambda s: s, lambda s: s + 3, 40, 300, 2, statistics=[("mod", stat)]
         )
-        xa = np.array([stat(derive_seed(2, 0, r)) for r in range(300)])
-        xb = np.array([stat(derive_seed(2, 1, r) + 3) for r in range(300)])
+        runs = np.arange(300, dtype=np.uint64)
+        xa = np.array([stat(s) for s in derive_seed(2, 0, runs).tolist()])
+        xb = np.array([stat(s + 3) for s in derive_seed(2, 1, runs).tolist()])
         z = abs(xa.mean() - xb.mean()) / math.sqrt((xa.var(ddof=1) + xb.var(ddof=1)) / 300)
         ref = 2.0 * norm.sf(z)
         assert report["pvalues"]["mod"] == pytest.approx(ref, rel=1e-10)

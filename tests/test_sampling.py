@@ -34,6 +34,7 @@ from util import (
     REAL,
     UNIT,
     const_graph_kernel,
+    derive_seed_scalar,
     random_family,
     random_kernel,
     random_space,
@@ -42,7 +43,26 @@ from util import (
     space,
     table_kernel,
     two_block_kernel,
+    unit_uniform_scalar,
 )
+
+
+def _any_integer(rng):
+    """A Python or numpy integer, possibly negative or at least 2^64."""
+    kind = rng.integers(7)
+    if kind == 0:
+        return -int(rng.integers(1, 2**63))
+    if kind == 1:
+        return 2**64 + int(rng.integers(0, 2**63))
+    if kind == 2:
+        return -(2**64) * int(rng.integers(1, 4)) - int(rng.integers(0, 100))
+    if kind == 3:
+        return np.int64(rng.integers(-(2**63), 2**63 - 1))
+    if kind == 4:
+        return np.uint64(rng.integers(0, 2**64 - 1, dtype=np.uint64))
+    if kind == 5:
+        return np.int32(rng.integers(-(2**31), 2**31 - 1))
+    return int(rng.integers(0, 2**63)) * 2 + int(rng.integers(2))
 
 
 class TestUnitUniform:
@@ -78,8 +98,51 @@ class TestUnitUniform:
         i = rng.integers(0, 2**62, 300)
         j = rng.integers(0, 2**62, 300)
         vec = unit_uniform_array(31337, 1, i.astype(np.uint64), j.astype(np.uint64))
-        ref = [unit_uniform(31337, 1, int(a), int(b)) for a, b in zip(i, j)]
+        ref = [unit_uniform_scalar(31337, 1, int(a), int(b)) for a, b in zip(i, j)]
         assert vec.tolist() == ref
+
+    def test_any_integer_arguments_match_oracle(self):
+        # every position takes negative, >= 2^64 and numpy integers mod 2^64
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            args = [_any_integer(rng) for _ in range(4)]
+            want = unit_uniform_scalar(*args)
+            assert unit_uniform(*args) == want
+            assert unit_uniform_array(*args) == want
+            seed, tag, index = args[:3]
+            got = derive_seed(seed, tag, index)
+            assert type(got) is int and got == derive_seed_scalar(seed, tag, index)
+
+    def test_integer_arrays_match_oracle(self):
+        rng = np.random.default_rng(13)
+        i = rng.integers(-(2**63), 2**63 - 1, 200)
+        j = rng.integers(0, 2**64 - 1, 200, dtype=np.uint64)
+        for seed in (-5, 2**64 + 3, np.int64(-7), np.uint64(2**63 + 1)):
+            ref = [unit_uniform_scalar(seed, 1, a, b) for a, b in zip(i.tolist(), j.tolist())]
+            assert unit_uniform_array(seed, 1, i, j).tolist() == ref
+            seeds = derive_seed(seed, -300, i)
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [derive_seed_scalar(seed, -300, a) for a in i.tolist()]
+
+    def test_pinned_values(self):
+        # computed by the pure-Python hash this package shipped before its
+        # one uint64 implementation, so that oracle and package cannot drift together
+        cases = [
+            ((0, 0, 0, 1), 0.1676358450582638),
+            ((123, 1, 4, 9), 0.8244693049085143),
+            ((-1, 2**64 + 5, -7, 2**70 + 3), 0.5541751675777992),
+            ((2**64 + 42, -1, 2**63, -(2**65)), 0.7131802060537512),
+        ]
+        for args, value in cases:
+            assert unit_uniform(*args) == unit_uniform_scalar(*args) == value
+        seeds = [
+            ((1, 0, 0), 18143288592989291941),
+            ((1, 1, 9999), 9862493456854071219),
+            ((-3, 1, 2**64 + 9), 16952789167555124653),
+            ((2**65 - 1, -300, -5), 12955062308966605090),
+        ]
+        for args, value in seeds:
+            assert derive_seed(*args) == derive_seed_scalar(*args) == value
 
     def test_streams_uncorrelated(self):
         # edge-coin stream vs latent stream over 1e5 paired draws
@@ -96,7 +159,8 @@ class TestUnitUniform:
         assert kstest(u, "uniform").pvalue >= 0.01
 
     def test_derive_seed_distinct(self):
-        seeds = {derive_seed(5, tag, r) for tag in (0, 1) for r in range(100)}
+        runs = np.arange(100, dtype=np.uint64)
+        seeds = {s for tag in (0, 1) for s in derive_seed(5, tag, runs).tolist()}
         assert len(seeds) == 200
 
 
@@ -247,10 +311,10 @@ class TestSampleGraph:
 class TestBitmaskSampler:
     def test_matches_sample_graph(self):
         k = two_block_kernel()
-        seeds = [derive_seed(2, 0, r) for r in range(50)]
-        rows = sample_graph_edges(k, 4, np.array(seeds, dtype=np.uint64))
+        seeds = derive_seed(2, 0, np.arange(50, dtype=np.uint64))
+        rows = sample_graph_edges(k, 4, seeds)
         assert rows.shape == (50, 6) and rows.dtype == bool
-        for seed, row in zip(seeds, rows):
+        for seed, row in zip(seeds.tolist(), rows):
             g = sample_graph(k, 4, seed)
             assert g.edges.tolist() == pair_list(4)[row].tolist()
 

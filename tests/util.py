@@ -15,7 +15,6 @@ from unirep import (
     ValueSpace,
     eval_kernel,
     sample_latents,
-    unit_uniform,
     validate_space,
 )
 from unirep.sampling import pair_list
@@ -23,6 +22,37 @@ from unirep.sampling import pair_list
 REAL = ValueSpace("real")
 UNIT = ValueSpace("unit")
 LABELS3 = ValueSpace("labels", 3)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _avalanche(x):
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return x
+
+
+def mix(seed, stream, i, j):
+    """Pure-Python oracle for the counter hash of ``unirep.sampling``: the
+    arguments are taken mod 2^64 and folded one Python int at a time."""
+    x = (int(seed) + 0x9E3779B97F4A7C15) & _MASK64
+    for v in (stream, i, j):
+        x = _avalanche(x ^ (int(v) & _MASK64))
+    return x
+
+
+def unit_uniform_scalar(seed, stream, i, j):
+    """Oracle for ``unit_uniform``: the high 53 bits of ``mix`` over 2^53."""
+    return (mix(seed, stream, i, j) >> 11) / float(1 << 53)
+
+
+def derive_seed_scalar(seed, tag, index):
+    """Oracle for ``derive_seed`` at one index."""
+    return mix(seed, 0xD5 + tag, index, 0)
 
 
 def space(atoms, probs):
@@ -69,15 +99,15 @@ def two_block_kernel(within=0.1, across=0.9, name="f"):
 
 
 def sample_graph_pairwise(kernel, n, seed):
-    """Per-pair oracle for ``sample_graph``: the edge list, one scalar
-    coin ``unit_uniform(seed, 1, i, j)`` and one scalar kernel lookup
-    per pair, in pair order."""
+    """Per-pair oracle for ``sample_graph``: the edge list, one pure-Python
+    coin ``unit_uniform_scalar(seed, 1, i, j)`` and one scalar kernel
+    lookup per pair, in pair order."""
     latents = sample_latents(kernel.domain, n, seed)
     points = latents.uniforms.tolist() if kernel.is_step else latents.atoms
     keep = [
         (i, j)
         for i, j in pair_list(n).tolist()
-        if unit_uniform(seed, 1, i, j) < eval_kernel(kernel, (points[i - 1], points[j - 1]))
+        if unit_uniform_scalar(seed, 1, i, j) < eval_kernel(kernel, (points[i - 1], points[j - 1]))
     ]
     return np.array(keep, dtype=np.int64).reshape(-1, 2)
 
