@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+
+import numpy as np
 
 from .equivalence import (
     PATTERNS,
@@ -40,11 +41,43 @@ __all__ = ["main"]
 EXACT_TV_TOL = 1e-9
 
 
-def _write(text: str, out: str):
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _write(chunks, out: str):
+    """Write byte chunks to the file ``out``, or to stdout for ``-``."""
+    if out != "-":
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
+    else:  # a text-only stand-in, such as io.StringIO under redirect_stdout
+        sys.stdout.writelines(bytes(chunk).decode() for chunk in chunks)
+
+
+_EDGE_BLOCK = 1 << 18
+
+
+def _edge_lines(edges: np.ndarray, n: int):
+    """The ``"i j\n"`` lines of ``edges`` (an (E, 2) array of integers in 1..n)
+    as bytes, one chunk per ``_EDGE_BLOCK`` edges: line ends come from a
+    cumulative sum, digits are scattered one decimal place at a time."""
+    width = len(str(n))
+    v = np.arange(n + 1)
+    powers = 10 ** np.arange(width)[:, None]
+    lengths = 1 + (v >= powers[1:]).sum(axis=0)
+    digits = (v // powers % 10 + ord("0")).astype(np.uint8)
+    for start in range(0, len(edges), _EDGE_BLOCK):
+        i, j = edges[start : start + _EDGE_BLOCK].T
+        li, lj = lengths[i], lengths[j]
+        ends = np.cumsum(li + lj + 2)
+        # every byte not written below is a space; the spare last byte takes
+        # the digits that a shorter number does not have
+        buf = np.full(ends[-1] + 1, ord(" "), dtype=np.uint8)
+        buf[ends - 1] = ord("\n")
+        for number, last, length in ((j, ends - 2, lj), (i, ends - 3 - lj, li)):
+            buf[last] = digits[0, number]
+            for d in range(1, width):
+                buf[np.where(length > d, last - d, len(buf) - 1)] = digits[d, number]
+        yield buf[:-1].data
 
 
 def _print_report(report: dict):
@@ -78,7 +111,7 @@ def cmd_represent(args) -> int:
         represented = cantor_represent_family(space, generators, family)
     else:
         represented = represent_family(space, family)
-    _write(json.dumps(dump_represented(represented), indent=2) + "\n", args.out)
+    _write([json.dumps(dump_represented(represented), indent=2).encode() + b"\n"], args.out)
     return 0
 
 
@@ -86,13 +119,13 @@ def cmd_sample(args) -> int:
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
     graph = sample_graph(kernel, args.n, args.seed, threads=args.threads)
-    _write("".join(f"{i} {j}\n" for i, j in graph.edges.tolist()), args.out)
+    _write(_edge_lines(graph.edges, args.n), args.out)
     if args.latents:
         lines = "".join(
             f"{i} {x!r}\n"
             for i, x in enumerate(graph.latents.uniforms.tolist(), start=1)
         )
-        _write(lines, args.latents)
+        _write([lines.encode()], args.latents)
     return 0
 
 
@@ -174,7 +207,7 @@ def cmd_encode(args) -> int:
         "codes": {str(a): str(codes[a]) for a in space.atom_ids},
         "sigma_atoms": [list(map(str, members)) for members in classes],
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write([json.dumps(payload, indent=2).encode() + b"\n"], args.out)
     return 0
 
 

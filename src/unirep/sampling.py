@@ -69,25 +69,35 @@ def _u64(v):
     return np.asarray(v).astype(np.uint64, copy=False)
 
 
-def _mix(seed, stream, i, j):
-    """The 64-bit counter state of ``(seed, stream, i, j)``, broadcast over arrays.
-
-    ``seed + 0x9E3779B97F4A7C15`` is xor-folded with ``stream``, ``i``,
-    ``j`` in turn, each fold followed by the avalanche sequence
-    ``x ^= x>>30; x *= 0xBF58476D1CE4E5B9; x ^= x>>27;
-    x *= 0x94D049BB133111EB; x ^= x>>31``, all mod 2^64.
-    """
+def _avalanche(x):
+    """The avalanche sequence of :func:`_mix`, in place on an array ``x``."""
     # uint64 wraparound is the point here; silence overflow accounting
     with np.errstate(over="ignore"):
-        x = _u64(seed) + _GOLDEN
-        for v in (stream, i, j):
-            x = x ^ _u64(v)
-            x ^= x >> np.uint64(30)
-            x *= _MULT1
-            x ^= x >> np.uint64(27)
-            x *= _MULT2
-            x ^= x >> np.uint64(31)
+        x ^= x >> np.uint64(30)
+        x *= _MULT1
+        x ^= x >> np.uint64(27)
+        x *= _MULT2
+        x ^= x >> np.uint64(31)
     return x
+
+
+def _mix(seed, *words):
+    """The 64-bit counter state of ``(seed, stream, i, j)`` (or a prefix of it),
+    broadcast over arrays: ``seed + 0x9E3779B97F4A7C15`` xor-folded with each
+    word in turn, each fold followed by the avalanche sequence ``x ^= x>>30;
+    x *= 0xBF58476D1CE4E5B9; x ^= x>>27; x *= 0x94D049BB133111EB; x ^= x>>31``,
+    all mod 2^64."""
+    with np.errstate(over="ignore"):
+        x = _u64(seed) + _GOLDEN
+    for v in words:
+        x = _avalanche(x ^ _u64(v))
+    return x
+
+
+def _unit(x) -> np.ndarray:
+    """The high 53 bits of counter states ``x`` (shifted in place) over 2^53."""
+    x >>= np.uint64(11)
+    return x / _TWO53
 
 
 def unit_uniform_array(seed, stream, i, j) -> np.ndarray:
@@ -98,7 +108,7 @@ def unit_uniform_array(seed, stream, i, j) -> np.ndarray:
     so every value is bit-exact across platforms with no double-rounding.
     Integers are taken mod 2^64, so negative ones never raise.
     """
-    return (_mix(seed, stream, i, j) >> np.uint64(11)) / _TWO53
+    return _unit(_mix(seed, stream, i, j))
 
 
 def unit_uniform(seed: int, stream: int, i: int, j: int) -> float:
@@ -217,23 +227,26 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, threads: int = 1):
     """Pairs ``i < j`` of the last axis of ``cells`` (1-based, :func:`pair_list`
     order) and whether ``unit_uniform(seed, 1, i, j) < values[cells[i-1], cells[j-1]]``.
     ``seed`` is an int or a ``(R, 1)`` uint64 column, one seed per row of
-    ``cells``; ``threads`` (at most one per CPU) chunks the coins along the pairs."""
-    iu, ju = np.triu_indices(cells.shape[-1], k=1)
+    ``cells``; ``threads`` (at most one per CPU) chunks the coins along the pairs.
+    The state after ``(seed, 1, i)`` is hashed once per vertex; each pair
+    gathers it and folds ``j`` in place (a copy would cost 8 B per pair)."""
+    n = cells.shape[-1]
+    iu, ju = np.triu_indices(n, k=1)
     probs = values[cells[..., iu], cells[..., ju]]
+    x = np.take(_mix(seed, 1, np.arange(1, n + 1, dtype=np.uint64)), iu, axis=-1)
     iu += 1
     ju += 1
-    iv, jv = iu.view(np.uint64), ju.view(np.uint64)
+    x ^= ju.view(np.uint64)
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = zip(np.array_split(iv, threads), np.array_split(jv, threads))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda ij: unit_uniform_array(seed, 1, *ij), chunks)
-            coins = np.concatenate(list(parts), axis=-1)
+            list(pool.map(_avalanche, np.array_split(x, threads, axis=-1)))
     else:
-        coins = unit_uniform_array(seed, 1, iv, jv)
-    return iu, ju, coins < probs
+        _avalanche(x)
+    x = _unit(x)  # frees the uint64 states before the compare allocates
+    return iu, ju, x < probs
 
 
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:

@@ -1,9 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import unirep.cli
+from unirep import sample_graph
 from unirep.cli import main
+from unirep.sampling import pair_list
+from unirep.specfile import load_spec
+
+from util import edge_lines_oracle
 
 DEMO_SPEC = {
     "space": {"atoms": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]},
@@ -193,6 +203,95 @@ class TestSample:
         i, x = lines[0].split()
         assert i == "1"
         assert float(x) == unit_uniform(2, 0, 0, 1)
+
+
+# vertex counts around each change in the number of decimal digits; the
+# complete graph on 1001 vertices has 500 500 edges, one full block of
+# 2^18 and a partial one
+EDGE_LIST_NS = (1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)
+
+
+def random_demo_spec(rng):
+    doc = json.loads(json.dumps(DEMO_SPEC))
+    values = doc["kernels"][0]["values"]
+    for key in values:
+        values[key] = float(rng.random())
+    return doc
+
+
+class TestEdgeList:
+    """The edge-list bytes of ``sample`` against the f-string oracle."""
+
+    @pytest.mark.parametrize("n", EDGE_LIST_NS)
+    def test_complete_graph_matches_oracle(self, tmp_path, n):
+        spec = write_spec(tmp_path, const_spec(1.0))
+        out = tmp_path / "g.txt"
+        assert main(["sample", spec, "--n", str(n), "--out", str(out)]) == 0
+        assert out.read_bytes() == edge_lines_oracle(pair_list(n)).encode()
+
+    @pytest.mark.parametrize("n", EDGE_LIST_NS)
+    def test_random_kernel_matches_oracle(self, tmp_path, n):
+        spec = write_spec(tmp_path, random_demo_spec(np.random.default_rng(n)))
+        out = tmp_path / "g.txt"
+        assert main(["sample", spec, "--n", str(n), "--seed", str(n), "--out", str(out)]) == 0
+        graph = sample_graph(load_spec(spec).family.kernels[0], n, n)
+        assert out.read_bytes() == edge_lines_oracle(graph.edges).encode()
+
+    @pytest.mark.parametrize("n", (10_001, 12_345))
+    def test_five_digit_vertices_match_oracle(self, tmp_path, monkeypatch, n):
+        # sampling every pair at this n takes gigabytes, so random pairs,
+        # the extreme ones included, stand in for the sampled edges
+        rng = np.random.default_rng(n)
+        pairs = np.sort(rng.integers(1, n + 1, size=(20_000, 2)), axis=1)
+        pairs = np.vstack((pairs, [(1, 2), (1, n), (n - 1, n), (9, 10), (99, 100)]))
+        edges = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+        monkeypatch.setattr(
+            unirep.cli, "sample_graph", lambda kernel, n, seed, threads: SimpleNamespace(edges=edges)
+        )
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        out = tmp_path / "g.txt"
+        assert main(["sample", spec, "--n", str(n), "--out", str(out)]) == 0
+        assert out.read_bytes() == edge_lines_oracle(edges).encode()
+
+    @pytest.mark.parametrize("block", (1, 7, 45, 64))
+    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, block):
+        # 45 edges: blocks of 7 leave a partial last block, 45 fills exactly one
+        monkeypatch.setattr(unirep.cli, "_EDGE_BLOCK", block)
+        spec = write_spec(tmp_path, const_spec(1.0))
+        out = tmp_path / "g.txt"
+        assert main(["sample", spec, "--n", "10", "--out", str(out)]) == 0
+        assert out.read_bytes() == edge_lines_oracle(pair_list(10)).encode()
+
+    @pytest.mark.parametrize("p, n", [(1.0, 1), (0.0, 50)])
+    def test_no_edges_empty_file(self, tmp_path, capsysbinary, p, n):
+        spec = write_spec(tmp_path, const_spec(p))
+        out = tmp_path / "g.txt"
+        out.write_text("stale")
+        assert main(["sample", spec, "--n", str(n), "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+        assert main(["sample", spec, "--n", str(n)]) == 0
+        assert capsysbinary.readouterr().out == b""
+
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, capsysbinary):
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        out, lat = tmp_path / "g.txt", tmp_path / "lat.txt"
+        argv = ["sample", spec, "--n", "300", "--seed", "4"]
+        assert main(argv + ["--out", str(out), "--latents", str(lat)]) == 0
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        # both to stdout: the edges, then the latents
+        assert main(argv + ["--out", "-", "--latents", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes() + lat.read_bytes()
+
+    def test_text_only_stdout_gets_same_lines(self, tmp_path):
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        out = tmp_path / "g.txt"
+        argv = ["sample", spec, "--n", "300", "--seed", "4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        assert buf.getvalue().encode() == out.read_bytes()
 
 
 class TestEquiv:
@@ -451,6 +550,13 @@ class TestBadInput:
         assert_one_error_line(err)
         assert calls == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--latents"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, flag):
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        argv = ["sample", spec, "--n", "20", "--out", str(tmp_path / "g.txt"), flag, str(tmp_path)]
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert_one_error_line(err)
 
     def test_run_count_too_large_exit_3(self, tmp_path, capsys):
         # the seed array would take 7 PiB, which numpy refuses before allocating

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -387,12 +388,14 @@ class TestSampleArray:
 # RSS just before the call, per vertex pair, on a sparse kernel.  The peak
 # is VmHWM, not getrusage's ru_maxrss: Linux carries ru_maxrss across
 # exec, so a child of a large test process would report the parent's peak.
-MEMORY_PROBE = """
-from unirep import IntervalPartition, Kernel, ValueSpace, sample_graph
-
+STATUS_KB = """
 def status_kb(field):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(field))
+"""
+
+MEMORY_PROBE = STATUS_KB + """
+from unirep import IntervalPartition, Kernel, ValueSpace, sample_graph
 
 n = 2000
 part = IntervalPartition((0.0, 1.0), ("o",))
@@ -404,14 +407,46 @@ sample_graph(kernel, n, 1)
 print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1) // 2))
 """
 
+# The same growth for ``unirep sample --n 2000 --out FILE`` on a constant
+# p = 1/2 kernel (about 10^6 edges): sampling and writing the edge list.
+CLI_MEMORY_PROBE = STATUS_KB + """
+import sys
+from unirep.cli import main
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_sample_graph_peak_bytes_per_pair():
-    # 48 B: the two pair-index arrays (16), the gathered probabilities (8)
-    # and at most three 8-byte arrays in the coin hash (24)
+spec, out = sys.argv[1:]
+n = 2000
+main(["sample", spec, "--n", "3", "--out", out])
+before_kb = status_kb("VmRSS:")
+main(["sample", spec, "--n", str(n), "--seed", "1", "--out", out])
+print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1) // 2))
+"""
+
+
+def run_probe(code, *args):
     src = str(Path(unirep.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", MEMORY_PROBE], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
     )
-    assert float(out.stdout) <= 56.0, out.stdout
+    return float(out.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_sample_graph_peak_bytes_per_pair():
+    # 40 B: the two pair-index arrays (16), the gathered probabilities (8)
+    # and at most two 8-byte arrays in the coin hash (16)
+    assert run_probe(MEMORY_PROBE) <= 56.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_cli_sample_peak_bytes_per_pair(tmp_path):
+    # 40 B: the edge array (8 B per pair at p = 1/2) and the writer's blocks
+    # of a few MB come after the sampler's peak; a Python string per line
+    # took 116 B per pair
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "space": {"atoms": ["o"], "probs": [1.0]},
+        "kernels": [{"name": "f", "arity": 2, "value_space": "unit",
+                     "symmetric": True, "values": {"o,o": 0.5}}],
+    }))
+    assert run_probe(CLI_MEMORY_PROBE, str(spec), str(tmp_path / "g.txt")) <= 64.0

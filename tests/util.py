@@ -112,6 +112,12 @@ def sample_graph_pairwise(kernel, n, seed):
     return np.array(keep, dtype=np.int64).reshape(-1, 2)
 
 
+def edge_lines_oracle(edges):
+    """Oracle for the edge list of ``unirep sample``: one f-string
+    ``"i j\\n"`` per row of ``edges``."""
+    return "".join(f"{i} {j}\n" for i, j in np.asarray(edges).tolist())
+
+
 def sample_array_loop(family, n, seed):
     """Per-tuple oracle for ``sample_array``: one ``eval_kernel`` call per
     ordered tuple of distinct indices, in ``permutations`` order."""
