@@ -45,11 +45,10 @@ class ValueSpace:
         if self.kind not in ("real", "unit", "labels"):
             raise SpecError(f"unknown value space {self.kind!r}", field="value_space")
         if self.kind == "labels":
-            if not isinstance(self.num_labels, int) or self.num_labels < 1:
-                raise SpecError(
-                    f"label count must be a positive integer, got {self.num_labels!r}",
-                    field="value_space",
-                )
+            count = self.num_labels
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                why = f"label count must be a positive integer, got {count!r}"
+                raise SpecError(why, field="value_space")
         elif self.num_labels is not None:
             raise SpecError("num_labels only applies to kind 'labels'", field="value_space")
 
@@ -104,7 +103,7 @@ class Kernel:
     ----------
     name : str
     arity : int
-        Positive and finite; infinite arities are out of scope.
+        From 1 to 64, the most axes of a value array.
     value_space : ValueSpace
     domain : DiscreteSpace or IntervalPartition
         Table kernels live on a discrete space (keys are atom-id
@@ -129,17 +128,22 @@ class Kernel:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.arity == float("inf"):
-            raise UnsupportedError("infinite arity is out of scope")
-        if not isinstance(self.arity, int) or isinstance(self.arity, bool) or self.arity < 1:
-            raise ArityError(f"arity must be a positive integer, got {self.arity!r}")
+        check_arity(self.arity)
         if not isinstance(self.domain, (DiscreteSpace, IntervalPartition)):
             raise SpecError(f"unsupported kernel domain {type(self.domain).__name__}")
         where = f"kernel {self.name!r}"
         index = {c: i for i, c in enumerate(self._coords)}
         values = self.table
         if not isinstance(values, np.ndarray):
-            values = values_from_table(dict(values), index, self.arity, self.value_space, where)
+            keys = list(values)
+            positions = [
+                [index.get(c, -1) for c in k] if isinstance(k, tuple) and len(k) == self.arity
+                else [-1] * self.arity for k in keys
+            ]
+            positions = np.array(positions, np.int64).reshape(-1, self.arity)
+            values = values_from_table(
+                keys, positions, list(values.values()), len(index), self.value_space, where
+            )
         elif values.flags.writeable:  # never share an array the caller can change
             values = values.copy()
         shape = (len(index),) * self.arity
@@ -236,32 +240,61 @@ class KernelFamily:
         )
 
 
+def check_arity(arity) -> None:
+    """Raise unless ``arity`` is a positive integer that a value array can
+    have as its number of axes (numpy allows at most 64)."""
+    if arity == float("inf") or (isinstance(arity, int) and arity > 64):
+        raise UnsupportedError(f"arity {arity} is out of scope: value arrays have at most 64 axes")
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+        raise ArityError(f"arity must be a positive integer, got {arity!r}")
+
+
+def _coordinates(key):
+    """A listed key as the tuple of coordinates it names."""
+    return tuple(key.split(",")) if isinstance(key, str) else key
+
+
 def values_from_table(
-    table: Mapping, index: dict, arity: int, value_space: ValueSpace, where: str, orbits=False
+    keys, positions: np.ndarray, values: list, size: int, value_space: ValueSpace, where: str,
+    orbits=False,
 ) -> np.ndarray:
-    """The value array of a table from domain tuples (coordinates placed by
-    ``index``) to values.  With ``orbits``, the table lists one tuple per
-    orbit of the coordinate permutations, and each tuple takes the value
-    listed under its position-sorted self, at a cost linear in the table."""
-    positions = []
-    for key, v in table.items():
-        position = [index.get(c, -1) for c in key] if isinstance(key, tuple) else []
-        if len(position) != arity or -1 in position:
-            raise SpecError(f"{where}: table key {key!r} is not an arity-{arity} domain tuple")
-        value_space.check_type(v, where, key)
-        positions.append(sorted(position) if orbits else position)
-    listed = np.full((len(index),) * arity, -1)  # the entry listed at each position tuple
-    listed[tuple(np.array(positions, dtype=np.int64).reshape(-1, arity).T)] = range(len(table))
-    which = listed[tuple(np.sort(np.indices(listed.shape), axis=0))] if orbits else listed
-    if (which < 0).any():
-        count = (which >= 0).sum()
-        raise SpecError(f"{where}: table has {count} entries, needs all {which.size} tuples")
+    """The value array of a listed table, with every check run in bulk.
+
+    Entry e lists ``values[e]`` under ``keys[e]`` (named in error messages
+    only) at the coordinate positions ``positions[e]`` on a domain of
+    ``size`` coordinates; -1 marks an unknown coordinate or a key of
+    another arity.  Without ``orbits`` each tuple is listed once.  With
+    ``orbits`` each orbit of the coordinate permutations is listed with
+    one value, and each tuple takes the value first listed for its orbit."""
+    count, arity = positions.shape
+    unknown = (positions < 0).any(axis=1)
+    if unknown.any():
+        key = _coordinates(keys[np.argmax(unknown)])
+        raise SpecError(f"{where}: table key {key!r} is not an arity-{arity} domain tuple")
+    by_type = dict(zip(map(type, values[::-1]), range(count - 1, -1, -1)))  # first entries
+    for e in sorted(by_type.values()):
+        value_space.check_type(values[e], where, _coordinates(keys[e]))
     dtype = np.dtype(value_space.dtype)
     try:
-        values = np.array(list(table.values()), dtype=dtype)
+        flat = np.array(values, dtype=dtype)
     except OverflowError:
         raise RangeError(f"{where}: a value is too large for {dtype} storage") from None
-    return values[which]
+    listed = np.full((size,) * arity, count)  # the first entry listed at each tuple
+    at = tuple((np.sort(positions, axis=1) if orbits else positions).T)
+    np.minimum.at(listed, at, np.arange(count))
+    first = listed[at]  # the first entry listed at each entry's tuple
+    clash = first != np.arange(count)
+    if orbits:
+        clash &= flat[first] != flat
+    if clash.any():
+        key = keys[np.argmax(clash)]
+        why = "symmetric orbit of {!r} lists conflicting values" if orbits else "duplicate key {!r}"
+        raise SpecError(f"{where}: " + why.format(key))
+    which = listed[tuple(np.sort(np.indices(listed.shape), axis=0))] if orbits else listed
+    if (which == count).any():
+        listed_count = (which < count).sum()
+        raise SpecError(f"{where}: table has {listed_count} entries, needs all {which.size} tuples")
+    return flat[which]
 
 
 def eval_kernel(kernel: Kernel, point: tuple):

@@ -3,19 +3,21 @@
 A spec document is a JSON object with any of the blocks
 
 - ``"space"``: ``{"atoms": [...], "probs": [...]}``
-- ``"generators"``: ``[["a"], ["a", "b"], ...]``
+- ``"generators"``: lists of atom-id strings, ``[["a"], ["a", "b"], ...]``
 - ``"kernels"``: list of
   ``{"name": ..., "arity": m, "values": {"a,b": 0.7, ...},
   "symmetric": true, "value_space": "unit" | "real" | {"labels": K}}``
-- ``"cdfs"``: ``{name: {"kind": "step" | "pwl", "points": [[x, c], ...]}}``
 - ``"partition"``: ``{"breakpoints": [...], "cells": [...]}`` with the
   kernels keyed by cell indices (``"values": {"0,1": 0.7}``) -- the
   form :func:`dump_represented` writes and ``represent`` emits.
 
-Table keys join atom ids (or cell indices) with commas, so atom ids in
-spec files must be comma-free strings.  When a kernel is flagged
-symmetric, its ``values`` may list one representative per orbit; the
-loader completes the orbit and rejects inconsistent duplicates.
+Other top-level keys are ignored.  Table keys join atom ids (or cell
+indices) with commas, so atom ids in spec files must be comma-free
+strings.  When a kernel is flagged symmetric, its ``values`` may list one
+representative per orbit; the loader completes the orbit and rejects
+inconsistent duplicates.  Tables are split, placed and checked in bulk
+by :func:`~unirep.kernels.values_from_table`, in time linear in the
+table size.
 
 Errors raise :class:`~unirep.errors.SpecError` with a field path
 locating the offending entry.
@@ -25,12 +27,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
+import numpy as np
+
 from .errors import SpecError
-from .kernels import Kernel, KernelFamily, ValueSpace, values_from_table
-from .spaces import Cdf, DiscreteSpace, IntervalPartition, validate_space
+from .kernels import Kernel, KernelFamily, ValueSpace, check_arity, values_from_table
+from .spaces import DiscreteSpace, IntervalPartition, validate_space
 
 __all__ = ["SpecDocument", "load_spec", "loads_spec", "dump_represented"]
 
@@ -43,7 +47,6 @@ class SpecDocument:
     partition: IntervalPartition | None
     generators: tuple[tuple[str, ...], ...] | None
     family: KernelFamily | None
-    cdfs: dict[str, Cdf]
 
     @property
     def domain(self):
@@ -85,8 +88,10 @@ def parse_spec(doc: dict) -> SpecDocument:
     generators = None
     if "generators" in doc:
         gens = doc["generators"]
-        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-            raise SpecError("must be a list of atom-id lists", field="generators")
+        if not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(isinstance(a, str) for a in g) for g in gens
+        ):
+            raise SpecError("must be a list of lists of atom-id strings", field="generators")
         generators = tuple(tuple(g) for g in gens)
 
     family = None
@@ -102,14 +107,7 @@ def parse_spec(doc: dict) -> SpecDocument:
         )
         family = KernelFamily(parsed)
 
-    cdf_blocks = doc.get("cdfs", {})
-    if not isinstance(cdf_blocks, dict):
-        raise SpecError("must be an object of named CDFs", field="cdfs")
-    cdfs = {}
-    for name, block in cdf_blocks.items():
-        cdfs[name] = _parse_cdf(block, f"cdfs[{name!r}]")
-
-    return SpecDocument(space, partition, generators, family, cdfs)
+    return SpecDocument(space, partition, generators, family)
 
 
 def _numbers(items, path: str) -> list[float]:
@@ -162,32 +160,14 @@ def _parse_partition(block, path: str = "partition") -> IntervalPartition:
         raise SpecError(exc.message, field=path) from None
 
 
-def _parse_cdf(block, path: str) -> Cdf:
-    if not isinstance(block, dict) or "kind" not in block or "points" not in block:
-        raise SpecError("must be an object with kind and points", field=path)
-    kind = block["kind"]
-    points = block["points"]
-    if not isinstance(points, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in points
-    ):
-        raise SpecError("points must be a list of [x, c] pairs", field=f"{path}.points")
-    points = [_numbers(p, f"{path}.points") for p in points]
-    try:
-        return Cdf(kind, tuple(map(tuple, points)))
-    except SpecError as exc:
-        raise SpecError(exc.message, field=f"{path}.{exc.field or 'points'}") from None
-
-
 def _parse_value_space(obj, path: str) -> ValueSpace:
-    if obj == "real":
-        return ValueSpace("real")
-    if obj == "unit":
-        return ValueSpace("unit")
-    if isinstance(obj, dict) and set(obj) == {"labels"}:
-        count = obj["labels"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise SpecError(f"label count must be a positive integer, got {count!r}", field=path)
-        return ValueSpace("labels", count)
+    try:
+        if obj in ("real", "unit"):
+            return ValueSpace(obj)
+        if isinstance(obj, dict) and set(obj) == {"labels"}:
+            return ValueSpace("labels", obj["labels"])
+    except SpecError as exc:
+        raise SpecError(exc.message, field=path) from None
     raise SpecError(
         f"value_space must be \"unit\", \"real\" or {{\"labels\": K}}, got {obj!r}",
         field=path,
@@ -204,6 +184,7 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
     if not isinstance(name, str) or not name:
         raise SpecError("kernel name must be a nonempty string", field=f"{path}.name")
     arity = block["arity"]
+    check_arity(arity)
     value_space = _parse_value_space(block["value_space"], f"{path}.value_space")
     symmetric = block.get("symmetric", False)
     if not isinstance(symmetric, bool):
@@ -214,45 +195,30 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
 
     by_cells = isinstance(domain, IntervalPartition)
     position = {c: i for i, c in enumerate(range(len(domain)) if by_cells else domain.atom_ids)}
-    table: dict[tuple, object] = {}
-    first: dict[tuple, tuple] = {}  # symmetric: sorted positions -> first key listed
-    for key_text, v in raw.items():
-        parts = key_text.split(",") if key_text else [""]
-        if by_cells:
-            try:
-                key = tuple(map(int, parts))
-            except ValueError:
-                raise SpecError(
-                    f"cell-table key {key_text!r} is not a comma-joined index tuple",
-                    field=f"{path}.values",
-                ) from None
-        else:
-            key = tuple(parts)
-        if value_space.kind == "labels" and isinstance(v, float) and v.is_integer():
-            v = int(v)
-        if symmetric and len(key) == arity and None not in (pos := tuple(map(position.get, key))):
-            key = first.setdefault(tuple(sorted(pos)), key)  # one key per orbit
-            if key in table and table[key] != v:
-                raise SpecError(
-                    f"symmetric orbit of {key_text!r} lists conflicting values",
-                    field=f"{path}.values",
-                )
-        elif not symmetric and key in table:
-            raise SpecError(f"duplicate key {key_text!r}", field=f"{path}.values")
-        table[key] = v
+    keys = list(raw)
+    widths = np.fromiter(map(str.count, keys, repeat(",")), np.int64, len(keys)) + 1
+    parts = ",".join(keys).split(",") if keys else []  # every key's coordinates, in order
+    if by_cells:
+        cells = []
+        try:
+            cells.extend(map(int, parts))  # keeps the cells parsed before a failure
+        except ValueError:
+            bad = keys[np.searchsorted(np.cumsum(widths), len(cells), side="right")]
+            why = f"cell-table key {bad!r} is not a comma-joined index tuple"
+            raise SpecError(why, field=f"{path}.values") from None
+        parts = cells
+    # row e of positions: the positions of key e's coordinates, or -1s if it has another width
+    coords = np.fromiter(map(position.get, parts, repeat(-1)), np.int64, len(parts))
+    rows = np.minimum((np.cumsum(widths) - widths)[:, None] + np.arange(arity), len(parts) - 1)
+    positions = np.where((widths == arity)[:, None], coords[rows], -1)
+    values = list(raw.values())
+    if value_space.kind == "labels" and float in map(type, values):
+        values = [int(v) if type(v) is float and v.is_integer() else v for v in values]
     try:
-        if symmetric and type(arity) is int and arity > 0:  # other arities fail in Kernel
-            table = values_from_table(
-                table, position, arity, value_space, f"kernel {name!r}", orbits=True
-            )
-        return Kernel(
-            name=name,
-            arity=arity,
-            value_space=value_space,
-            domain=domain,
-            table=table,
-            symmetric=symmetric,
+        table = values_from_table(
+            keys, positions, values, len(position), value_space, f"kernel {name!r}", symmetric
         )
+        return Kernel(name, arity, value_space, domain, table, symmetric)
     except SpecError as exc:
         raise SpecError(exc.message, field=f"{path}.values") from None
 

@@ -2,10 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import unirep.cli
 from unirep import sample_graph
@@ -594,6 +598,15 @@ class TestBadInput:
         assert_one_error_line(err)
         assert "kernels[0].values" in err and message in err
 
+    @pytest.mark.parametrize("generators", [[[["a"]]], [[{"x": 1}]]])
+    @pytest.mark.parametrize("argv", [["encode"], ["represent", "--via-cantor"]])
+    def test_unhashable_generator_member_exit_2(self, tmp_path, capsys, generators, argv):
+        spec = write_spec(tmp_path, _demo_with(["generators"], generators))
+        code, err = run_cli([argv[0], spec, *argv[1:]], capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "generators" in err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
     def test_malformed_spec_exit_2(self, tmp_path, capsys, case):
         path = tmp_path / "bad.json"
@@ -601,3 +614,56 @@ class TestBadInput:
         code, err = run_cli(["sample", str(path), "--n", "3"], capsys)
         assert code == 2, err
         assert_one_error_line(err)
+
+
+# Fields of DEMO_SPEC that the fuzz test replaces: "KEY" renames the key
+# "a,b" to the JSON text of the shape, and ("kernels", 0, "values", "a,b")
+# replaces its value.
+FUZZ_FIELDS = [
+    ("space",), ("space", "atoms"), ("space", "probs"), ("generators",), ("kernels",),
+    ("kernels", 0, "name"), ("kernels", 0, "arity"), ("kernels", 0, "value_space"),
+    ("kernels", 0, "symmetric"), ("kernels", 0, "values"), "KEY",
+    ("kernels", 0, "values", "a,b"),
+]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(2**63, 10**400), st.text(max_size=4)
+)
+FUZZ_SHAPES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS | st.lists(_SCALARS, max_size=2), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2),
+)
+FUZZ_COMMANDS = [
+    ["represent", "SPEC"],
+    ["represent", "SPEC", "--via-cantor"],
+    ["encode", "SPEC"],
+    ["sample", "SPEC", "--n", "5", "--out", "EDGES"],
+    ["equiv", "SPEC", "SPEC", "--n", "2"],
+    ["densities", "SPEC"],
+]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), shape=FUZZ_SHAPES)
+@example(field=("generators",), shape=[[["a"]]])
+@example(field=("generators",), shape=[[{"x": 1}]])
+@example(field=("kernels", 0, "arity"), shape=10**400)
+def test_fuzzed_spec_exit_contract(field, shape):
+    if field == "KEY":
+        doc = json.loads(json.dumps(DEMO_SPEC))
+        values = doc["kernels"][0]["values"]
+        values[json.dumps(shape)] = values.pop("a,b")
+    else:
+        doc = _demo_with(field, shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp, "spec.json")
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        names = {"SPEC": str(spec), "EDGES": str(Path(tmp, "edges.txt"))}
+        for argv in FUZZ_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([names.get(a, a) for a in argv])
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            if code:
+                assert_one_error_line(err.getvalue())

@@ -3,11 +3,17 @@ import json
 import pytest
 
 from unirep import (
+    ArityError,
+    RangeError,
     SpecError,
+    cantor_represent_family,
     dump_represented,
+    exact_joint_law,
     loads_spec,
     represent_family,
+    step_family_as_space,
 )
+from unirep.cli import main
 
 from util import LABELS3, REAL, UNIT, random_family, random_kernel, random_space, space
 
@@ -39,7 +45,6 @@ class TestLoadSpec:
         assert doc.space.atom_ids == ("a", "b", "c")
         assert doc.generators == (("a",), ("a", "b"))
         assert doc.family.names == ("f",)
-        assert doc.cdfs["wait"].kind == "pwl"
 
     def test_symmetric_orbit_completed(self):
         doc = loads_spec(json.dumps(DEMO))
@@ -152,20 +157,120 @@ class TestLoadSpec:
             loads_spec(json.dumps(bad))
 
 
+def _kernel_spec(values, arity=2, value_space="real", symmetric=False, cells=False, literal=None):
+    """A one-kernel spec as JSON text; ``literal`` replaces the value 7."""
+    domain = (
+        {"partition": {"breakpoints": [0.0, 0.5, 1.0], "cells": ["a", "b"]}}
+        if cells
+        else {"space": {"atoms": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]}}
+    )
+    kernel = {"name": "f", "arity": arity, "value_space": value_space,
+              "symmetric": symmetric, "values": values}
+    text = json.dumps({**domain, "kernels": [kernel]})
+    return text.replace(": 7", ": " + literal) if literal else text
+
+
+_FULL = {f"{x},{y}": 0.5 for x in "abc" for y in "abc"}
+_CELL_FULL = {f"{i},{j}": 0.5 for i in range(2) for j in range(2)}
+_ORBITS = {"a,a": 0.1, "a,b": 0.4, "a,c": 0.6, "b,b": 0.2, "b,c": 0.5, "c,c": 0.3}
+_LABELS = {"labels": 3}
+VALUES = "kernels[0].values"
+
+# (spec text, exception class or None if accepted, its field, and the key
+# fragment its message names -- or, when accepted, a (key, value) it loads)
+LOADER_CASES = {
+    "unknown_atom": (_kernel_spec({**_FULL, "a,q": 0.5}), SpecError, VALUES, "('a', 'q')"),
+    "one_comma_too_many": (
+        _kernel_spec({**_FULL, "a,b,c": 0.5}), SpecError, VALUES, "('a', 'b', 'c')"),
+    "one_comma_too_few": (_kernel_spec({**_FULL, "a": 0.5}), SpecError, VALUES, "('a',)"),
+    "cell_out_of_range": (
+        _kernel_spec({**_CELL_FULL, "0,7": 0.5}, cells=True), SpecError, VALUES, "7"),
+    "cell_negative": (
+        _kernel_spec({**_CELL_FULL, "0,-1": 0.5}, cells=True), SpecError, VALUES, "-1"),
+    "cell_not_integer": (
+        _kernel_spec({**_CELL_FULL, "0,x": 0.5}, cells=True), SpecError, VALUES, "'0,x'"),
+    "cell_tuple_listed_twice": (
+        _kernel_spec({**_CELL_FULL, "00,1": 0.5}, cells=True), SpecError, VALUES, "'00,1'"),
+    "orbit_conflict": (
+        _kernel_spec({**_ORBITS, "b,a": 0.9}, symmetric=True), SpecError, VALUES, "'b,a'"),
+    "orbit_conflict_reversed": (
+        _kernel_spec({"b,a": 0.9, **_ORBITS}, symmetric=True), SpecError, VALUES, "'a,b'"),
+    "orbit_repeat_equal": (
+        _kernel_spec({**_ORBITS, "b,a": 0.4}, symmetric=True), None, None, (("b", "a"), 0.4)),
+    "missing_tuple": (
+        _kernel_spec({k: v for k, v in _FULL.items() if k != "c,c"}), SpecError, VALUES, None),
+    "value_true": (_kernel_spec({**_FULL, "a,b": True}), SpecError, VALUES, "('a', 'b')"),
+    "value_string": (_kernel_spec({**_FULL, "a,b": "0.5"}), SpecError, VALUES, "('a', 'b')"),
+    "label_fraction": (
+        _kernel_spec({"a": 1.5, "b": 0, "c": 1}, 1, _LABELS), SpecError, VALUES, "('a',)"),
+    "label_integral_float": (
+        _kernel_spec({"a": 2.0, "b": 0, "c": 1}, 1, _LABELS), None, None, (("a",), 2)),
+    "real_1e400": (
+        _kernel_spec({"a": 7, "b": 0, "c": 1}, 1, literal="1e400"), RangeError, None, "('a',)"),
+    "real_10_pow_400": (
+        _kernel_spec({"a": 7, "b": 0, "c": 1}, 1, literal="1" + "0" * 400),
+        RangeError, None, None),
+    "arity_string": (_kernel_spec(_FULL, arity="2"), ArityError, None, None),
+    "arity_zero": (_kernel_spec(_FULL, arity=0), ArityError, None, None),
+    "arity_true": (_kernel_spec(_FULL, arity=True), ArityError, None, None),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_CASES)
+def test_loader_rejection_contract(tmp_path, capsys, case):
+    text, raises, field, expect = LOADER_CASES[case]
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["equiv", str(path), str(path), "--n", "1"])
+    capsys.readouterr()
+    if raises is None:
+        key, value = expect
+        loaded = loads_spec(text).family.kernels[0].table[key]
+        assert (loaded, type(loaded)) == (value, type(value))
+        assert code == 0
+        return
+    with pytest.raises(Exception) as excinfo:
+        loads_spec(text)
+    assert type(excinfo.value) is raises
+    assert getattr(excinfo.value, "field", None) == field
+    if expect is not None:
+        assert expect in str(excinfo.value)
+    assert code == 2
+
+
 class TestRepresentedArtifactRoundTrip:
     def test_roundtrip(self):
+        # load(dump(represent(family))) gives back the represented arrays,
+        # and their joint law has the source's support, by either route
         rng = np.random.default_rng(51)
-        sp = random_space(rng, 3)
-        fam = random_family(rng, sp, [("f", 2, REAL, False), ("g", 1, REAL, False)])
-        rep = represent_family(sp, fam)
-        artifact = dump_represented(rep)
-        doc = loads_spec(json.dumps(artifact))
-        assert doc.partition == rep.domain
-        for orig, back in zip(rep, doc.family):
-            assert back.name == orig.name
-            assert back.arity == orig.arity
-            assert back.value_space == orig.value_space
-            assert back.table == orig.table
+        for trial in range(30):
+            size = int(rng.integers(1, 5))
+            probs = rng.dirichlet(np.ones(size))
+            if trial % 6 == 0:  # a float prefix sum of ten tenths falls short of 1
+                probs = np.array([0.1] * 10 + [0.0])
+            elif trial % 3 == 0:  # a zero-probability atom at a random place
+                probs = np.insert(probs, rng.integers(size + 1), 0.0)
+            sp = space([f"a{k}" for k in range(len(probs))], probs.tolist())
+            fam = random_family(rng, sp, [
+                (name, int(rng.integers(1, 4)), (REAL, UNIT, LABELS3)[(trial + j) % 3],
+                 bool(rng.integers(2)))
+                for j, name in enumerate("fg")
+            ])
+            if trial % 2:
+                rep = cantor_represent_family(sp, [[a] for a in sp.atom_ids], fam)
+            else:
+                rep = represent_family(sp, fam)
+            doc = loads_spec(json.dumps(dump_represented(rep)))
+            assert doc.partition == rep.domain
+            for orig, back in zip(rep, doc.family):
+                assert (back.name, back.arity, back.value_space, back.symmetric) == (
+                    orig.name, orig.arity, orig.value_space, orig.symmetric)
+                assert back.values.dtype == orig.values.dtype
+                assert back.values.tolist() == orig.values.tolist()
+                assert back.table == orig.table
+            n = int(rng.integers(1, 4))
+            law = exact_joint_law(*step_family_as_space(doc.family), n)
+            assert law.support.keys() == exact_joint_law(sp, fam, n).support.keys()
 
     def test_artifact_is_json_serializable(self):
         sp = space("ab", (0.25, 0.75))
