@@ -52,7 +52,8 @@ class UnsupportedError(UnirepError, NotImplementedError):
 
 
 class ScaleError(UnirepError, RuntimeError):
-    """Exact enumeration would exceed the configured cap."""
+    """Exact enumeration would exceed the configured cap, or an array
+    would exceed what numpy can hold."""
 
 
 class MeasurabilityError(UnirepError, ValueError):

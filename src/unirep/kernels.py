@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ArityError, RangeError, SpecError, SymmetryError, UnsupportedError
+from .errors import ArityError, RangeError, ScaleError, SpecError, SymmetryError, UnsupportedError
 from .spaces import DiscreteSpace, IntervalPartition, lookup_cell
 
 __all__ = [
@@ -279,6 +279,8 @@ def values_from_table(
         flat = np.array(values, dtype=dtype)
     except OverflowError:
         raise RangeError(f"{where}: a value is too large for {dtype} storage") from None
+    if size**arity * np.dtype(np.intp).itemsize > np.iinfo(np.intp).max:
+        raise ScaleError(f"{where}: a table of {size}^{arity} tuples is more than numpy can hold")
     listed = np.full((size,) * arity, count)  # the first entry listed at each tuple
     at = tuple((np.sort(positions, axis=1) if orbits else positions).T)
     np.minimum.at(listed, at, np.arange(count))

@@ -20,7 +20,8 @@ format.
 
 One private core, :func:`_draw_edges`, draws every graph edge, for one
 seed (:func:`sample_graph`) or a column of seeds at once
-(:func:`sample_graph_edges`, bit-identical row by row).
+(:func:`sample_graph_edges`, bit-identical row by row), one block of
+about ``_PAIR_BLOCK`` pairs (or one row) at a time; threads draw blocks.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
+_PAIR_BLOCK = 1 << 16  # vertex pairs drawn per row block
 
 
 def _u64(v):
@@ -146,15 +148,21 @@ class Latents:
         return len(self.atoms)
 
 
+def _vertices(n: int, seed) -> np.ndarray:
+    """Vertex indices 1..n as uint64, shaped ``(n,)`` for an int seed and
+    ``(n, 1)`` against a ``(R,)`` row of seeds."""
+    return np.arange(1, n + 1, dtype=np.uint64).reshape((n,) + (1,) * np.ndim(seed))
+
+
 def _latent_draws(target, n: int, seed):
-    """Partition, uniforms and cells of :func:`sample_latents`; a ``(R, 1)``
-    seed column gives one row of uniforms and cells per seed."""
+    """Partition, uniforms and cells of :func:`sample_latents`; a ``(R,)``
+    row of seeds gives ``(n, R)`` uniforms and cells, one column per seed."""
     if n == float("inf"):
         raise UnsupportedError("n = infinity is out of scope")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise UnsupportedError(f"n must be a positive integer, got {n!r}")
     partition = target if isinstance(target, IntervalPartition) else interval_partition(target)
-    u = unit_uniform_array(seed, 0, 0, np.arange(1, n + 1, dtype=np.uint64))
+    u = unit_uniform_array(seed, 0, 0, _vertices(n, seed))
     return partition, u, lookup_cells(partition, u)
 
 
@@ -223,30 +231,54 @@ def graph_bitmask(edges: Iterable[tuple[int, int]], n: int) -> int:
     return mask
 
 
-def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, threads: int = 1):
-    """Pairs ``i < j`` of the last axis of ``cells`` (1-based, :func:`pair_list`
-    order) and whether ``unit_uniform(seed, 1, i, j) < values[cells[i-1], cells[j-1]]``.
-    ``seed`` is an int or a ``(R, 1)`` uint64 column, one seed per row of
-    ``cells``; ``threads`` (at most one per CPU) chunks the coins along the pairs.
-    The state after ``(seed, 1, i)`` is hashed once per vertex; each pair
-    gathers it and folds ``j`` in place (a copy would cost 8 B per pair)."""
-    n = cells.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
-    probs = values[cells[..., iu], cells[..., ju]]
-    x = np.take(_mix(seed, 1, np.arange(1, n + 1, dtype=np.uint64)), iu, axis=-1)
-    iu += 1
-    ju += 1
-    x ^= ju.view(np.uint64)
-    threads = min(threads, os.cpu_count() or 1)
+def _row_blocks(n: int, seeds: int):
+    """Row ranges ``[r0, r1)`` of the pairs on ``n`` vertices, each one row or as
+    many as keep ``seeds * (r1 - r0) * (n - 1 - r0)`` coins within ``_PAIR_BLOCK``."""
+    r0 = 0
+    while r0 < n - 1:
+        r1 = min(n - 1, r0 + max(1, _PAIR_BLOCK // (seeds * (n - 1 - r0))))
+        yield r0, r1
+        r0 = r1
+
+
+def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int = 1):
+    """``take(r0, keep)`` of each row block ``[r0, r1)`` of the vertices on the
+    first axis of ``cells``, in row order: ``keep[t, c, ...]`` says whether
+    ``unit_uniform(seed, 1, i, j) < values[cells[i-1], cells[j-1]]`` at
+    ``i = r0 + t + 1``, ``j = r0 + c + 2``, and ``take`` drops ``c < t``.
+    ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
+    (seeds last, so each broadcast runs along them); ``threads`` (at most one
+    per CPU) draw whole blocks.  The ``(seed, 1, i)`` state is hashed per vertex."""
+    n = len(cells)
+    j = _vertices(n, seed)
+    prefix = _mix(seed, 1, j)
+
+    def block(rows):
+        r0, r1 = rows
+        x = prefix[r0:r1, None] ^ j[r0 + 1:]
+        probs = values[cells[r0:r1, None], cells[None, r0 + 1:]]
+        return take(r0, _unit(_avalanche(x)) < probs)
+
+    blocks = list(_row_blocks(n, np.size(seed)))
+    threads = min(threads, len(blocks), os.cpu_count() or 1)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_avalanche, np.array_split(x, threads, axis=-1)))
-    else:
-        _avalanche(x)
-    x = _unit(x)  # frees the uint64 states before the compare allocates
-    return iu, ju, x < probs
+            return list(pool.map(block, blocks))
+    return list(map(block, blocks))
+
+
+def _block_edges(r0, keep):
+    """The edges ``(i, j)`` of one row block of :func:`_draw_edges`, in pair order."""
+    t, c = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    upper = c >= t
+    return np.column_stack((t[upper] + (r0 + 1), c[upper] + (r0 + 2)))
+
+
+def _block_pairs(r0, keep):
+    """The pairs of one row block of :func:`_draw_edges` per seed, in pair order."""
+    return keep[np.triu(np.ones(keep.shape[:2], bool))]
 
 
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:
@@ -255,8 +287,9 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
 
     The edge coin for pair (i, j) is ``unit_uniform(seed, 1, i, j)``,
     so the output is bit-identical for a fixed seed under any degree of
-    parallelism or edge-evaluation order.  ``threads`` only chunks the
-    work (capped at the CPU count); it never changes the result.
+    parallelism or edge-evaluation order.  ``threads`` draw row blocks of
+    pairs in parallel (at most one thread per CPU); they never change
+    the result.
 
     Raises
     ------
@@ -266,8 +299,8 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
     """
     _check_graph_kernel(kernel)
     latents = sample_latents(kernel.domain, n, seed)
-    i, j, keep = _draw_edges(kernel.values, latents.cells, seed, threads)
-    return RandomGraph(n, np.column_stack((i[keep], j[keep])), latents)
+    blocks = _draw_edges(kernel.values, latents.cells, seed, _block_edges, threads)
+    return RandomGraph(n, np.concatenate([np.empty((0, 2), np.int64), *blocks]), latents)
 
 
 def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
@@ -275,9 +308,10 @@ def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
     pair p of :func:`pair_list` is an edge of ``sample_graph(kernel, n, seeds[r])``.
     Its memory grows with its size, so draw long seed arrays in blocks."""
     _check_graph_kernel(kernel)
-    column = np.asarray(seeds, dtype=np.uint64)[:, None]
-    cells = _latent_draws(kernel.domain, n, column)[2]
-    return _draw_edges(kernel.values, cells, column)[2]
+    row = np.asarray(seeds, dtype=np.uint64)
+    cells = _latent_draws(kernel.domain, n, row)[2]
+    blocks = _draw_edges(kernel.values, cells, row, _block_pairs)
+    return np.ascontiguousarray(np.concatenate([np.empty((0, len(row)), bool), *blocks]).T)
 
 
 @dataclass(frozen=True)

@@ -570,6 +570,18 @@ class TestBadInput:
         assert code == 3
         assert_one_error_line(err)
 
+    def test_table_too_large_for_numpy_exit_3(self, tmp_path, capsys):
+        # 3^50 tuples: numpy cannot even size the value array
+        doc = {
+            "space": {"atoms": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
+            "kernels": [{"name": "f", "arity": 50, "value_space": "unit", "symmetric": True,
+                         "values": {",".join(["a"] * 50): 0.5}}],
+        }
+        code, err = run_cli(["sample", write_spec(tmp_path, doc), "--n", "2"], capsys)
+        assert code == 3
+        assert_one_error_line(err)
+        assert "3^50" in err
+
     def test_ztest_with_one_run_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, DEMO_SPEC)
         argv = ["equiv", spec, spec, "--mode", "mc", "--n", "12", "--runs", "1"]

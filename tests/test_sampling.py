@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import kstest
 
 import unirep
+from unirep import sampling
 from unirep import (
     ArityError,
     KernelFamily,
@@ -245,7 +246,9 @@ class TestSampleGraph:
 
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         # a recorder stands in for the pool and runs map serially, so no
-        # thread is started whatever the requested count
+        # thread is started whatever the requested count; blocks of 50 pairs
+        # give n = 40 more row blocks than CPUs, and every block goes
+        # through the pool
         import concurrent.futures
 
         pools = []
@@ -269,13 +272,15 @@ class TestSampleGraph:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         k = two_block_kernel()
         expected = sample_graph(k, 40, 8, threads=1).edges.tolist()
-        for cpus in (os.cpu_count(), 4, None):
+        monkeypatch.setattr(sampling, "_PAIR_BLOCK", 50)
+        blocks = len(list(sampling._row_blocks(40, 1)))
+        for cpus in (os.cpu_count(), 4, 1, None):
             monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
             pools.clear()
             assert sample_graph(k, 40, 8, threads=10**6).edges.tolist() == expected
             workers = [(p.max_workers, p.chunks) for p in pools]
             if (cpus or 1) > 1:
-                assert workers == [(cpus, cpus)]
+                assert workers == [(min(cpus, blocks), blocks)]
             else:
                 assert workers == []
 
@@ -323,6 +328,60 @@ class TestBitmaskSampler:
         assert pair_list(4).tolist() == [
             [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4],
         ]
+
+
+class TestRowBlocks:
+    # block sizes of 1 and 7 pairs, one below the 59 pairs of the first row
+    # at n = 60, and 64; the default block holds every graph here whole
+    BLOCKS = (1, 7, 40, 64)
+
+    @staticmethod
+    def kernel():
+        sp = space("abc", (0.2, 0.3, 0.5))
+        table = {(a, b): 0.1 + 0.2 * ("abc".index(a) + "abc".index(b))
+                 for a in "abc" for b in "abc"}
+        return table_kernel("f", sp, table, symmetric=True)
+
+    def test_blocks_cover_rows_within_budget(self, monkeypatch):
+        # consecutive row ranges ending at row n - 1; a block over its
+        # budget of coins (seeds times pairs) is a single row
+        for block in (*self.BLOCKS, 1 << 16):
+            monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+            for n in (1, 2, 3, 31, 60, 4000):
+                for seeds in (1, 2, 30):
+                    blocks = list(sampling._row_blocks(n, seeds))
+                    bounds = [0, *(r1 for _, r1 in blocks)]
+                    assert blocks == list(zip(bounds, bounds[1:])) and bounds[-1] == n - 1
+                    for r0, r1 in blocks:
+                        assert r1 == r0 + 1 or seeds * (r1 - r0) * (n - 1 - r0) <= block
+
+    def test_sample_graph_matches_oracle(self, monkeypatch):
+        k = self.kernel()
+        for n in (1, 2, 3, 31, 60):
+            expected = sample_graph_pairwise(k, n, 17).tolist()
+            for block in self.BLOCKS:
+                monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+                for threads in (1, 8):
+                    got = sample_graph(k, n, 17, threads=threads).edges
+                    assert got.tolist() == expected, (n, block, threads)
+                    assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+
+    def test_sample_graph_edges_rows_do_not_depend_on_block(self, monkeypatch):
+        # 2 seeds let a block of 64 pairs span several rows; 30 do not
+        k = self.kernel()
+        for count in (2, 30):
+            seeds = derive_seed(4, 0, np.arange(count, dtype=np.uint64))
+            for n in (1, 2, 3, 31, 60):
+                expected = sample_graph_edges(k, n, seeds)
+                assert expected.shape == (count, n * (n - 1) // 2)
+                for block in self.BLOCKS:
+                    monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+                    got = sample_graph_edges(k, n, seeds)
+                    assert got.dtype == bool and np.array_equal(got, expected), (n, block)
+                monkeypatch.undo()
+                for seed, row in zip(seeds.tolist()[:2], expected):
+                    edges = sample_graph(k, n, seed).edges.tolist()
+                    assert edges == pair_list(n)[row].tolist()
 
 
 class TestSampleArray:
@@ -433,20 +492,21 @@ def run_probe(code, *args):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_sample_graph_peak_bytes_per_pair():
-    # 40 B: the two pair-index arrays (16), the gathered probabilities (8)
-    # and at most two 8-byte arrays in the coin hash (16)
-    assert run_probe(MEMORY_PROBE) <= 56.0
+    # under 1 B: a row block's coins, probabilities and temporaries are a
+    # few MB whatever n is, so only the latents and edges grow with n; the
+    # whole-triangle sampler took 40 B
+    assert run_probe(MEMORY_PROBE) <= 4.0
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_cli_sample_peak_bytes_per_pair(tmp_path):
-    # 40 B: the edge array (8 B per pair at p = 1/2) and the writer's blocks
-    # of a few MB come after the sampler's peak; a Python string per line
-    # took 116 B per pair
+    # 18 B: the blocks' edges and their concatenation (16 B per edge, 8 B
+    # per pair at p = 1/2, each) and the writer's blocks of a few MB; the
+    # whole-triangle sampler took 40 B, a Python string per line 116 B
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "space": {"atoms": ["o"], "probs": [1.0]},
         "kernels": [{"name": "f", "arity": 2, "value_space": "unit",
                      "symmetric": True, "values": {"o,o": 0.5}}],
     }))
-    assert run_probe(CLI_MEMORY_PROBE, str(spec), str(tmp_path / "g.txt")) <= 64.0
+    assert run_probe(CLI_MEMORY_PROBE, str(spec), str(tmp_path / "g.txt")) <= 32.0
