@@ -5,8 +5,8 @@ Subcommands: ``represent``, ``sample``, ``equiv``, ``densities``,
 writes them to stdout for piping).  Every command is deterministic in
 its arguments and input bytes.
 
-Exit codes: 0 success/pass, 1 test failed, 2 spec, argument or I/O
-error, 3 scale error (including memory that cannot be allocated).
+Exit codes: 0 success/pass, 1 test failed, 2 spec, argument, I/O or
+unsupported-input error, 3 scale error or memory that cannot be allocated.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ArityError, PowerError, RangeError, ScaleError, SpecError
 from .kernels import Kernel, KernelFamily
 from .sampling import derive_seed, pair_list, sample_graph, sample_graph_edges
-from .spaces import DiscreteSpace, IntervalPartition, validate_space
+from .spaces import DiscreteSpace, IntervalPartition
 
 __all__ = [
     "JointLaw",
@@ -126,46 +126,40 @@ def exact_joint_law(
     """Enumerate the exact joint law of all kernel evaluations.
 
     Walks every atom assignment in Omega^n with its product
-    probability, computes the full value vector over all canonical
-    keys, and aggregates equal vectors.  Zero-probability assignments
-    contribute nothing and are skipped, so the support contains only
-    realizable vectors.
+    probability; each coordinate of the value vector is gathered per
+    block from ``Kernel.values`` as an object array, so that vectors
+    share its Python scalars.  Equal vectors add up in enumeration
+    order.  Zero-probability assignments contribute nothing and are
+    skipped, so the support contains only realizable vectors; with no
+    coordinates at this n, every vector is ``()``.
 
     Raises
     ------
     ScaleError
         If ``|Omega|^n`` exceeds the enumeration cap.
     """
-    space = validate_space(space)
     if family.domain != space:
         raise SpecError("family is defined over a different space")
-    size = len(space)
-    if size**n > _enum_cap(cap):
+    size, cap = len(space), _enum_cap(cap)
+    if size**n > cap:
         raise ScaleError(
             f"{size}^{n} assignments exceed the enumeration cap "
-            f"{_enum_cap(cap)}; use the statistical mode or raise REP_MAX_ENUM"
+            f"{cap}; use the statistical mode or raise REP_MAX_ENUM"
         )
-    keys = canonical_keys(family, n)
-    # Coordinate c of the value vector at assignment a is
-    # flat[base[c] + a @ strides[:, c]]: every kernel's values sit once
-    # in ``flat``, so support vectors share those Python scalars.
-    digits = size ** np.arange(n - 1, -1, -1)
-    strides = np.zeros((n, len(keys)), dtype=np.int64)
-    flat, base = [], []
+    coords = []
     for k in family:
-        for idx in permutations(range(n), k.arity):
-            strides[list(idx), len(base)] = digits[n - k.arity :]
-            base.append(len(flat))
-        flat.extend(k.values.ravel().tolist())
+        values = k.values.astype(object)
+        coords += [(values, list(idx)) for idx in permutations(range(n), k.arity)]
     support: dict[tuple, float] = {}
     for assign, prob in _assignments(np.asarray(space.probs), n):
-        offsets = (assign @ strides + base).tolist()
-        for p, offset in zip(prob.tolist(), offsets):
+        columns = [values[tuple(assign[:, idx].T)].tolist() for values, idx in coords]
+        for row in zip(prob.tolist(), *columns):
+            p = row[0]
             if p == 0.0:
                 continue
-            vec = tuple(map(flat.__getitem__, offset))
+            vec = row[1:]
             support[vec] = support.get(vec, 0.0) + p
-    return JointLaw(n, keys, support)
+    return JointLaw(n, canonical_keys(family, n), support)
 
 
 def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFamily]:
@@ -181,7 +175,7 @@ def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFam
     if not isinstance(family.domain, IntervalPartition):
         raise SpecError("step_family_as_space expects a family of step kernels")
     partition = family.domain
-    space = validate_space(partition.cell_labels, partition.lengths)
+    space = DiscreteSpace(partition.cell_labels, partition.lengths)
     return space, family.on_domain(space)
 
 
@@ -337,15 +331,18 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
     return law
 
 
-def _observations(side, n: int, seeds, chi2: bool, block_pairs: int = 1 << 16):
+_OBS_BLOCK = 1 << 16
+
+
+def _observations(side, n: int, seeds, chi2: bool):
     """One side's observations for ``seeds``: labeled-graph
     bitmasks (chi2), else a row of edge counts and a row of triangle counts
     ``trace(A^3) / 6``, from edge-indicator rows (column p for pair p of
-    :func:`pair_list`) drawn in blocks of about ``block_pairs`` pairs, so that
+    :func:`pair_list`) drawn in blocks of about ``_OBS_BLOCK`` pairs, so that
     memory stays bounded.  A callable side gets each seed as a Python int."""
     pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
-    step = max(1, block_pairs // max(pairs, 1))
+    step = max(1, _OBS_BLOCK // max(pairs, 1))
     observed = []
     for block in (seeds[lo : lo + step] for lo in range(0, len(seeds), step)):
         if isinstance(side, Kernel):

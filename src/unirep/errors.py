@@ -47,8 +47,8 @@ class RangeError(UnirepError, ValueError):
 
 
 class UnsupportedError(UnirepError, NotImplementedError):
-    """The input is meaningful but outside the supported scope
-    (infinite arity, n = infinity)."""
+    """The input is meaningful but outside the supported scope (infinite
+    arity, n = infinity, a positive atom too small for a float cell)."""
 
 
 class ScaleError(UnirepError, RuntimeError):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, KindError, MeasurabilityError, SpecError
 from .kernels import KernelFamily, ValueSpace
-from .spaces import Cdf, DiscreteSpace, interval_partition, unit_points, validate_space
+from .spaces import Cdf, DiscreteSpace, interval_partition, unit_points
 
 __all__ = [
     "quantile",
@@ -183,7 +183,6 @@ def cantor_encode(
     SpecError
         If a generator references an unknown atom id.
     """
-    space = validate_space(space)
     gen_sets = []
     for g, gen in enumerate(generators):
         members = set(gen)
@@ -206,7 +205,7 @@ def sigma_atoms(
     """Partition the atoms into classes of equal code, in first-occurrence order."""
     codes = cantor_encode(space, generators)
     classes: dict[tuple[int, ...], list] = {}
-    for a in validate_space(space).atom_ids:
+    for a in space.atom_ids:
         classes.setdefault(codes[a].bits, []).append(a)
     return tuple(tuple(members) for members in classes.values())
 
@@ -221,7 +220,6 @@ def represent_family(space: DiscreteSpace, family: KernelFamily) -> KernelFamily
     evaluations at iid uniform points equals the source joint law at
     iid atoms.
     """
-    space = validate_space(space)
     if not isinstance(family.domain, DiscreteSpace):
         raise SpecError("represent_family expects a family of table kernels")
     if family.domain != space:
@@ -249,7 +247,6 @@ def cantor_represent_family(
         If some kernel separates atoms that share a code.  The error
         carries a witness pair of atom tuples.
     """
-    space = validate_space(space)
     if not isinstance(family.domain, DiscreteSpace):
         raise SpecError("cantor_represent_family expects a family of table kernels")
     if family.domain != space:
@@ -274,7 +271,7 @@ def cantor_represent_family(
     reps = [first[bits] for bits in merged_codes]
     merged_ids = tuple(str(CantorCode(bits)) for bits in merged_codes)
     merged_probs = tuple(sum(space.probs[i] for i in np.flatnonzero(rep_of == r)) for r in reps)
-    merged = validate_space(merged_ids, merged_probs)
+    merged = DiscreteSpace(merged_ids, merged_probs)
     return family.on_domain(
         interval_partition(merged), [k.values[np.ix_(*[reps] * k.arity)] for k in family]
     )

@@ -13,21 +13,21 @@ Three concrete carriers are supported:
   concrete realization of the unit interval with Lebesgue measure as a
   target space.
 
-All types are immutable after validation and safe to share across
-threads.
+Each type checks its invariants when it is built, so a constructed
+object is valid; all are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, KindError, SpecError
+from .errors import DomainError, KindError, SpecError, UnsupportedError
 
 __all__ = [
     "DiscreteSpace",
@@ -54,12 +54,40 @@ CDF_END_TOL = 1e-12
 class DiscreteSpace:
     """A finite probability space: ordered atoms with probabilities.
 
-    Instances should be created through :func:`validate_space`, which
-    checks the invariants and renormalizes the probabilities.
+    Construction checks the invariants, raising :class:`SpecError`: at
+    least one atom, one probability per atom, pairwise distinct ids, and
+    finite nonnegative probabilities that sum to 1 within ``1e-9``.  Then
+    it renormalizes them by dividing by their sum.  Zero-probability
+    atoms are kept and reported via :attr:`zero_prob_atoms`.
     """
 
     atom_ids: tuple[Hashable, ...]
     probs: tuple[float, ...]
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        atoms, ps = tuple(self.atom_ids), tuple(self.probs)
+        if len(atoms) == 0:
+            raise SpecError("a space needs at least one atom", field="atoms")
+        if len(atoms) != len(ps):
+            raise SpecError(f"{len(atoms)} atoms but {len(ps)} probs", field="probs")
+        index: dict = {}
+        for k, a in enumerate(atoms):
+            if index.setdefault(a, k) != k:
+                raise SpecError(f"duplicate atom id {a!r}", field="atoms")
+        ps = tuple(float(p) for p in ps)
+        for a, p in zip(atoms, ps):
+            if not np.isfinite(p) or p < 0.0:
+                raise SpecError(f"atom {a!r} has invalid probability {p}", field="probs")
+        total = math.fsum(ps)
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise SpecError(
+                f"probs sum to {total!r}, off by more than {PROB_SUM_TOL}",
+                field="probs",
+            )
+        object.__setattr__(self, "atom_ids", atoms)
+        object.__setattr__(self, "probs", tuple(p / total for p in ps))
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.atom_ids)
@@ -72,77 +100,18 @@ class DiscreteSpace:
             raise SpecError(f"unknown atom id {atom!r}") from None
 
     @property
-    def _index(self) -> dict:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {a: k for k, a in enumerate(self.atom_ids)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
-
-    @property
     def zero_prob_atoms(self) -> tuple[Hashable, ...]:
         """Atoms carrying zero probability (kept, but flagged)."""
         return tuple(a for a, p in zip(self.atom_ids, self.probs) if p == 0.0)
 
 
-def validate_space(
-    atom_ids,
-    probs=None,
-) -> DiscreteSpace:
-    """Validate and normalize a discrete space.
-
-    Accepts either a :class:`DiscreteSpace` or a pair of sequences
-    ``(atom_ids, probs)``.  Checks that atom ids are pairwise distinct,
-    that no probability is negative, and that the probabilities sum to
-    1 within ``1e-9``; then renormalizes by dividing by the sum.
-
-    Returns
-    -------
-    DiscreteSpace
-        A new space with renormalized probabilities.  Zero-probability
-        atoms are permitted and reported via
-        :attr:`DiscreteSpace.zero_prob_atoms`.
-
-    Raises
-    ------
-    SpecError
-        On duplicate ids, negative probabilities, length mismatch, or a
-        probability sum off by more than the tolerance.
-    """
+def validate_space(atom_ids, probs=None) -> DiscreteSpace:
+    """A checked discrete space: ``atom_ids`` itself when it is a
+    :class:`DiscreteSpace` (which checked itself when it was built), else
+    ``DiscreteSpace(atom_ids, probs)``, which checks and renormalizes."""
     if isinstance(atom_ids, DiscreteSpace):
-        space = atom_ids
-        if space.__dict__.get("_validated"):
-            return space
-        atoms, ps = space.atom_ids, space.probs
-    else:
-        atoms, ps = tuple(atom_ids), tuple(probs)
-    if len(atoms) == 0:
-        raise SpecError("a space needs at least one atom", field="atoms")
-    if len(atoms) != len(ps):
-        raise SpecError(
-            f"{len(atoms)} atoms but {len(ps)} probs", field="probs"
-        )
-    if len(set(atoms)) != len(atoms):
-        seen, dup = set(), None
-        for a in atoms:
-            if a in seen:
-                dup = a
-                break
-            seen.add(a)
-        raise SpecError(f"duplicate atom id {dup!r}", field="atoms")
-    ps = tuple(float(p) for p in ps)
-    for a, p in zip(atoms, ps):
-        if not np.isfinite(p) or p < 0.0:
-            raise SpecError(f"atom {a!r} has invalid probability {p}", field="probs")
-    total = math.fsum(ps)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise SpecError(
-            f"probs sum to {total!r}, off by more than {PROB_SUM_TOL}",
-            field="probs",
-        )
-    validated = DiscreteSpace(atoms, tuple(p / total for p in ps))
-    object.__setattr__(validated, "_validated", True)
-    return validated
+        return atom_ids
+    return DiscreteSpace(atom_ids, probs)
 
 
 @dataclass(frozen=True)
@@ -189,13 +158,21 @@ def interval_partition(space: DiscreteSpace) -> IntervalPartition:
     atom is exactly 1.  Equal exact sums round to equal floats, so
     zero-probability atoms get exactly empty cells, and the rounding
     slack of the whole sum lands on the last positive cell.
+
+    Raises
+    ------
+    UnsupportedError
+        If a positive atom would get an empty cell: one smaller than
+        half an ulp of its prefix sum has no float cell of its own.
     """
-    space = validate_space(space)
     last = max(k for k, p in enumerate(space.probs) if p > 0.0)
     # float(Fraction) rounds correctly, like fsum of each prefix, in O(K)
     prefix = accumulate(map(Fraction, space.probs[:last]))
     bp = [0.0, *(min(float(s), 1.0) for s in prefix)]
     bp.extend([1.0] * (len(space) + 1 - len(bp)))
+    for a, p, lo, hi in zip(space.atom_ids, space.probs, bp, bp[1:]):
+        if p > 0.0 and lo == hi:
+            raise UnsupportedError(f"atom {a!r} has probability {p!r} but an empty cell at {lo!r}")
     return IntervalPartition(tuple(bp), space.atom_ids)
 
 
@@ -340,7 +317,6 @@ def cdf_of_pushforward(space: DiscreteSpace, g) -> Cdf:
     cumulative values the summed probabilities of atoms mapping at or
     below each jump.
     """
-    space = validate_space(space)
     value_of = g.__getitem__ if isinstance(g, Mapping) else g
     mass: dict[float, float] = {}
     for a, p in zip(space.atom_ids, space.probs):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import SpecError
 from .kernels import Kernel, KernelFamily, ValueSpace, check_arity, values_from_table
-from .spaces import DiscreteSpace, IntervalPartition, validate_space
+from .spaces import DiscreteSpace, IntervalPartition
 
 __all__ = ["SpecDocument", "load_spec", "loads_spec", "dump_represented"]
 
@@ -138,7 +138,7 @@ def _parse_space(block, path: str = "space") -> DiscreteSpace:
             )
     probs = _numbers(probs, f"{path}.probs")
     try:
-        return validate_space(atoms, probs)
+        return DiscreteSpace(atoms, probs)
     except SpecError as exc:
         raise SpecError(exc.message, field=f"{path}.{exc.field or 'probs'}") from None
 

@@ -582,6 +582,47 @@ class TestBadInput:
         assert_one_error_line(err)
         assert "3^50" in err
 
+    # b's probability is below half an ulp of its prefix sum 0.5: no float cell holds it
+    TINY_ATOM_SPEC = {
+        "space": {"atoms": ["a", "b", "c"], "probs": [0.5, 1e-20, 0.5]},
+        "generators": [["a"], ["b"], ["c"]],
+        "kernels": [
+            {"name": "r", "arity": 1, "value_space": "real", "values": {"a": 0, "b": 1, "c": 2}},
+            {"name": "w", "arity": 2, "value_space": "unit", "symmetric": True,
+             "values": {"a,a": 0.1, "a,b": 0.4, "a,c": 0.6, "b,b": 0.2, "b,c": 0.5, "c,c": 0.3}},
+        ],
+    }
+
+    def test_atom_without_a_cell_refused_exit_2(self, tmp_path, capsys):
+        spec, rep = write_spec(tmp_path, self.TINY_ATOM_SPEC), tmp_path / "rep.json"
+        # the Cantor route names b by its generator code
+        for route, atom in (([], "b"), (["--via-cantor"], "010")):
+            code, err = run_cli(["represent", spec, *route, "--out", str(rep)], capsys)
+            assert code == 2
+            assert_one_error_line(err)
+            assert f"atom '{atom}' has probability 1e-20 but an empty cell at 0.5" in err
+        assert not rep.exists()
+        # so the comparison with the source ends in an error, not in exit 1
+        code, err = run_cli(["equiv", spec, str(rep), "--n", "1"], capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        # exact laws of the table spec itself need no partition
+        assert run_cli(["equiv", spec, spec, "--n", "2"], capsys)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "SPEC", "--kernel", "w", "--n", "5"],
+            ["equiv", "SPEC", "SPEC", "--mode", "mc", "--kernel", "w", "--n", "3", "--runs", "50"],
+        ],
+    )
+    def test_sampler_refuses_atom_without_a_cell_exit_2(self, tmp_path, capsys, argv):
+        spec = write_spec(tmp_path, self.TINY_ATOM_SPEC)
+        code, err = run_cli([spec if a == "SPEC" else a for a in argv], capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "atom 'b' has probability 1e-20" in err
+
     def test_ztest_with_one_run_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, DEMO_SPEC)
         argv = ["equiv", spec, spec, "--mode", "mc", "--n", "12", "--runs", "1"]

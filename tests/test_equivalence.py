@@ -29,6 +29,7 @@ from unirep import (
     step_family_as_space,
     tv_distance,
 )
+from unirep import equivalence
 from unirep.equivalence import _chi2_sf, _observations, canonical_keys
 from unirep.sampling import derive_seed, graph_bitmask
 
@@ -37,6 +38,7 @@ from util import (
     REAL,
     UNIT,
     const_graph_kernel,
+    exact_joint_law_loop,
     graph_law_loop,
     hom_density_loop,
     random_family,
@@ -143,6 +145,44 @@ class TestExactJointLaw:
             exact_joint_law(sp, fam, 3)
         monkeypatch.setenv("REP_MAX_ENUM", "1000000")
         exact_joint_law(sp, fam, 3)
+
+
+class TestExactJointLawBitForBit:
+    """``exact_joint_law`` against the ``exact_joint_law_loop`` oracle: the
+    same keys, and the same support items in the same order, bit for bit
+    (``repr`` tells 1 from 1.0 and -0.0 from 0.0)."""
+
+    @staticmethod
+    def _check(sp, fam, n):
+        law = exact_joint_law(sp, fam, n)
+        keys, support = exact_joint_law_loop(sp, fam, n)
+        assert law.keys == keys
+        assert repr(list(law.support.items())) == repr(list(support.items()))
+        return law
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_random_families_and_their_step_families(self, trial):
+        rng = np.random.default_rng(4100 + trial)
+        # trial 9 has 11^3 = 1331 assignments: two blocks of the enumeration
+        size = 11 if trial == 9 else int(rng.integers(1, 6))
+        probs = rng.dirichlet(np.ones(size))
+        if size > 1:
+            probs[rng.choice(size, int(rng.integers(1, size)), replace=False)] = 0.0
+        sp = space([f"a{k}" for k in range(size)], probs / probs.sum())
+        # trial 0 has no arity-1 kernel, so at n = 1 every vector is ()
+        low = 2 if trial == 0 else 1
+        specs = [
+            (f"k{j}", int(rng.integers(low, 4)), (REAL, UNIT, LABELS3)[j % 3], bool(rng.integers(2)))
+            for j in range(int(rng.integers(1, 4)))
+        ]
+        fam = random_family(rng, sp, specs)
+        sp_step, fam_step = step_family_as_space(represent_family(sp, fam))
+        for n in (1, 2, 3):
+            law = self._check(sp, fam, n)
+            # the cell lengths round the probabilities, so only the supports agree
+            assert list(law.support) == list(self._check(sp_step, fam_step, n).support)
+        if trial == 0:
+            assert self._check(sp, fam, 1).support == {(): 1.0}
 
 
 class TestStepFamilyAsSpace:
@@ -440,7 +480,7 @@ class TestMcKernelSides:
                     lam(step), lam(step), n, runs, seed
                 )
 
-    def test_blocks_do_not_change_observations(self):
+    def test_blocks_do_not_change_observations(self, monkeypatch):
         table, _ = self._kernels()
         seeds = derive_seed(3, 0, np.arange(50, dtype=np.uint64))
         for n in (1, 3, 8):
@@ -449,10 +489,12 @@ class TestMcKernelSides:
             assert _observations(table, n, seeds, chi2=True).tolist() == masks
             for chi2 in (True, False):
                 whole = _observations(table, n, seeds, chi2).tolist()
+                side = lambda s, n=n: sample_graph(table, n, s)  # noqa: E731
                 for block in (1, 7, 100):
-                    assert _observations(table, n, seeds, chi2, block).tolist() == whole
-                    side = lambda s, n=n: sample_graph(table, n, s)  # noqa: E731
-                    assert _observations(side, n, seeds, chi2, block).tolist() == whole
+                    with monkeypatch.context() as m:
+                        m.setattr(equivalence, "_OBS_BLOCK", block)
+                        assert _observations(table, n, seeds, chi2).tolist() == whole
+                        assert _observations(side, n, seeds, chi2).tolist() == whole
 
     def test_statistics_with_kernel_side(self):
         table, step = self._kernels()

@@ -1,17 +1,20 @@
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unirep import (
     Cdf,
+    DiscreteSpace,
     DomainError,
     IntervalPartition,
     KindError,
     SpecError,
+    UnsupportedError,
     cdf_of_pushforward,
     interval_partition,
     lookup_cell,
@@ -25,36 +28,50 @@ from util import random_pwl_cdf, space
 
 
 class TestValidateSpace:
+    make = staticmethod(validate_space)
+
     def test_already_normalized_unchanged(self):
-        sp = validate_space(["a", "b"], [0.5, 0.5])
+        sp = self.make(["a", "b"], [0.5, 0.5])
         assert sp.probs == (0.5, 0.5)
         assert sp.atom_ids == ("a", "b")
+        assert validate_space(sp) is sp
 
     def test_tiny_excess_renormalized(self):
-        sp = validate_space(["a", "b"], [0.5, 0.5 + 1e-10])
+        sp = self.make(["a", "b"], [0.5, 0.5 + 1e-10])
         total = 1.0 + 1e-10
         assert sp.probs == (0.5 / total, (0.5 + 1e-10) / total)
         assert math.fsum(sp.probs) == pytest.approx(1.0, abs=1e-15)
+        assert validate_space(sp) is sp
 
     def test_sum_out_of_tolerance(self):
-        with pytest.raises(SpecError):
-            validate_space(["a", "b"], [0.7, 0.7])
+        with pytest.raises(SpecError) as excinfo:
+            self.make(["a", "b"], [0.7, 0.7])
+        assert excinfo.value.field == "probs"
 
     def test_negative_prob(self):
-        with pytest.raises(SpecError):
-            validate_space(["a", "b"], [1.2, -0.2])
+        with pytest.raises(SpecError) as excinfo:
+            self.make(["a", "b"], [1.2, -0.2])
+        assert str(excinfo.value) == "probs: atom 'b' has invalid probability -0.2"
 
     def test_duplicate_atom_id(self):
-        with pytest.raises(SpecError):
-            validate_space(["a", "a"], [0.5, 0.5])
+        with pytest.raises(SpecError) as excinfo:
+            self.make(["a", "a"], [0.5, 0.5])
+        assert str(excinfo.value) == "atoms: duplicate atom id 'a'"
 
     def test_zero_prob_atoms_flagged(self):
-        sp = validate_space(["a", "b", "c"], [0.25, 0.0, 0.75])
+        sp = self.make(["a", "b", "c"], [0.25, 0.0, 0.75])
         assert sp.zero_prob_atoms == ("b",)
 
     def test_empty_space_rejected(self):
-        with pytest.raises(SpecError):
-            validate_space([], [])
+        with pytest.raises(SpecError) as excinfo:
+            self.make([], [])
+        assert excinfo.value.field == "atoms"
+
+
+class TestDiscreteSpaceChecksItself(TestValidateSpace):
+    """The same cases for a space built directly, without validate_space."""
+
+    make = staticmethod(DiscreteSpace)
 
 
 class TestIntervalPartition:
@@ -81,6 +98,8 @@ class TestIntervalPartition:
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10)
     )
+    @example(raw=[1.0, 7.7e-219])
+    @example(raw=[0.5, 1e-20, 0.5])
     @settings(max_examples=200)
     def test_lengths_match_probs(self, raw):
         total = math.fsum(raw)
@@ -88,6 +107,17 @@ class TestIntervalPartition:
             return
         probs = [p / total for p in raw]
         sp = validate_space([f"a{k}" for k in range(len(probs))], probs)
+        # breakpoints from exact prefix sums, each rounded once, up to the
+        # last positive atom; every later one is 1
+        last = max(k for k, p in enumerate(sp.probs) if p > 0.0)
+        sums = [Fraction(0)]
+        for p in sp.probs[:last]:
+            sums.append(sums[-1] + Fraction(p))
+        bp = [min(float(s), 1.0) for s in sums] + [1.0] * (len(sp.probs) - last)
+        if any(p > 0.0 and lo == hi for p, lo, hi in zip(sp.probs, bp, bp[1:])):
+            with pytest.raises(UnsupportedError, match="but an empty cell"):
+                interval_partition(sp)
+            return
         part = interval_partition(sp)
         assert part.breakpoints[0] == 0.0
         assert part.breakpoints[-1] == 1.0

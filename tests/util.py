@@ -173,6 +173,25 @@ def graph_law_loop(kernel, n):
     return law
 
 
+def exact_joint_law_loop(sp, family, n):
+    """Scalar oracle for ``exact_joint_law``: its keys, and its support from
+    one ``product`` loop over the K^n assignments, each weight the left-to-
+    right product of the atom probabilities, zero weights skipped, every
+    value read alone with ``item()``, equal vectors added in loop order."""
+    keys = tuple((k.name, idx) for k in family for idx in permutations(range(1, n + 1), k.arity))
+    values = {k.name: k.values for k in family}
+    support = {}
+    for assign in product(range(len(sp)), repeat=n):
+        w = 1.0
+        for c in assign:
+            w *= sp.probs[c]
+        if w == 0.0:
+            continue
+        vec = tuple(values[name][tuple(assign[t - 1] for t in idx)].item() for name, idx in keys)
+        support[vec] = support.get(vec, 0.0) + w
+    return keys, support
+
+
 def random_space(rng, size, ids=None):
     probs = rng.dirichlet(np.ones(size))
     atoms = ids or [f"a{k}" for k in range(size)]
