@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -103,18 +103,25 @@ def canonical_keys(family: KernelFamily, n: int) -> tuple[tuple[str, tuple[int, 
     return tuple(keys)
 
 
-def _assignments(weights: np.ndarray, n: int, block: int = 1024) -> Iterator[tuple]:
-    """Blocks ``(assign, prob)`` of at most ``block`` assignments of n points
-    to cells, in lexicographic order: ``assign[r, j]`` is the cell of point j
-    and ``prob[r]`` the left-to-right product of its cells' weights."""
+_ENUM_BLOCK = 1 << 16  # terms per block of _assignments
+
+
+def _assignments(weights: np.ndarray, n: int, per: int = 1) -> Iterator[tuple]:
+    """Blocks ``(grid, prob)`` covering every assignment of n points to cells,
+    in lexicographic order.  ``grid[j]`` is the cell of point j: an int for
+    the leading n - m points, fixed per block, and an open ``arange`` grid
+    over all cells for each of the last m points, with m the largest that
+    keeps ``K^m * per`` within ``_ENUM_BLOCK``.  ``prob`` has shape ``(K,)*m``
+    and holds the left-to-right products ``((1*w_a)*w_b)*...``; its C order is
+    lexicographic order."""
     size = len(weights)
-    digits = size ** np.arange(n - 1, -1, -1)
-    for lo in range(0, size**n, block):
-        assign = np.arange(lo, min(lo + block, size**n))[:, None] // digits % size
-        prob = np.ones(len(assign))
-        for j in range(n):
-            prob *= weights[assign[:, j]]
-        yield assign, prob
+    m = next((m for m in range(n, 0, -1) if size**m * per <= _ENUM_BLOCK), 0)
+    tail = np.ix_(*[np.arange(size)] * m)
+    for head in product(range(size), repeat=n - m):
+        prob = np.full((size,) * m, math.prod((weights[c] for c in head), start=1.0))
+        for g in tail:
+            prob *= weights[g]
+        yield head + tail, prob
 
 
 def exact_joint_law(
@@ -149,11 +156,12 @@ def exact_joint_law(
     coords = []
     for k in family:
         values = k.values.astype(object)
-        coords += [(values, list(idx)) for idx in permutations(range(n), k.arity)]
+        coords += [(values, idx) for idx in permutations(range(n), k.arity)]
     support: dict[tuple, float] = {}
-    for assign, prob in _assignments(np.asarray(space.probs), n):
-        columns = [values[tuple(assign[:, idx].T)].tolist() for values, idx in coords]
-        for row in zip(prob.tolist(), *columns):
+    for grid, prob in _assignments(np.asarray(space.probs), n):
+        # ``...`` keeps a gather at fixed points an array; ravel gives C order
+        cols = (np.broadcast_to(v[(*(grid[j] for j in idx), ...)], prob.shape) for v, idx in coords)
+        for row in zip(prob.ravel().tolist(), *(c.ravel().tolist() for c in cols)):
             p = row[0]
             if p == 0.0:
                 continue
@@ -272,12 +280,42 @@ def _weights_and_values(kernel: Kernel, what: str) -> tuple[np.ndarray, np.ndarr
     return np.asarray(weights), kernel.values
 
 
+_SUM_CHUNK = 1 << 26  # terms per flush: sums of up to 2^26 27-bit parts stay exact
+_LOW26 = np.uint64((1 << 26) - 1)
+
+
+def _fsum(blocks) -> float:
+    """``math.fsum`` of every entry of the float64 arrays ``blocks`` (finite,
+    below 2^997 in magnitude), bit for bit: the correctly rounded exact sum.
+
+    Each significand is split into its high 27 and low 26 bits, summed per
+    sign and exponent by ``np.bincount``.  Parts of one exponent are integer
+    multiples of one quantum, so the float bin sums of up to ``_SUM_CHUNK``
+    terms are exact; ``fsum`` adds the flushed bin sums and rounds once."""
+    parts, held, bins = [], 0, np.zeros((2, 4096))
+    for block in blocks:
+        block = np.ravel(block)
+        for lo in range(0, block.size, _SUM_CHUNK):
+            x = block[lo : lo + _SUM_CHUNK]
+            if held + x.size > _SUM_CHUNK:
+                parts += bins[bins != 0].tolist()
+                held, bins[:] = 0, 0.0
+            held += x.size
+            u = x.view(np.uint64)
+            key = (u >> np.uint64(52)).view(np.int64)  # sign and exponent
+            high = (u & ~_LOW26).view(np.float64)
+            bins[0] += np.bincount(key, high, minlength=4096)
+            bins[1] += np.bincount(key, x - high, minlength=4096)
+    return math.fsum(parts + bins[bins != 0].tolist())
+
+
 def hom_density(kernel: Kernel, pattern: PatternGraph) -> float:
     """Probability-weighted density of a pattern graph in an arity-2 kernel.
 
     Sums, over all assignments of pattern vertices to cells (or atoms),
-    the product of cell weights times the product of kernel values
-    along the pattern's edges.  Exact summation over all assignments.
+    the left-to-right product of cell weights and then of the kernel values
+    along the pattern's edges in edge order.  The result is the correctly
+    rounded sum of these terms, equal to ``math.fsum`` of them bit for bit.
 
     Raises
     ------
@@ -289,12 +327,12 @@ def hom_density(kernel: Kernel, pattern: PatternGraph) -> float:
     weights, values = _weights_and_values(kernel, "hom_density")
 
     def terms():  # streamed, so that only one block is held at a time
-        for assign, prob in _assignments(weights, pattern.num_vertices):
+        for grid, prob in _assignments(weights, pattern.num_vertices):
             for u, v in pattern.edges:
-                prob *= values[assign[:, u], assign[:, v]]
-            yield from prob.tolist()
+                prob *= values[grid[u], grid[v]]
+            yield prob
 
-    return math.fsum(terms())
+    return _fsum(terms())
 
 
 def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarray:
@@ -320,11 +358,11 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
         )
     masks = np.arange(num_graphs)
     law = np.zeros(num_graphs)
-    # blocks of at most 2^16 (assignment, graph) terms bound the memory
-    for assign, prob in _assignments(weights, n, block=max(1, (1 << 16) // num_graphs)):
-        acc = np.repeat(prob[:, None], num_graphs, axis=1)
+    # blocks of at most _ENUM_BLOCK (assignment, graph) terms bound the memory
+    for grid, prob in _assignments(weights, n, per=num_graphs):
+        acc = np.repeat(prob.reshape(-1, 1), num_graphs, axis=1)
         for p, (i, j) in enumerate(pairs.tolist()):
-            pe = values[assign[:, i - 1], assign[:, j - 1]][:, None]
+            pe = np.broadcast_to(values[grid[i - 1], grid[j - 1]], prob.shape).reshape(-1, 1)
             acc *= np.where((masks >> p) & 1, pe, 1.0 - pe)
         for row in acc:  # row by row, so the sums match a per-assignment loop bit for bit
             law += row

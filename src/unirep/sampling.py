@@ -22,6 +22,8 @@ One private core, :func:`_draw_edges`, draws every graph edge, for one
 seed (:func:`sample_graph`) or a column of seeds at once
 (:func:`sample_graph_edges`, bit-identical row by row), one block of
 about ``_PAIR_BLOCK`` pairs (or one row) at a time; threads draw blocks.
+It compares each coin's 53 bits with an integer threshold per kernel
+value, which decides exactly as the float compare ``u < w`` would.
 """
 
 from __future__ import annotations
@@ -96,12 +98,6 @@ def _mix(seed, *words):
     return x
 
 
-def _unit(x) -> np.ndarray:
-    """The high 53 bits of counter states ``x`` (shifted in place) over 2^53."""
-    x >>= np.uint64(11)
-    return x / _TWO53
-
-
 def unit_uniform_array(seed, stream, i, j) -> np.ndarray:
     """Uniform draws in [0,1), a pure function of their four arguments,
     each an integer or an integer array (broadcast together).
@@ -110,7 +106,7 @@ def unit_uniform_array(seed, stream, i, j) -> np.ndarray:
     so every value is bit-exact across platforms with no double-rounding.
     Integers are taken mod 2^64, so negative ones never raise.
     """
-    return _unit(_mix(seed, stream, i, j))
+    return (_mix(seed, stream, i, j) >> np.uint64(11)) / _TWO53
 
 
 def unit_uniform(seed: int, stream: int, i: int, j: int) -> float:
@@ -246,18 +242,23 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     first axis of ``cells``, in row order: ``keep[t, c, ...]`` says whether
     ``unit_uniform(seed, 1, i, j) < values[cells[i-1], cells[j-1]]`` at
     ``i = r0 + t + 1``, ``j = r0 + c + 2``, and ``take`` drops ``c < t``.
+    The compare is made in integers, with the same decisions: the coin's high
+    53 bits m against ``ceil(w * 2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
     (seeds last, so each broadcast runs along them); ``threads`` (at most one
     per CPU) draw whole blocks.  The ``(seed, 1, i)`` state is hashed per vertex."""
     n = len(cells)
     j = _vertices(n, seed)
     prefix = _mix(seed, 1, j)
+    thr = np.ceil(values * _TWO53).astype(np.uint64)
 
     def block(rows):
         r0, r1 = rows
-        x = prefix[r0:r1, None] ^ j[r0 + 1:]
-        probs = values[cells[r0:r1, None], cells[None, r0 + 1:]]
-        return take(r0, _unit(_avalanche(x)) < probs)
+        x = _avalanche(prefix[r0:r1, None] ^ j[r0 + 1:])
+        x >>= np.uint64(11)
+        if cells.ndim == 1:  # a row gather, then the columns: faster than two indices
+            return take(r0, x < np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1))
+        return take(r0, x < thr[cells[r0:r1, None], cells[None, r0 + 1:]])
 
     blocks = list(_row_blocks(n, np.size(seed)))
     threads = min(threads, len(blocks), os.cpu_count() or 1)

@@ -30,7 +30,7 @@ from unirep import (
     tv_distance,
 )
 from unirep import equivalence
-from unirep.equivalence import _chi2_sf, _observations, canonical_keys
+from unirep.equivalence import _chi2_sf, _fsum, _observations, canonical_keys
 from unirep.sampling import derive_seed, graph_bitmask
 
 from util import (
@@ -160,10 +160,12 @@ class TestExactJointLawBitForBit:
         assert repr(list(law.support.items())) == repr(list(support.items()))
         return law
 
-    @pytest.mark.parametrize("trial", range(10))
-    def test_random_families_and_their_step_families(self, trial):
+    @staticmethod
+    def case(trial):
+        """A random family, with zero-probability atoms when it has two or more."""
         rng = np.random.default_rng(4100 + trial)
-        # trial 9 has 11^3 = 1331 assignments: two blocks of the enumeration
+        # trial 9 has 11 atoms, 1331 assignments at n = 3: the most cells of any
+        # trial, so the most blocks when TestEnumeratorBlocks shrinks the block
         size = 11 if trial == 9 else int(rng.integers(1, 6))
         probs = rng.dirichlet(np.ones(size))
         if size > 1:
@@ -175,7 +177,11 @@ class TestExactJointLawBitForBit:
             (f"k{j}", int(rng.integers(low, 4)), (REAL, UNIT, LABELS3)[j % 3], bool(rng.integers(2)))
             for j in range(int(rng.integers(1, 4)))
         ]
-        fam = random_family(rng, sp, specs)
+        return sp, random_family(rng, sp, specs)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_random_families_and_their_step_families(self, trial):
+        sp, fam = self.case(trial)
         sp_step, fam_step = step_family_as_space(represent_family(sp, fam))
         for n in (1, 2, 3):
             law = self._check(sp, fam, n)
@@ -183,6 +189,74 @@ class TestExactJointLawBitForBit:
             assert list(law.support) == list(self._check(sp_step, fam_step, n).support)
         if trial == 0:
             assert self._check(sp, fam, 1).support == {(): 1.0}
+
+
+class TestEnumeratorBlocks:
+    """Every exact output is independent of the enumerator's block: with
+    ``_ENUM_BLOCK`` at 1 (one assignment per block), 7 and 100 (strictly
+    between K^m and K^(m+1) for every K > 1 here), each still equals its
+    scalar oracle bit for bit, for one cell, zero-probability atoms and
+    step kernels."""
+
+    BLOCKS = (1, 7, 100)
+
+    @staticmethod
+    def one_cell_kernel():
+        return Kernel("f", 2, UNIT, space("a", (1.0,)), np.array([[0.3]]), symmetric=True)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_hom_density_and_graph_law(self, monkeypatch, block):
+        monkeypatch.setattr(equivalence, "_ENUM_BLOCK", block)
+        for k in (self.one_cell_kernel(), *oracle_kernels()):
+            for pattern in PATTERNS.values():
+                assert hom_density(k, pattern) == hom_density_loop(k, pattern)
+            for n in (2, 3):
+                assert graph_law_exact(k, n).tolist() == graph_law_loop(k, n).tolist()
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_exact_joint_law(self, monkeypatch, block):
+        monkeypatch.setattr(equivalence, "_ENUM_BLOCK", block)
+        k = self.one_cell_kernel()
+        cases = [(k.domain, KernelFamily((k,)))]
+        for trial in range(10):
+            sp, fam = TestExactJointLawBitForBit.case(trial)
+            cases += [(sp, fam), step_family_as_space(represent_family(sp, fam))]
+        for sp, fam in cases:
+            for n in (1, 2, 3):
+                TestExactJointLawBitForBit._check(sp, fam, n)
+
+
+class TestExactSum:
+    """``_fsum`` is correctly rounded: it equals ``math.fsum`` bit for bit."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(1075)
+        yield from (np.zeros(0), np.array([0.1]), np.zeros(5), np.full(9, 5e-324))
+        yield np.array([5e-324, -5e-324, 1.0, -1.0, 2.0**-1074 * 3])
+        yield from (np.array([1.0, 2.0**-53]), np.array([1.0 + 2.0**-52, 2.0**-53]))  # ties
+        for t in range(40):
+            size = int(rng.integers(1, 3000))
+            x = rng.random(size) * 10.0 ** rng.uniform(-300, 4, size)
+            if t % 2:
+                x *= rng.choice([-1.0, 1.0], size)
+            x[rng.random(size) < 0.1] = 0.0
+            x[rng.random(size) < 0.05] = 5e-324
+            yield x
+
+    def test_equals_fsum(self):
+        for x in self.arrays():
+            assert _fsum([x]).hex() == math.fsum(x.tolist()).hex()
+
+    def test_across_chunk_boundary(self, monkeypatch):
+        # flushing every 1, 3 or 64 terms, over blocks of several sizes
+        for chunk in (1, 3, 64):
+            monkeypatch.setattr(equivalence, "_SUM_CHUNK", chunk)
+            for x in self.arrays():
+                x = x[:300]
+                blocks = np.array_split(x, 4) + [x[:0], x.reshape(1, -1)[:, :7]]
+                expected = math.fsum(x.tolist() + x[:7].tolist())
+                assert _fsum(blocks).hex() == expected.hex()
 
 
 class TestStepFamilyAsSpace:

@@ -13,6 +13,7 @@ import unirep
 from unirep import sampling
 from unirep import (
     ArityError,
+    Kernel,
     KernelFamily,
     RangeError,
     SymmetryError,
@@ -384,6 +385,68 @@ class TestRowBlocks:
                     assert edges == pair_list(n)[row].tolist()
 
 
+class TestCoinThresholds:
+    """The sampler compares the coin's high 53 bits m with ceil(w 2^53) in
+    integers instead of m / 2^53 with w in floats; the two decide alike."""
+
+    W = (0.0, 5e-324, 2.0**-54, 2.0**-53, 1.0 - 2.0**-53, 1.0)
+
+    @staticmethod
+    def agree(m, w):
+        m, w = np.asarray(m, dtype=np.uint64), np.asarray(w, dtype=np.float64)
+        threshold = np.ceil(w * 2.0**53).astype(np.uint64)
+        return np.array_equal(m < threshold, m / 2.0**53 < w)
+
+    def test_identity_at_edge_values(self):
+        for w in self.W:
+            t = math.ceil(w * 2**53)
+            for m in (t - 1, t, t + 1):
+                if 0 <= m < 2**53:
+                    assert self.agree(m, w), (m, w)
+
+    def test_identity_on_random_pairs(self):
+        rng = np.random.default_rng(53)
+        m = rng.integers(0, 2**53, 10**6, dtype=np.uint64)
+        w = rng.random(10**6)
+        # a third of the values sit on or next to m / 2^53
+        near = m[: 10**6 // 3] / 2.0**53
+        w[: len(near)] = np.nextafter(near, rng.choice([-1.0, 2.0], len(near)))
+        w[: len(near) // 2] = near[: len(near) // 2]
+        assert self.agree(m, w)
+
+    def test_sampler_on_edge_values_matches_oracle(self):
+        sp = space([f"c{a}" for a in range(6)], [1 / 6] * 6)
+        values = np.array([[self.W[(a + b) % 6] for b in range(6)] for a in range(6)])
+        k = Kernel("f", 2, UNIT, sp, values, symmetric=True)
+        seeds = derive_seed(9, 0, np.arange(3, dtype=np.uint64))
+        rows = sample_graph_edges(k, 60, seeds)
+        for seed, row in zip(seeds.tolist(), rows):
+            expected = sample_graph_pairwise(k, 60, seed).tolist()
+            assert pair_list(60)[row].tolist() == expected
+            for threads in (1, 2):
+                assert sample_graph(k, 60, seed, threads=threads).edges.tolist() == expected
+
+
+    def test_kernel_values_at_the_coins(self):
+        # each pair of vertices sits in its own pair of cells, whose value is
+        # the pair's coin u or a neighbour of it: an edge iff u < w
+        sp = space([f"c{a}" for a in range(32)], [1 / 32] * 32)
+        seeds = [s for s in range(40) if len(set(sample_latents(sp, 6, s).cells.tolist())) == 6]
+        assert len(seeds) >= 5
+        for seed in seeds[:5]:
+            cells = sample_latents(sp, 6, seed).cells
+            values, expected = np.zeros((32, 32)), []
+            for p, (i, j) in enumerate(pair_list(6).tolist()):
+                u = unit_uniform_scalar(seed, 1, i, j)
+                w = (u, np.nextafter(u, 0.0), np.nextafter(u, 2.0))[p % 3]
+                values[cells[i - 1], cells[j - 1]] = values[cells[j - 1], cells[i - 1]] = w
+                if u < w:
+                    expected.append([i, j])
+            k = Kernel("f", 2, UNIT, sp, values, symmetric=True)
+            assert sample_graph(k, 6, seed).edges.tolist() == expected
+            assert pair_list(6)[sample_graph_edges(k, 6, [seed])[0]].tolist() == expected
+
+
 class TestSampleArray:
     def test_arity_one_counts(self):
         sp = space("ab", (0.5, 0.5))
@@ -500,9 +563,11 @@ def test_sample_graph_peak_bytes_per_pair():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_cli_sample_peak_bytes_per_pair(tmp_path):
-    # 18 B: the blocks' edges and their concatenation (16 B per edge, 8 B
-    # per pair at p = 1/2, each) and the writer's blocks of a few MB; the
-    # whole-triangle sampler took 40 B, a Python string per line 116 B
+    # 18-20 B: the edges (16 B per edge, 8 B per pair at p = 1/2) plus
+    # either their second copy in the concatenation of the blocks' edges or
+    # the writer's temporaries, which peak about as high (one edge array
+    # measured the same); the whole-triangle sampler took 40 B, a Python
+    # string per line 116 B
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "space": {"atoms": ["o"], "probs": [1.0]},
