@@ -5,125 +5,21 @@ them to step kernels on ([0,1], Lebesgue) so that all joint laws of
 evaluations at iid points are preserved, sample the induced
 exchangeable arrays and random graphs deterministically, and verify the
 preservation exactly (small instances) or statistically (at scale).
+
+Each public name is declared once, in its submodule's ``__all__``; the
+package re-exports all of them.
 """
 
-from .equivalence import (
-    PATTERNS,
-    JointLaw,
-    PatternGraph,
-    exact_joint_law,
-    exchangeability_check,
-    graph_law_exact,
-    hom_density,
-    law_is_exchangeable,
-    mc_two_sample_test,
-    step_family_as_space,
-    tv_distance,
-)
-from .errors import (
-    ArityError,
-    DomainError,
-    KindError,
-    MeasurabilityError,
-    PowerError,
-    RangeError,
-    ScaleError,
-    SpecError,
-    SymmetryError,
-    UnirepError,
-    UnsupportedError,
-)
-from .kernels import Kernel, KernelFamily, ValueSpace, check_symmetry, eval_kernel
-from .representation import (
-    BorelEmbedding,
-    CantorCode,
-    borel_embed,
-    cantor_encode,
-    cantor_represent_family,
-    quantile,
-    quantile_array,
-    represent_family,
-    sigma_atoms,
-)
-from .sampling import (
-    Latents,
-    RandomGraph,
-    SampleArray,
-    sample_array,
-    sample_graph,
-    sample_latents,
-    unit_uniform,
-    unit_uniform_array,
-)
-from .spaces import (
-    Cdf,
-    DiscreteSpace,
-    IntervalPartition,
-    cdf_of_pushforward,
-    interval_partition,
-    lookup_cell,
-    transport_map,
-    validate_space,
-)
-from .specfile import SpecDocument, dump_represented, load_spec, loads_spec
+from . import equivalence, errors, kernels, representation, sampling, spaces, specfile
+from .equivalence import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .representation import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .spaces import *  # noqa: F403
+from .specfile import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityError",
-    "BorelEmbedding",
-    "CantorCode",
-    "Cdf",
-    "DiscreteSpace",
-    "DomainError",
-    "IntervalPartition",
-    "JointLaw",
-    "Kernel",
-    "KernelFamily",
-    "KindError",
-    "Latents",
-    "MeasurabilityError",
-    "PATTERNS",
-    "PatternGraph",
-    "PowerError",
-    "RandomGraph",
-    "RangeError",
-    "SampleArray",
-    "ScaleError",
-    "SpecDocument",
-    "SpecError",
-    "SymmetryError",
-    "UnirepError",
-    "UnsupportedError",
-    "ValueSpace",
-    "borel_embed",
-    "cantor_encode",
-    "cantor_represent_family",
-    "cdf_of_pushforward",
-    "check_symmetry",
-    "dump_represented",
-    "eval_kernel",
-    "exact_joint_law",
-    "exchangeability_check",
-    "graph_law_exact",
-    "hom_density",
-    "interval_partition",
-    "law_is_exchangeable",
-    "load_spec",
-    "loads_spec",
-    "lookup_cell",
-    "mc_two_sample_test",
-    "quantile",
-    "quantile_array",
-    "represent_family",
-    "sample_array",
-    "sample_graph",
-    "sample_latents",
-    "sigma_atoms",
-    "step_family_as_space",
-    "transport_map",
-    "tv_distance",
-    "unit_uniform",
-    "unit_uniform_array",
-    "validate_space",
-]
+_SUBMODULES = (equivalence, errors, kernels, representation, sampling, spaces, specfile)
+__all__ = sorted(name for module in _SUBMODULES for name in module.__all__)

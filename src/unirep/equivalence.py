@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -83,6 +83,7 @@ class JointLaw:
             raise SpecError("joint-law probabilities must be nonnegative")
         if abs(total - 1.0) > 1e-12:
             raise SpecError(f"joint-law probabilities sum to {total!r}, not 1")
+        # a copy, so that a caller who keeps the dict cannot change a frozen law
         object.__setattr__(self, "support", MappingProxyType(dict(self.support)))
 
     @property
@@ -151,7 +152,7 @@ def exact_joint_law(
     if size**n > cap:
         raise ScaleError(
             f"{size}^{n} assignments exceed the enumeration cap "
-            f"{cap}; use the statistical mode or raise REP_MAX_ENUM"
+            f"{cap}; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
         )
     coords = []
     for k in family:
@@ -200,9 +201,13 @@ def tv_distance(law1: JointLaw, law2: JointLaw) -> float:
     """
     if law1.n != law2.n or law1.keys != law2.keys:
         raise SpecError("joint laws have mismatched key structures")
-    points = set(law1.support) | set(law2.support)
+    s1, s2 = law1.support, law2.support
+    # fsum rounds the exact sum once, so the order of the terms cannot change a bit
     return 0.5 * math.fsum(
-        abs(law1.support.get(v, 0.0) - law2.support.get(v, 0.0)) for v in points
+        chain(
+            (abs(p - s2.get(v, 0.0)) for v, p in s1.items()),
+            (q for v, q in s2.items() if v not in s1),
+        )
     )
 
 

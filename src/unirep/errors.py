@@ -7,6 +7,11 @@ mistakes, and resource limits apart.
 
 from __future__ import annotations
 
+__all__ = [
+    "UnirepError", "SpecError", "DomainError", "KindError", "ArityError", "SymmetryError",
+    "RangeError", "UnsupportedError", "ScaleError", "MeasurabilityError", "PowerError",
+]
+
 
 class UnirepError(Exception):
     """Base error for this package."""

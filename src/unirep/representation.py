@@ -251,7 +251,6 @@ def cantor_represent_family(
         raise SpecError("cantor_represent_family expects a family of table kernels")
     if family.domain != space:
         raise SpecError("family is defined over a different space")
-    generators = [tuple(g) for g in generators]  # may be a one-shot iterable
     codes = cantor_encode(space, generators)
     # position of each atom's class representative, the first atom with its code
     first: dict[tuple, int] = {}

@@ -46,16 +46,12 @@ from .spaces import (
 __all__ = [
     "unit_uniform",
     "unit_uniform_array",
-    "derive_seed",
     "Latents",
     "sample_latents",
     "RandomGraph",
     "sample_graph",
     "SampleArray",
     "sample_array",
-    "pair_list",
-    "graph_bitmask",
-    "sample_graph_edges",
 ]
 
 _MASK64 = (1 << 64) - 1

@@ -36,7 +36,6 @@ __all__ = [
     "validate_space",
     "interval_partition",
     "lookup_cell",
-    "lookup_cells",
     "transport_map",
     "cdf_of_pushforward",
 ]

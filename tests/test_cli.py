@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -350,8 +351,10 @@ class TestEquiv:
         monkeypatch.setenv("REP_MAX_ENUM", "2")
         a = write_spec(tmp_path, DEMO_SPEC, "a.json")
         b = write_spec(tmp_path, DEMO_SPEC, "b.json")
-        assert main(["equiv", a, b, "--n", "3"]) == 3
-        assert "--mode mc" in capsys.readouterr().err
+        code, err = run_cli(["equiv", a, b, "--n", "3"], capsys)
+        assert code == 3
+        assert_one_error_line(err)
+        assert "--mode mc" in err
 
     def test_mc_mode_same_spec_passes(self, tmp_path, capsys):
         a = write_spec(tmp_path, DEMO_SPEC, "a.json")
@@ -720,3 +723,94 @@ def test_fuzzed_spec_exit_contract(field, shape):
             assert code in (0, 2, 3), (argv, err.getvalue())
             if code:
                 assert_one_error_line(err.getvalue())
+
+
+# The argv fuzz: per command, each slot's base value and the values that may
+# replace it.  A slot is a positional spec, an option, or REP_MAX_ENUM; None
+# omits an option (or leaves REP_MAX_ENUM unset) and True gives a bare flag.
+# Upper-case words name paths made for the test.  Vertex counts stay at most
+# 40 (one row block, so --threads 1000000 starts no pool), and at most 4 for
+# exact enumeration.
+_SPEC = ("DEMO", ["REP", "CONST", "MISSING", "DIR"])
+_SPEC_B = ("REP", ["DEMO", "CONST", "MISSING", "DIR"])
+_OUT = ("FILE", ["-", "", "DIR", "NODIR", None])
+_SIZE = ("3", ["1", "40", "0", "-7", "2.5", "1e3", "", "x", None])
+_SEED = (None, ["0", "-1", str(-(2**64)), str(2**64), str(2**70 + 3), "1.5", "x"])
+_KERNEL = (None, ["f", "g", ""])
+ARGV_POOLS = {
+    "represent": {"SPEC": _SPEC, "--via-cantor": (None, [True]), "--out": _OUT},
+    "encode": {"SPEC": _SPEC, "--out": _OUT},
+    "densities": {
+        "SPEC": _SPEC,
+        "--patterns": (None, ["edge", "edge,triangle,c4", "k4", "p3,zzz", "", ",", "edge,,p3"]),
+        "--kernel": _KERNEL,
+    },
+    "sample": {
+        "SPEC": _SPEC, "--n": _SIZE, "--seed": _SEED,
+        "--threads": (None, ["2", "1000000", "0", "-3", "x"]),
+        "--kernel": _KERNEL, "--out": _OUT, "--latents": _OUT,
+    },
+    "equiv": {
+        "SPEC": _SPEC, "SPEC_B": _SPEC_B, "--n": ("2", ["1", "4", "0", "-1", "2.5", "x", None]),
+        "--mode": (None, ["exact", "bogus"]),
+        "REP_MAX_ENUM": (None, ["abc", "-1", "0", "1e3", ""]),
+    },
+    "equiv --mode mc": {
+        "SPEC": _SPEC, "SPEC_B": _SPEC_B, "--n": _SIZE,
+        "--runs": ("50", ["1", "2", "300", "0", "-1", "x"]), "--seed": _SEED,
+        "--alpha": (None, ["0.5", "nan", "0", "1", "1e-400", "inf", "-0.5"]),
+        "--kernel": _KERNEL,
+    },
+}
+
+
+def fuzzed_argv(count, seed=0):
+    """``count`` pairs (command, slot values): first each replacement on its
+    own, then seeded draws that replace two slots at once."""
+    singles = [(c, {slot: value}) for c, pool in ARGV_POOLS.items()
+               for slot, (_, values) in pool.items() for value in values]
+    rng = random.Random(seed)
+    for i in range(count):
+        if i < len(singles):
+            command, changes = singles[i]
+        else:
+            command = rng.choice(sorted(ARGV_POOLS))
+            pool = ARGV_POOLS[command]
+            changes = {slot: rng.choice(pool[slot][1]) for slot in rng.sample(sorted(pool), 2)}
+        yield command, {slot: base for slot, (base, _) in ARGV_POOLS[command].items()} | changes
+
+
+def test_fuzzed_argv_exit_contract(tmp_path, monkeypatch):
+    demo = write_spec(tmp_path, DEMO_SPEC, "demo.json")
+    rep = str(tmp_path / "rep.json")
+    assert main(["represent", demo, "--out", rep]) == 0
+    paths = {"DEMO": demo, "REP": rep, "CONST": write_spec(tmp_path, CONST_SPEC, "const.json"),
+             "MISSING": str(tmp_path / "missing.json"), "DIR": str(tmp_path),
+             "NODIR": str(tmp_path / "none" / "out.txt")}
+    for i, (command, values) in enumerate(fuzzed_argv(200)):
+        written = {slot: str(tmp_path / f"{i}{slot}") for slot, v in values.items() if v == "FILE"}
+        argv = command.split()
+        for slot, value in values.items():
+            if slot.startswith("SPEC"):
+                argv.append(paths[value])
+            elif slot.startswith("--") and value is not None:
+                argv += [slot] if value is True else [slot, written.get(slot, paths.get(value, value))]
+        if values.get("REP_MAX_ENUM") is None:
+            monkeypatch.delenv("REP_MAX_ENUM", raising=False)
+        else:
+            monkeypatch.setenv("REP_MAX_ENUM", values["REP_MAX_ENUM"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's rejections
+                code = exc.code
+        context = (argv, values.get("REP_MAX_ENUM"), err.getvalue())
+        assert code in (0, 1, 2, 3), context
+        assert "Traceback" not in err.getvalue(), context
+        if code >= 2:  # argparse prints its usage line before the error
+            assert "error:" in err.getvalue().splitlines()[-1], context
+        if code == 0:  # every output file that was asked for was written
+            outputs = [values.get(slot) for slot in ("--out", "--latents")]
+            assert all(v in (None, "-", "FILE") for v in outputs), context
+            assert all(Path(path).is_file() for path in written.values()), context

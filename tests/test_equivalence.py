@@ -452,16 +452,14 @@ class TestGraphLawExact:
 
 
 class TestMcTwoSampleTest:
-    def _sampler(self, kernel, n):
-        return lambda seed: sample_graph(kernel, n, seed)
+    """Kernel sides; ``TestMcKernelSides`` shows that they mean exactly
+    ``lambda s: sample_graph(kernel, n, s)``."""
 
     def test_null_case_passes(self):
         k = two_block_kernel()
         pvals = []
         for master in (1, 2, 3):
-            report = mc_two_sample_test(
-                self._sampler(k, 3), self._sampler(k, 3), 3, 2000, master
-            )
+            report = mc_two_sample_test(k, k, 3, 2000, master)
             pvals.append(report["pvalues"]["labeled_graphs"])
             assert report["mode"] == "chi2"
         # identical laws: p-values not systematically below alpha
@@ -469,13 +467,7 @@ class TestMcTwoSampleTest:
         assert max(pvals) > 0.05
 
     def test_gross_alternative_fails(self):
-        report = mc_two_sample_test(
-            self._sampler(const_graph_kernel(0.2), 3),
-            self._sampler(const_graph_kernel(0.8), 3),
-            3,
-            10_000,
-            0,
-        )
+        report = mc_two_sample_test(const_graph_kernel(0.2), const_graph_kernel(0.8), 3, 10_000, 0)
         assert not report["pass"]
         assert report["pvalues"]["labeled_graphs"] < 0.01
 
@@ -489,32 +481,22 @@ class TestMcTwoSampleTest:
         law_src = exact_joint_law(sp, fam, 3)
         law_rep = exact_joint_law(*step_family_as_space(rep), 3)
         assert tv_distance(law_src, law_rep) <= 1e-9
-        report = mc_two_sample_test(
-            self._sampler(k, 3), self._sampler(rep.kernels[0], 3), 3, 4000, 5
-        )
+        report = mc_two_sample_test(k, rep.kernels[0], 3, 4000, 5)
         assert report["pass"], report
 
     def test_power_error_with_tiny_runs(self):
         with pytest.raises(PowerError) as excinfo:
-            mc_two_sample_test(
-                self._sampler(const_graph_kernel(0.2), 3),
-                self._sampler(const_graph_kernel(0.8), 3),
-                3,
-                3,
-                1,
-            )
+            mc_two_sample_test(const_graph_kernel(0.2), const_graph_kernel(0.8), 3, 3, 1)
         assert excinfo.value.required_runs is None or excinfo.value.required_runs > 3
 
     def test_degenerate_identical_distributions_pass(self):
         k = const_graph_kernel(1.0)
-        report = mc_two_sample_test(self._sampler(k, 3), self._sampler(k, 3), 3, 4, 0)
+        report = mc_two_sample_test(k, k, 3, 4, 0)
         assert report["pass"]
 
     def test_ztest_mode_for_larger_n(self):
         k = two_block_kernel()
-        report = mc_two_sample_test(
-            self._sampler(k, 8), self._sampler(k, 8), 8, 400, 9
-        )
+        report = mc_two_sample_test(k, k, 8, 400, 9)
         assert report["mode"] == "ztest"
         assert set(report["pvalues"]) == {"edge_count", "triangle_count"}
         assert report["pass"]

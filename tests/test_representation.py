@@ -15,6 +15,7 @@ from unirep import (
     cantor_encode,
     cantor_represent_family,
     check_symmetry,
+    dump_represented,
     exact_joint_law,
     interval_partition,
     lookup_cell,
@@ -392,3 +393,14 @@ class TestCantorRepresentFamily:
         lazy = ([a] for a in sp.atom_ids)
         cantor = cantor_represent_family(sp, lazy, fam)
         assert len(cantor.domain) == 3
+
+    def test_one_shot_member_iterators_give_the_same_family(self):
+        sp = space("abcd", (0.1, 0.2, 0.3, 0.4))
+        cls = {"a": 0, "b": 1, "c": 0, "d": 2}
+        fam = KernelFamily((table_kernel("f", sp, {(a,): cls[a] / 2 for a in "abcd"}),))
+        generators = [["a", "c"], ["d"]]
+        lazy = (iter(members) for members in generators)
+        cantor = cantor_represent_family(sp, lazy, fam)
+        expected = cantor_represent_family(sp, generators, fam)
+        assert len(cantor.domain) == 3
+        assert dump_represented(cantor) == dump_represented(expected)
