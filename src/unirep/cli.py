@@ -53,6 +53,11 @@ def _write(chunks, out: str):
         sys.stdout.writelines(bytes(chunk).decode() for chunk in chunks)
 
 
+def _write_json(obj, out: str):
+    """Write ``obj`` as indented JSON and a newline to ``out`` (``-``: stdout)."""
+    _write([json.dumps(obj, indent=2).encode() + b"\n"], out)
+
+
 _EDGE_BLOCK = 1 << 18
 
 
@@ -78,10 +83,6 @@ def _edge_lines(edges: np.ndarray, n: int):
             for d in range(1, width):
                 buf[np.where(length > d, last - d, len(buf) - 1)] = digits[d, number]
         yield buf[:-1].data
-
-
-def _print_report(report: dict):
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def _select_kernel(family: KernelFamily, name: str | None) -> Kernel:
@@ -111,7 +112,7 @@ def cmd_represent(args) -> int:
         represented = cantor_represent_family(space, generators, family)
     else:
         represented = represent_family(space, family)
-    _write([json.dumps(dump_represented(represented), indent=2).encode() + b"\n"], args.out)
+    _write_json(dump_represented(represented), args.out)
     return 0
 
 
@@ -157,7 +158,8 @@ def cmd_equiv(args) -> int:
         law_a = _law_of(doc_a, args.n)
         law_b = _law_of(doc_b, args.n)
         tv = tv_distance(law_a, law_b)
-        support_equal = law_a.support.keys() == law_b.support.keys()
+        union = law_a.support.keys() | law_b.support.keys()
+        support_equal = len(union) == len(law_a.support) == len(law_b.support)
         passed = support_equal and tv <= EXACT_TV_TOL
         report = {
             "mode": "exact",
@@ -165,9 +167,9 @@ def cmd_equiv(args) -> int:
             "tv": tv,
             "support_equal": support_equal,
             "pass": passed,
-            "support_size": len(law_a.support.keys() | law_b.support.keys()),
+            "support_size": len(union),
         }
-        _print_report(report)
+        _write_json(report, "-")
         return 0 if passed else 1
     kernel_a = _select_kernel(fam_a, args.kernel)
     kernel_b = _select_kernel(fam_b, args.kernel)
@@ -175,7 +177,7 @@ def cmd_equiv(args) -> int:
         kernel_a, kernel_b, args.n, args.runs, args.seed, alpha=args.alpha
     )
     report["n"] = args.n
-    _print_report(report)
+    _write_json(report, "-")
     return 0 if report["pass"] else 1
 
 
@@ -203,7 +205,7 @@ def cmd_encode(args) -> int:
         "codes": {str(a): str(codes[a]) for a in space.atom_ids},
         "sigma_atoms": [list(map(str, members)) for members in classes],
     }
-    _write([json.dumps(payload, indent=2).encode() + b"\n"], args.out)
+    _write_json(payload, args.out)
     return 0
 
 

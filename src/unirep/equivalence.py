@@ -14,7 +14,8 @@ come from edge-indicator rows, which a kernel side draws in bulk.
 
 ``exact_joint_law`` and ``graph_law_exact`` refuse to enumerate more
 than a configured number of assignments (default 10^7, overridable via
-the ``REP_MAX_ENUM`` environment variable or a ``cap`` argument).
+the ``REP_MAX_ENUM`` environment variable or a ``cap`` argument).  The
+cap is checked before any enumeration, whatever n is.
 """
 
 from __future__ import annotations
@@ -51,16 +52,19 @@ __all__ = [
 _DEFAULT_CAP = 10_000_000
 
 
-def _enum_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("REP_MAX_ENUM")
-    if not env:
-        return _DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise SpecError(f"REP_MAX_ENUM must be an integer, got {env!r}") from None
+def _check_cap(cap: int | None, message: str, *powers: tuple[int, int]) -> None:
+    """Raise ``ScaleError(message.format(cap=cap))`` if the product of ``b**e``
+    over ``powers`` exceeds ``cap`` (default: ``REP_MAX_ENUM``, else 10^7), with
+    no power formed once the exponents of the bases b >= 2 pass the cap's bits."""
+    if cap is None:
+        env = os.environ.get("REP_MAX_ENUM")
+        try:
+            cap = int(env or _DEFAULT_CAP)
+        except ValueError:
+            raise SpecError(f"REP_MAX_ENUM must be an integer, got {env!r}") from None
+    bits = sum(e for b, e in powers if b >= 2)  # the product is at least 2^bits
+    if bits > cap.bit_length() or math.prod(b**e for b, e in powers) > cap:
+        raise ScaleError(message.format(cap=cap))
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,13 @@ def exact_joint_law(
 ) -> JointLaw:
     """Enumerate the exact joint law of all kernel evaluations.
 
-    Walks every atom assignment in Omega^n with its product
-    probability; each coordinate of the value vector is gathered per
-    block from ``Kernel.values`` as an object array, so that vectors
-    share its Python scalars.  Equal vectors add up in enumeration
-    order.  Zero-probability assignments contribute nothing and are
-    skipped, so the support contains only realizable vectors; with no
-    coordinates at this n, every vector is ``()``.
+    Walks every atom assignment in Omega^n with its product probability;
+    each coordinate of the value vector, in :func:`canonical_keys` order,
+    is gathered per block from ``Kernel.values`` as an object array, so
+    that vectors share its Python scalars.  Equal vectors add up in
+    enumeration order.  Zero-probability assignments contribute nothing
+    and are skipped, so the support contains only realizable vectors;
+    with no coordinates at this n, every vector is ``()``.
 
     Raises
     ------
@@ -148,27 +152,22 @@ def exact_joint_law(
     """
     if family.domain != space:
         raise SpecError("family is defined over a different space")
-    size, cap = len(space), _enum_cap(cap)
-    if size**n > cap:
-        raise ScaleError(
-            f"{size}^{n} assignments exceed the enumeration cap "
-            f"{cap}; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
-        )
-    coords = []
-    for k in family:
-        values = k.values.astype(object)
-        coords += [(values, idx) for idx in permutations(range(n), k.arity)]
+    _check_cap(cap, f"{len(space)}^{n} assignments exceed the enumeration cap {{cap}}; use the "
+               "statistical mode (--mode mc) or raise REP_MAX_ENUM", (len(space), n))
+    keys = canonical_keys(family, n)
+    values = {k.name: k.values.astype(object) for k in family}
     support: dict[tuple, float] = {}
     for grid, prob in _assignments(np.asarray(space.probs), n):
         # ``...`` keeps a gather at fixed points an array; ravel gives C order
-        cols = (np.broadcast_to(v[(*(grid[j] for j in idx), ...)], prob.shape) for v, idx in coords)
+        cols = (values[name][(*(grid[i - 1] for i in idx), ...)] for name, idx in keys)
+        cols = (np.broadcast_to(c, prob.shape) for c in cols)
         for row in zip(prob.ravel().tolist(), *(c.ravel().tolist() for c in cols)):
             p = row[0]
             if p == 0.0:
                 continue
             vec = row[1:]
             support[vec] = support.get(vec, 0.0) + p
-    return JointLaw(n, canonical_keys(family, n), support)
+    return JointLaw(n, keys, support)
 
 
 def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFamily]:
@@ -225,10 +224,8 @@ def law_is_exchangeable(law: JointLaw, tol: float = 1e-9) -> bool:
             key_pos[(name, tuple(perm[t - 1] for t in idx))]
             for name, idx in law.keys
         ]
-        permuted: dict[tuple, float] = {}
-        for vec, p in law.support.items():
-            newvec = tuple(vec[q] for q in src)
-            permuted[newvec] = permuted.get(newvec, 0.0) + p
+        # a permutation of coordinates maps distinct vectors to distinct vectors
+        permuted = {tuple(vec[q] for q in src): p for vec, p in law.support.items()}
         if tv_distance(law, JointLaw(law.n, law.keys, permuted)) > tol:
             return False
     return True
@@ -351,22 +348,20 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
     Raises
     ------
     ScaleError
-        If ``2^(n choose 2) * K^n`` exceeds the enumeration cap.
+        If ``2^(n choose 2) * K^n`` exceeds the enumeration cap; checked
+        before any pair or term is built, whatever n is.
     """
     weights, values = _weights_and_values(kernel, "graph law")
-    pairs = pair_list(n)
+    size, npairs = len(weights), max(n * (n - 1) // 2, 0)
+    _check_cap(cap, f"2^{npairs} * {size}^{n} terms exceed the enumeration cap", (2, npairs), (size, n))
+    pairs = pair_list(n).tolist()
     num_graphs = 1 << len(pairs)
-    size = len(weights)
-    if num_graphs * size**n > _enum_cap(cap):
-        raise ScaleError(
-            f"2^{len(pairs)} * {size}^{n} terms exceed the enumeration cap"
-        )
     masks = np.arange(num_graphs)
     law = np.zeros(num_graphs)
     # blocks of at most _ENUM_BLOCK (assignment, graph) terms bound the memory
     for grid, prob in _assignments(weights, n, per=num_graphs):
         acc = np.repeat(prob.reshape(-1, 1), num_graphs, axis=1)
-        for p, (i, j) in enumerate(pairs.tolist()):
+        for p, (i, j) in enumerate(pairs):
             pe = np.broadcast_to(values[grid[i - 1], grid[j - 1]], prob.shape).reshape(-1, 1)
             acc *= np.where((masks >> p) & 1, pe, 1.0 - pe)
         for row in acc:  # row by row, so the sums match a per-assignment loop bit for bit

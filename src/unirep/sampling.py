@@ -242,7 +242,7 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     53 bits m against ``ceil(w * 2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
     (seeds last, so each broadcast runs along them); ``threads`` (at most one
-    per CPU) draw whole blocks.  The ``(seed, 1, i)`` state is hashed per vertex."""
+    per usable CPU) draw whole blocks.  The ``(seed, 1, i)`` state is hashed per vertex."""
     n = len(cells)
     j = _vertices(n, seed)
     prefix = _mix(seed, 1, j)
@@ -257,7 +257,8 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
         return take(r0, x < thr[cells[r0:r1, None], cells[None, r0 + 1:]])
 
     blocks = list(_row_blocks(n, np.size(seed)))
-    threads = min(threads, len(blocks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(threads, len(blocks), cpus)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -285,7 +286,7 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
     The edge coin for pair (i, j) is ``unit_uniform(seed, 1, i, j)``,
     so the output is bit-identical for a fixed seed under any degree of
     parallelism or edge-evaluation order.  ``threads`` draw row blocks of
-    pairs in parallel (at most one thread per CPU); they never change
+    pairs in parallel (at most one per usable CPU); they never change
     the result.
 
     Raises

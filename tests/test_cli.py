@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -104,6 +107,15 @@ def const_spec(p):
     doc = json.loads(json.dumps(CONST_SPEC))
     doc["kernels"][0]["values"]["o,o"] = p
     return doc
+
+
+def run_subprocess(argv, timeout=60):
+    """``python -m unirep argv`` in a fresh interpreter with a real stdout."""
+    src = str(Path(unirep.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("REP_MAX_ENUM", None)
+    return subprocess.run([sys.executable, "-m", "unirep", *argv], capture_output=True,
+                          env=env, timeout=timeout)
 
 
 class TestRepresent:
@@ -374,6 +386,43 @@ class TestEquiv:
         assert capsys.readouterr().out == MC_CHI2_STDOUT
         assert main(["equiv", a, b, "--mode", "mc", "--n", "12", "--runs", "200"]) == 0
         assert capsys.readouterr().out == MC_ZTEST_STDOUT
+
+    def test_huge_n_refused_at_once(self, tmp_path):
+        # the cap is checked from the exponent: building 3^(10^18) would run
+        # past the timeout instead
+        demo = write_spec(tmp_path, DEMO_SPEC)
+        proc = run_subprocess(["equiv", demo, demo, "--n", "1000000000000000000"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        err = proc.stderr.decode()
+        assert_one_error_line(err)
+        assert err == (
+            "error: 3^1000000000000000000 assignments exceed the enumeration cap 10000000; "
+            "use the statistical mode (--mode mc) or raise REP_MAX_ENUM\n"
+        )
+
+
+class TestJsonOutput:
+    def test_real_stdout_matches_redirected(self, tmp_path):
+        """Every JSON document the CLI prints has the same bytes on a real
+        stdout as under ``redirect_stdout(io.StringIO())``: ``indent=2`` and
+        one newline."""
+        demo = write_spec(tmp_path, DEMO_SPEC, "demo.json")
+        rep = str(tmp_path / "rep.json")
+        assert main(["represent", demo, "--out", rep]) == 0
+        for argv in (
+            ["represent", demo],
+            ["encode", demo],
+            ["equiv", demo, rep, "--n", "3"],
+            ["equiv", demo, rep, "--mode", "mc", "--n", "12", "--runs", "50"],
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            proc = run_subprocess(argv)
+            assert (proc.returncode, proc.stderr) == (code, b""), argv
+            assert proc.stdout == out.getvalue().encode(), argv
+            assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
 
 
 class TestDensities:
@@ -730,7 +779,7 @@ def test_fuzzed_spec_exit_contract(field, shape):
 # omits an option (or leaves REP_MAX_ENUM unset) and True gives a bare flag.
 # Upper-case words name paths made for the test.  Vertex counts stay at most
 # 40 (one row block, so --threads 1000000 starts no pool), and at most 4 for
-# exact enumeration.
+# exact enumeration, except for a --n of 10^18 that the cap must refuse at once.
 _SPEC = ("DEMO", ["REP", "CONST", "MISSING", "DIR"])
 _SPEC_B = ("REP", ["DEMO", "CONST", "MISSING", "DIR"])
 _OUT = ("FILE", ["-", "", "DIR", "NODIR", None])
@@ -751,7 +800,8 @@ ARGV_POOLS = {
         "--kernel": _KERNEL, "--out": _OUT, "--latents": _OUT,
     },
     "equiv": {
-        "SPEC": _SPEC, "SPEC_B": _SPEC_B, "--n": ("2", ["1", "4", "0", "-1", "2.5", "x", None]),
+        "SPEC": _SPEC, "SPEC_B": _SPEC_B,
+        "--n": ("2", ["1", "4", "0", "-1", "2.5", "x", None, "1000000000000000000"]),
         "--mode": (None, ["exact", "bogus"]),
         "REP_MAX_ENUM": (None, ["abc", "-1", "0", "1e3", ""]),
     },

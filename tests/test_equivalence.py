@@ -147,6 +147,88 @@ class TestExactJointLaw:
         exact_joint_law(sp, fam, 3)
 
 
+class TestEnumerationCap:
+    """One guard refuses an enumeration above the cap before any work starts.
+    A huge n is refused from its exponent alone: 2^(10^18) cannot be
+    formed, so these tests fail or stall if a power comes back first."""
+
+    MESSAGE = (
+        "{} assignments exceed the enumeration cap {}; "
+        "use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
+    )
+
+    @staticmethod
+    def family(size=2):
+        sp = space("abc"[:size], (1 / size,) * size)
+        return sp, KernelFamily((table_kernel("f", sp, {(a,): 0.5 for a in "abc"[:size]}),))
+
+    def test_exact_joint_law_huge_n(self, monkeypatch):
+        monkeypatch.delenv("REP_MAX_ENUM", raising=False)
+        with pytest.raises(ScaleError) as exc:
+            exact_joint_law(*self.family(), 10**18)
+        assert str(exc.value) == self.MESSAGE.format("2^1000000000000000000", 10**7)
+
+    def test_graph_law_exact_huge_n(self, monkeypatch):
+        # the pairs of n = 10^6 (5 * 10^11 of them) must not be built first
+        monkeypatch.delenv("REP_MAX_ENUM", raising=False)
+        with pytest.raises(ScaleError) as exc:
+            graph_law_exact(two_block_kernel(), 10**6)
+        assert str(exc.value) == "2^499999500000 * 2^1000000 terms exceed the enumeration cap"
+
+    def test_cap_boundary(self):
+        sp, fam = self.family(3)
+        exact_joint_law(sp, fam, 3, cap=27)
+        with pytest.raises(ScaleError, match=r"3\^3 assignments .* cap 26;"):
+            exact_joint_law(sp, fam, 3, cap=26)
+        # 2^3 graphs times 2^3 assignments
+        graph_law_exact(two_block_kernel(), 3, cap=64)
+        with pytest.raises(ScaleError):
+            graph_law_exact(two_block_kernel(), 3, cap=63)
+
+    def test_n_zero(self, monkeypatch):
+        monkeypatch.delenv("REP_MAX_ENUM", raising=False)
+        law = exact_joint_law(*self.family(), 0)
+        assert law.keys == ()
+        assert law.support == {(): 1.0}
+
+    @pytest.mark.parametrize("env, cap", [("-1", -1), ("0", 0), ("", 10**7), ("1", 1)])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_env_values(self, monkeypatch, env, cap, n):
+        monkeypatch.setenv("REP_MAX_ENUM", env)
+        sp, fam = self.family(3)
+        if 3**n <= cap:
+            assert exact_joint_law(sp, fam, n).n == n
+        else:
+            with pytest.raises(ScaleError) as exc:
+                exact_joint_law(sp, fam, n)
+            assert str(exc.value) == self.MESSAGE.format(f"3^{n}", cap)
+
+    def test_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("REP_MAX_ENUM", "abc")
+        with pytest.raises(SpecError, match="REP_MAX_ENUM must be an integer, got 'abc'"):
+            exact_joint_law(*self.family(), 1)
+        with pytest.raises(SpecError, match="REP_MAX_ENUM"):
+            graph_law_exact(two_block_kernel(), 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        powers=st.lists(st.tuples(st.integers(1, 7), st.integers(0, 40)), min_size=1, max_size=3),
+        delta=st.integers(-3, 3),
+        cap=st.none() | st.integers(-3, 2**90),
+    )
+    def test_refuses_exactly_above_the_cap(self, powers, delta, cap):
+        """The exponent shortcut agrees with comparing the product itself,
+        at the product's own boundary (``cap`` None) and anywhere else."""
+        total = math.prod(b**e for b, e in powers)
+        cap = total + delta if cap is None else cap
+        try:
+            equivalence._check_cap(cap, "over {cap}", *powers)
+        except ScaleError as exc:
+            assert total > cap and str(exc) == f"over {cap}"
+        else:
+            assert total <= cap
+
+
 class TestExactJointLawBitForBit:
     """``exact_joint_law`` against the ``exact_joint_law_loop`` oracle: the
     same keys, and the same support items in the same order, bit for bit

@@ -245,11 +245,11 @@ class TestSampleGraph:
         g8 = sample_graph(k, 60, 123, threads=8)
         assert g1.edges.tolist() == g8.edges.tolist()
 
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
-        # a recorder stands in for the pool and runs map serially, so no
-        # thread is started whatever the requested count; blocks of 50 pairs
-        # give n = 40 more row blocks than CPUs, and every block goes
-        # through the pool
+    @staticmethod
+    def serial_pools(monkeypatch):
+        """The pools the sampler starts, as recorders that stand in for
+        ``ThreadPoolExecutor`` and run map serially, so no thread is started
+        whatever the requested count."""
         import concurrent.futures
 
         pools = []
@@ -271,6 +271,13 @@ class TestSampleGraph:
                 return parts
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        return pools
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # where the platform has no affinity set; blocks of 50 pairs give
+        # n = 40 more row blocks than CPUs, and every block goes through the pool
+        pools = self.serial_pools(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         k = two_block_kernel()
         expected = sample_graph(k, 40, 8, threads=1).edges.tolist()
         monkeypatch.setattr(sampling, "_PAIR_BLOCK", 50)
@@ -284,6 +291,20 @@ class TestSampleGraph:
                 assert workers == [(min(cpus, blocks), blocks)]
             else:
                 assert workers == []
+
+    def test_threads_capped_at_affinity(self, monkeypatch):
+        # a process pinned to one CPU (as by ``taskset -c 0``) starts no pool,
+        # however many CPUs the machine has
+        pools = self.serial_pools(monkeypatch)
+        k = two_block_kernel()
+        expected = sample_graph(k, 2000, 1, threads=1).edges.tolist()
+        blocks = len(list(sampling._row_blocks(2000, 1)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for cpus, workers in (({0}, []), ({0, 1, 2}, [(3, blocks)])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            pools.clear()
+            assert sample_graph(k, 2000, 1, threads=8).edges.tolist() == expected
+            assert [(p.max_workers, p.chunks) for p in pools] == workers
 
     def test_table_kernel_domain(self):
         sp = space("ab", (0.5, 0.5))
