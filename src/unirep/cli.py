@@ -19,11 +19,11 @@ import numpy as np
 
 from .equivalence import (
     PATTERNS,
+    _tv_and_union,
     exact_joint_law,
     hom_density,
     mc_two_sample_test,
     step_family_as_space,
-    tv_distance,
 )
 from .errors import ScaleError, SpecError, UnirepError
 from .kernels import Kernel, KernelFamily
@@ -132,10 +132,8 @@ def cmd_sample(args) -> int:
 
 def _law_of(doc: SpecDocument, n: int):
     family = doc.require("family")
-    if doc.space is not None:
-        return exact_joint_law(doc.space, family, n)
-    space, tables = step_family_as_space(family)
-    return exact_joint_law(space, tables, n)
+    space, family = (doc.space, family) if doc.space is not None else step_family_as_space(family)
+    return exact_joint_law(space, family, n)
 
 
 def _check_compatible(fam_a: KernelFamily, fam_b: KernelFamily):
@@ -157,9 +155,8 @@ def cmd_equiv(args) -> int:
     if args.mode == "exact":
         law_a = _law_of(doc_a, args.n)
         law_b = _law_of(doc_b, args.n)
-        tv = tv_distance(law_a, law_b)
-        union = law_a.support.keys() | law_b.support.keys()
-        support_equal = len(union) == len(law_a.support) == len(law_b.support)
+        tv, union = _tv_and_union(law_a, law_b)
+        support_equal = union == law_a.support_size == law_b.support_size
         passed = support_equal and tv <= EXACT_TV_TOL
         report = {
             "mode": "exact",
@@ -167,7 +164,7 @@ def cmd_equiv(args) -> int:
             "tv": tv,
             "support_equal": support_equal,
             "pass": passed,
-            "support_size": len(union),
+            "support_size": union,
         }
         _write_json(report, "-")
         return 0 if passed else 1

@@ -2,8 +2,9 @@
 
 At small scale the decision is exact: :func:`exact_joint_law`,
 :func:`hom_density` and :func:`graph_law_exact` are sums over one
-enumerator of Omega^n, :func:`_assignments`, and :func:`tv_distance`
-compares two joint laws by bit-exact support matching (valid because
+enumerator of Omega^n, :func:`_assignments`.  Joint laws are arrays of
+value ranks packed into int64 keys, and :func:`tv_distance` matches two
+laws' support points on their values, as dict keys match (exact because
 both laws draw their values from identical tables; upstream modules
 copy values, never recompute them through different arithmetic).
 
@@ -23,8 +24,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, permutations, product
+from functools import cached_property, partial
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -67,32 +68,47 @@ def _check_cap(cap: int | None, message: str, *powers: tuple[int, int]) -> None:
         raise ScaleError(message.format(cap=cap))
 
 
-@dataclass(frozen=True)
 class JointLaw:
     """Exact finite distribution of all kernel values at iid points.
 
     ``keys`` lists, in canonical order (family order, then
     lexicographic 1-based index tuples), the coordinates of the value
-    vectors; ``support`` maps each realizable value vector to its
-    probability.
+    vectors.  The law holds one probability per support point (distinct
+    points, in order of first occurrence) and per key a pair ``(table,
+    index)`` with ``table[index]`` the key's values: a kernel's flat value
+    array and flat cells from :func:`exact_joint_law`, or the column itself
+    and ``arange`` when built from a mapping.  ``support``, the read-only
+    mapping from value vectors to probabilities, is built when first read.
     """
 
-    n: int
-    keys: tuple[tuple[str, tuple[int, ...]], ...]
-    support: Mapping[tuple, float]
+    def __init__(self, n: int, keys: tuple, support: Mapping[tuple, float]):
+        if any(len(vec) != len(keys) for vec in support):
+            raise SpecError(f"joint-law vectors must have {len(keys)} coordinates")
+        rows = np.arange(len(support))
+        columns = tuple((np.fromiter((vec[q] for vec in support), object, len(rows)), rows)
+                        for q in range(len(keys)))
+        self._set(n, keys, columns, np.array(list(support.values()), dtype=float))
 
-    def __post_init__(self):
-        total = math.fsum(self.support.values())
-        if any(p < 0.0 for p in self.support.values()):
+    def _set(self, n, keys, columns, probs) -> JointLaw:
+        total = math.fsum(probs.tolist())
+        if (probs < 0.0).any():
             raise SpecError("joint-law probabilities must be nonnegative")
         if abs(total - 1.0) > 1e-12:
             raise SpecError(f"joint-law probabilities sum to {total!r}, not 1")
-        # a copy, so that a caller who keeps the dict cannot change a frozen law
-        object.__setattr__(self, "support", MappingProxyType(dict(self.support)))
+        vars(self).update(n=n, keys=keys, _columns=columns, _probs=probs)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a JointLaw is immutable; cannot set {name!r}")
+
+    @cached_property
+    def support(self) -> Mapping[tuple, float]:
+        vectors = list(zip(*(table[index].tolist() for table, index in self._columns))) or [()]
+        return MappingProxyType(dict(zip(vectors, self._probs.tolist())))
 
     @property
     def support_size(self) -> int:
-        return len(self.support)
+        return len(self._probs)
 
 
 def canonical_keys(family: KernelFamily, n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -116,17 +132,43 @@ def _assignments(weights: np.ndarray, n: int, per: int = 1) -> Iterator[tuple]:
     in lexicographic order.  ``grid[j]`` is the cell of point j: an int for
     the leading n - m points, fixed per block, and an open ``arange`` grid
     over all cells for each of the last m points, with m the largest that
-    keeps ``K^m * per`` within ``_ENUM_BLOCK``.  ``prob`` has shape ``(K,)*m``
-    and holds the left-to-right products ``((1*w_a)*w_b)*...``; its C order is
-    lexicographic order."""
+    keeps ``K^m * per`` within ``_ENUM_BLOCK`` and m <= 32, well below numpy's
+    64 dimensions.  ``prob`` has shape ``(K,)*m`` and holds the left-to-right
+    products ``((1*w_a)*w_b)*...``; its C order is lexicographic order."""
     size = len(weights)
-    m = next((m for m in range(n, 0, -1) if size**m * per <= _ENUM_BLOCK), 0)
+    m = next((m for m in range(min(n, 32), 0, -1) if size**m * per <= _ENUM_BLOCK), 0)
     tail = np.ix_(*[np.arange(size)] * m)
     for head in product(range(size), repeat=n - m):
         prob = np.full((size,) * m, math.prod((weights[c] for c in head), start=1.0))
         for g in tail:
             prob *= weights[g]
         yield head + tail, prob
+
+
+_PACK = 1 << 62  # bound of a packed int64 key
+
+
+def _rank(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each entry of ``a`` among its distinct values, in the
+    narrowest signed type that holds them, and their count."""
+    distinct, inverse = np.unique(a, return_inverse=True)
+    return inverse.reshape(a.shape).astype(np.min_scalar_type(-len(distinct))), len(distinct)
+
+
+def _pack(columns, length: int) -> np.ndarray:
+    """One int64 key per row, equal for rows equal in all ``columns`` (of
+    nonnegative integers): a mixed-radix packing, re-ranked by ``np.unique``
+    only where the next radix would take it past ``_PACK``."""
+    key, size = np.zeros(length, np.int64), 1
+    for col in columns:
+        width = int(col.max(initial=0)) + 1
+        if size * width > _PACK:
+            key, size = _rank(key)
+            if size * width > _PACK:
+                col, width = _rank(col)
+        key = key * np.int64(width) + col  # int64, whatever the types of key and col
+        size *= width
+    return key
 
 
 def exact_joint_law(
@@ -137,13 +179,15 @@ def exact_joint_law(
 ) -> JointLaw:
     """Enumerate the exact joint law of all kernel evaluations.
 
-    Walks every atom assignment in Omega^n with its product probability;
-    each coordinate of the value vector, in :func:`canonical_keys` order,
-    is gathered per block from ``Kernel.values`` as an object array, so
-    that vectors share its Python scalars.  Equal vectors add up in
-    enumeration order.  Zero-probability assignments contribute nothing
-    and are skipped, so the support contains only realizable vectors;
-    with no coordinates at this n, every vector is ``()``.
+    Walks every atom assignment in Omega^n with its product probability and
+    drops those of probability zero, so the support holds only realizable
+    vectors; with no coordinates at this n, every vector is ``()``.  Per
+    block, each coordinate (in :func:`canonical_keys` order) gathers the
+    ranks of its kernel's values, and :func:`_pack` makes them one key.
+    Equal keys form a group, ordered by its first assignment, whose cells
+    give the values; ``np.bincount`` adds each group's probabilities in
+    enumeration order, so the law is bit for bit the one a dict keyed by
+    value tuples would build.
 
     Raises
     ------
@@ -152,22 +196,34 @@ def exact_joint_law(
     """
     if family.domain != space:
         raise SpecError("family is defined over a different space")
-    _check_cap(cap, f"{len(space)}^{n} assignments exceed the enumeration cap {{cap}}; use the "
-               "statistical mode (--mode mc) or raise REP_MAX_ENUM", (len(space), n))
+    size = len(space)
+    _check_cap(cap, f"{size}^{n} assignments exceed the enumeration cap {{cap}}; use the "
+               "statistical mode (--mode mc) or raise REP_MAX_ENUM", (size, n))
     keys = canonical_keys(family, n)
-    values = {k.name: k.values.astype(object) for k in family}
-    support: dict[tuple, float] = {}
-    for grid, prob in _assignments(np.asarray(space.probs), n):
-        # ``...`` keeps a gather at fixed points an array; ravel gives C order
-        cols = (values[name][(*(grid[i - 1] for i in idx), ...)] for name, idx in keys)
-        cols = (np.broadcast_to(c, prob.shape) for c in cols)
-        for row in zip(prob.ravel().tolist(), *(c.ravel().tolist() for c in cols)):
-            p = row[0]
-            if p == 0.0:
-                continue
-            vec = row[1:]
-            support[vec] = support.get(vec, 0.0) + p
-    return JointLaw(n, keys, support)
+    ids = {k.name: _rank(k.values)[0] for k in family}
+    # a symmetric kernel has one value for all orders of an index tuple
+    symmetric = {k.name for k in family if k.symmetric}
+    grouped = [(name, idx) for name, idx in keys if name not in symmetric or list(idx) == sorted(idx)]
+    rows, probs, blocks = [], [], []
+    for b, (grid, prob) in enumerate(_assignments(np.asarray(space.probs), n)):
+        keep = np.flatnonzero(prob)
+        rows.append(b * prob.size + keep)  # the assignment's lexicographic index
+        probs.append(prob.ravel()[keep])
+        # ``...`` keeps a gather at fixed points an array
+        cols = (ids[name][(*(grid[i - 1] for i in idx), ...)] for name, idx in grouped)
+        blocks.append([np.broadcast_to(c, prob.shape).ravel()[keep] for c in cols])
+    prob = np.concatenate(probs)
+    _, first, group = np.unique(_pack(map(np.concatenate, zip(*blocks)), len(prob)),
+                                return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the groups in order of first occurrence
+    at = np.concatenate(rows)[first[order]]
+    cells = [at // size ** (n - 1 - j) % size for j in range(n)]
+    # a key's values: its kernel's flat value array at the flat cells of each first assignment
+    tables = {k.name: k.values.ravel() for k in family}
+    flat = {k.name: np.arange(k.values.size, dtype=np.min_scalar_type(-k.values.size))
+            .reshape(k.values.shape) for k in family}
+    columns = tuple((tables[name], flat[name][tuple(cells[i - 1] for i in idx)]) for name, idx in keys)
+    return JointLaw.__new__(JointLaw)._set(n, keys, columns, np.bincount(group, prob)[order])
 
 
 def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFamily]:
@@ -187,46 +243,56 @@ def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFam
     return space, family.on_domain(space)
 
 
+def _tv_and_union(law1: JointLaw, law2: JointLaw) -> tuple[float, int]:
+    """:func:`tv_distance` and the size of the support union, from one grouping."""
+    if law1.n != law2.n or law1.keys != law2.keys:
+        raise SpecError("joint laws have mismatched key structures")
+    ranks, joint = [], {}  # one joint ranking per pair of tables
+    for (t1, i1), (t2, i2) in zip(law1._columns, law2._columns):
+        if (id(t1), id(t2)) not in joint:  # ranks match as dict keys do: -0.0 == 0.0, 1 == 1.0
+            joint[id(t1), id(t2)] = _rank(np.concatenate((t1, t2)))[0]
+        r = joint[id(t1), id(t2)]
+        ranks.append(np.concatenate((r[: len(t1)][i1], r[len(t1) :][i2])))
+    size = law1.support_size
+    group, union = _rank(_pack(ranks, size + law2.support_size))
+    mass = np.zeros((2, union))
+    mass[0, group[:size]], mass[1, group[size:]] = law1._probs, law2._probs
+    # the exact sum rounded once, so the order of the terms cannot change a bit
+    return 0.5 * _fsum([np.abs(mass[0] - mass[1])]), union
+
+
 def tv_distance(law1: JointLaw, law2: JointLaw) -> float:
     """Total variation distance between two laws with the same keys.
 
     Half the sum of absolute probability differences over the union of
-    supports, matching support points by bit-exact value vectors.
+    supports.  Support points match when their values do, as dict keys
+    match: the two tables of each key are ranked jointly by ``np.unique``
+    and the rank columns packed as in :func:`exact_joint_law`.  The sum is
+    correctly rounded: it equals ``math.fsum`` of the terms bit for bit.
 
     Raises
     ------
     SpecError
         If the two laws have different key structures.
     """
-    if law1.n != law2.n or law1.keys != law2.keys:
-        raise SpecError("joint laws have mismatched key structures")
-    s1, s2 = law1.support, law2.support
-    # fsum rounds the exact sum once, so the order of the terms cannot change a bit
-    return 0.5 * math.fsum(
-        chain(
-            (abs(p - s2.get(v, 0.0)) for v, p in s1.items()),
-            (q for v, q in s2.items() if v not in s1),
-        )
-    )
+    return _tv_and_union(law1, law2)[0]
 
 
 def law_is_exchangeable(law: JointLaw, tol: float = 1e-9) -> bool:
     """Whether a joint law is invariant under every permutation of [n].
 
     For each permutation pi, relabels the index tuples in the keys by
-    pi and compares the induced law with the original; passes when all
-    n! comparisons have TV distance at most ``tol``.  Vacuously true
-    for n = 1.
+    pi, which permutes the law's value columns, and compares the induced
+    law with the original; passes when all n! comparisons have TV
+    distance at most ``tol``.  Vacuously true for n = 1.
     """
     key_pos = {key: q for q, key in enumerate(law.keys)}
     for perm in permutations(range(1, law.n + 1)):
-        src = [
-            key_pos[(name, tuple(perm[t - 1] for t in idx))]
-            for name, idx in law.keys
-        ]
-        # a permutation of coordinates maps distinct vectors to distinct vectors
-        permuted = {tuple(vec[q] for q in src): p for vec, p in law.support.items()}
-        if tv_distance(law, JointLaw(law.n, law.keys, permuted)) > tol:
+        src = [key_pos[(name, tuple(perm[t - 1] for t in idx))] for name, idx in law.keys]
+        permuted = JointLaw.__new__(JointLaw)._set(
+            law.n, law.keys, tuple(law._columns[q] for q in src), law._probs
+        )
+        if tv_distance(law, permuted) > tol:
             return False
     return True
 

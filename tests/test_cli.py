@@ -387,6 +387,17 @@ class TestEquiv:
         assert main(["equiv", a, b, "--mode", "mc", "--n", "12", "--runs", "200"]) == 0
         assert capsys.readouterr().out == MC_ZTEST_STDOUT
 
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_one_atom_past_numpy_dimensions(self, tmp_path, capsys, n):
+        # every point is broadcast on a one-atom space; the enumerator takes
+        # at most 32 of them per block, below numpy's 64 dimensions
+        const = write_spec(tmp_path, CONST_SPEC)
+        assert main(["equiv", const, const, "--n", str(n)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["support_size"], report["support_equal"], report["tv"]) == (1, True, 0.0)
+        assert err == ""
+
     def test_huge_n_refused_at_once(self, tmp_path):
         # the cap is checked from the exponent: building 3^(10^18) would run
         # past the timeout instead

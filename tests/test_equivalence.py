@@ -18,6 +18,7 @@ from unirep import (
     PowerError,
     ScaleError,
     SpecError,
+    cantor_represent_family,
     exact_joint_law,
     exchangeability_check,
     graph_law_exact,
@@ -30,7 +31,7 @@ from unirep import (
     tv_distance,
 )
 from unirep import equivalence
-from unirep.equivalence import _chi2_sf, _fsum, _observations, canonical_keys
+from unirep.equivalence import _chi2_sf, _fsum, _observations, _pack, canonical_keys
 from unirep.sampling import derive_seed, graph_bitmask
 
 from util import (
@@ -41,11 +42,13 @@ from util import (
     exact_joint_law_loop,
     graph_law_loop,
     hom_density_loop,
+    law_is_exchangeable_loop,
     random_family,
     random_kernel,
     random_space,
     space,
     table_kernel,
+    tv_distance_loop,
     two_block_kernel,
 )
 
@@ -443,6 +446,207 @@ class TestExchangeability:
             2, keys, {(0.0, 1.0): 0.58, (1.0, 0.0): 0.42}
         )
         assert not law_is_exchangeable(corrupted)
+
+
+def classed_case(seed):
+    """A random space (some atoms of probability zero), its generators, and
+    a family constant on the generators' classes of atoms: a symmetric unit
+    arity-2 kernel, a real arity-1 kernel and a label arity-2 kernel, with
+    zeros of both signs among the unit and real values."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 6))
+    classes = int(rng.integers(1, size + 1))
+    cls = rng.permutation(np.arange(size) % classes)
+    probs = rng.dirichlet(np.ones(size))
+    if size > 1:
+        probs[rng.choice(size, int(rng.integers(0, size)), replace=False)] = 0.0
+    sp = space([f"a{k}" for k in range(size)], probs / probs.sum())
+    bits = max(1, (classes - 1).bit_length())
+    generators = [[a for a, c in zip(sp.atom_ids, cls) if (c >> b) & 1] for b in range(bits)]
+    unit = rng.random((classes, classes))
+    unit[rng.random((classes, classes)) < 0.3] = 0.0
+    unit[rng.random((classes, classes)) < 0.3] = -0.0
+    unit = np.where(np.tri(classes, dtype=bool), unit.T, unit)  # symmetric, signs kept
+    real = np.round(rng.normal(size=classes), 1)
+    real[rng.random(classes) < 0.4] = -0.0
+    real[rng.random(classes) < 0.3] = 0.0
+    labels = rng.integers(0, 3, (classes, classes))
+    fam = KernelFamily((
+        Kernel("f", 2, UNIT, sp, unit[np.ix_(cls, cls)], symmetric=True),
+        Kernel("g", 1, REAL, sp, real[cls]),
+        Kernel("h", 2, LABELS3, sp, labels[np.ix_(cls, cls)]),
+    ))
+    return rng, sp, generators, fam
+
+
+class TestExactComparisonOracle:
+    """The exact comparison against ``tv_distance_loop``: ``tv``,
+    ``support_equal`` and ``support_size`` (as ``cli.cmd_equiv`` takes them
+    from ``_tv_and_union``) and ``tv_distance``, equal bit for bit
+    (``repr``) on seeded random pairs of laws at n = 0-3.  Every enumerated
+    law also equals ``exact_joint_law_loop``, items and order."""
+
+    @staticmethod
+    def law(sp, fam, n):
+        law = exact_joint_law(sp, fam, n)
+        keys, support = exact_joint_law_loop(sp, fam, n)
+        assert law.keys == keys
+        assert repr(list(law.support.items())) == repr(list(support.items()))
+        return law
+
+    @classmethod
+    def pairs(cls, seed, n):
+        rng, sp, generators, fam = classed_case(seed)
+        src = cls.law(sp, fam, n)
+        rep = cls.law(*step_family_as_space(represent_family(sp, fam)), n)
+        cantor = cls.law(*step_family_as_space(cantor_represent_family(sp, generators, fam)), n)
+        # other probabilities, and zero atoms elsewhere: the same support or a smaller one
+        probs = rng.dirichlet(np.ones(len(sp)))
+        probs[rng.random(len(sp)) < 0.3] = 0.0
+        probs = probs / probs.sum() if probs.sum() else np.full(len(sp), 1.0 / len(sp))
+        other = space(sp.atom_ids, probs)
+        reweighted = cls.law(other, fam.on_domain(other), n)
+        # a real value of the likeliest atom changed (a zero only in its sign),
+        # or a label: each law differs from the source in one kernel only
+        f, g, h = (k.values for k in fam)
+        top = int(np.argmax(sp.probs))
+        g2, h2 = g.copy(), h.copy()
+        g2[top] = -g[top] if g[top] == 0.0 else g[top] + 0.5
+        h2[top, top] = (h[top, top] + 1) % 3
+        changed = cls.law(sp, fam.on_domain(sp, [f, g2, h]), n)
+        relabeled = cls.law(sp, fam.on_domain(sp, [f, g, h2]), n)
+        # every sign of zero flipped: equal values, so equal laws
+        flipped = cls.law(sp, fam.on_domain(sp, [np.where(f == 0.0, -f, f), np.where(g == 0.0, -g, g), h]), n)
+        # real values shifted out of the range: disjoint supports for n >= 1
+        shifted = cls.law(sp, fam.on_domain(sp, [f, g + 100.0, h]), n)
+        # laws from dicts: labels as floats, and the support in reverse order
+        as_floats = JointLaw(n, src.keys, {tuple(map(float, v)): p for v, p in src.support.items()})
+        reversed_ = JointLaw(n, src.keys, dict(reversed(list(rep.support.items()))))
+        laws = [src, rep, cantor, reweighted, changed, relabeled, flipped, shifted, as_floats, reversed_]
+        # the label kernel alone: its value at (1, 2) does not tell its value at (2, 1)
+        alone = KernelFamily(fam.kernels[2:])
+        labels = [cls.law(sp, alone, n), cls.law(*step_family_as_space(represent_family(sp, alone)), n),
+                  cls.law(sp, alone.on_domain(sp, [h2]), n), cls.law(other, alone.on_domain(other), n)]
+        return [(a, b) for group in (laws, labels) for a in group for b in group]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pairs(self, seed):
+        for n in range(4):
+            for a, b in self.pairs(5100 + seed, n):
+                expected = tv_distance_loop(a, b)
+                tv, union = equivalence._tv_and_union(a, b)
+                got = (tv, union == a.support_size == b.support_size, union)
+                assert repr(got) == repr(expected)
+                assert repr(tv_distance(a, b)) == repr(expected[0])
+
+    def test_pairs_cover_the_cases(self):
+        """The pairs include disjoint supports, unequal supports with a
+        positive tv, zero-probability atoms, and -0.0 among the unit and
+        real values."""
+        seen = set()
+        for seed in range(12):
+            _, sp, _, fam = classed_case(5100 + seed)
+            seen.add(("zero atom", 0.0 in sp.probs))
+            for k in fam.kernels[:2]:
+                seen.add((k.name, "-0.0", bool((np.signbit(k.values) & (k.values == 0.0)).any())))
+            for a, b in self.pairs(5100 + seed, 2):
+                tv, equal, size = tv_distance_loop(a, b)
+                seen.add(("disjoint", size == a.support_size + b.support_size))
+                seen.add(("unequal", not equal and tv > 0.0))
+        assert {("zero atom", True), ("disjoint", True), ("unequal", True)} <= seen
+        assert {("f", "-0.0", True), ("g", "-0.0", True)} <= seen
+
+
+class TestPack:
+    """Keys of ``_pack`` are equal exactly where rows are, also where the
+    radix passes 2^62 and the key or a column must be re-ranked."""
+
+    @staticmethod
+    def check(columns):
+        columns = [np.asarray(c, dtype=np.int64) for c in columns]
+        length = len(columns[0]) if columns else 3
+        key = _pack(columns, length)
+        rows = list(zip(*(c.tolist() for c in columns))) or [()] * length
+        pairs = set(zip(key.tolist(), rows))
+        assert len(pairs) == len(set(key.tolist())) == len(set(rows))
+
+    def test_wrapping_products_do_not_collide(self):
+        # without re-ranking, 2^31 * 2^33 wraps to 0 and (0, 5), (2^31, 5) collide
+        self.check([[0, 2**31, 2**32 - 1, 0], [5, 5, 2**33 - 1, 6]])
+        self.check([[0, 1, 0, 1], [2**62 - 1, 2**62 - 1, 3, 3], [2**62 - 1, 0, 0, 0]])
+        # five key ranks times a width of 2^62: rank 4 wraps onto rank 0 unless
+        # the column is re-ranked too
+        self.check([[0, 1, 2, 3, 4, 0], [7, 2**62 - 1, 0, 0, 7, 1]])
+        self.check([])
+
+    def test_random_columns(self):
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            widths = rng.choice([1, 2, 3, 2**20, 2**33, 2**61, 2**62], int(rng.integers(1, 8)))
+            pool = np.stack([rng.integers(0, w, 6, dtype=np.int64) for w in widths], axis=1)
+            rows = pool[rng.integers(0, len(pool), int(rng.integers(1, 40)))]
+            self.check(list(rows.T))
+
+
+class TestJointLawArrays:
+    def test_support_read_only_and_stable(self):
+        rng, sp, _, fam = classed_case(5200)
+        law = exact_joint_law(sp, fam, 2)
+        items = repr(list(law.support.items()))
+        vec = next(iter(law.support))
+        with pytest.raises(TypeError):
+            law.support[vec] = 0.5
+        with pytest.raises(TypeError):
+            del law.support[vec]
+        with pytest.raises(AttributeError):
+            law.support = {}
+        assert repr(list(law.support.items())) == items
+        assert law.support_size == len(law.support)
+
+    def test_dict_law_keeps_its_items(self):
+        support = {(1, -0.0): 0.25, (1.0, 0.5): 0.5, (2, 0.0): 0.25}
+        law = JointLaw(1, (("h", (1,)), ("g", (1,))), support)
+        support.clear()
+        assert repr(list(law.support.items())) == "[((1, -0.0), 0.25), ((1.0, 0.5), 0.5), ((2, 0.0), 0.25)]"
+
+    def test_dict_law_checks(self):
+        keys = (("f", (1,)),)
+        with pytest.raises(SpecError, match="sum to"):
+            JointLaw(1, keys, {(0.0,): 0.5})
+        with pytest.raises(SpecError, match="nonnegative"):
+            JointLaw(1, keys, {(0.0,): 1.5, (1.0,): -0.5})
+        with pytest.raises(SpecError, match="coordinates"):
+            JointLaw(1, keys, {(0.0, 1.0): 1.0})
+
+
+class TestExchangeabilityOracle:
+    """``law_is_exchangeable`` permutes value columns; ``law_is_exchangeable_loop``
+    rebuilds a dict per permutation.  They agree."""
+
+    def test_agrees_with_dict_rebuild(self):
+        rng = np.random.default_rng(33)
+        sp = random_space(rng, 3)
+        fam = random_family(rng, sp, [("f", 2, REAL, False), ("g", 1, UNIT, False)])
+        laws = [exact_joint_law(sp, fam, n) for n in (1, 2, 3)]
+        cross_sp = space("ab", (0.3, 0.7))
+        laws.append(exact_joint_law(cross_sp, KernelFamily((cross_kernel(cross_sp),)), 2))
+        keys = (("f", (1, 2)), ("f", (2, 1)))
+        laws.append(JointLaw(2, keys, {(0.0, 1.0): 0.58, (1.0, 0.0): 0.42}))
+        for seed in range(6):
+            _, sp, _, fam = classed_case(5300 + seed)
+            laws += [exact_joint_law(sp, fam, n) for n in (0, 1, 2, 3)]
+        # an arity-2 kernel that is not symmetric at n = 2 and 3, and its law with one point moved
+        sp = random_space(np.random.default_rng(7), 3)
+        fam = random_family(np.random.default_rng(8), sp, [("f", 2, UNIT, False)])
+        for n in (2, 3):
+            law = exact_joint_law(sp, fam, n)
+            moved = dict(law.support)
+            (v0, p0), (v1, p1) = list(moved.items())[:2]
+            moved[v0], moved[v1] = p0 + p1, 0.0
+            laws += [law, JointLaw(n, law.keys, moved)]
+        verdicts = [law_is_exchangeable(law) for law in laws]
+        assert verdicts == [law_is_exchangeable_loop(law) for law in laws]
+        assert True in verdicts and False in verdicts
 
 
 class TestHomDensity:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 
 from unirep import (
     Cdf,
     IntervalPartition,
+    JointLaw,
     Kernel,
     KernelFamily,
     ValueSpace,
@@ -190,6 +191,35 @@ def exact_joint_law_loop(sp, family, n):
         vec = tuple(values[name][tuple(assign[t - 1] for t in idx)].item() for name, idx in keys)
         support[vec] = support.get(vec, 0.0) + w
     return keys, support
+
+
+def tv_distance_loop(law1, law2):
+    """Oracle for the exact comparison of two laws: ``(tv, support_equal,
+    support_size)``, with tv half the ``fsum`` of the absolute differences
+    over the union of the ``support`` dicts (points matched as dict keys),
+    and the support facts from the set union of their keys."""
+    s1, s2 = law1.support, law2.support
+    tv = 0.5 * math.fsum(
+        chain(
+            (abs(p - s2.get(v, 0.0)) for v, p in s1.items()),
+            (q for v, q in s2.items() if v not in s1),
+        )
+    )
+    union = s1.keys() | s2.keys()
+    return tv, len(union) == len(s1) == len(s2), len(union)
+
+
+def law_is_exchangeable_loop(law, tol=1e-9):
+    """Oracle for ``law_is_exchangeable``: for each permutation of [n], a
+    support dict rebuilt with the permuted coordinates, compared with the
+    law by ``tv_distance_loop``."""
+    key_pos = {key: q for q, key in enumerate(law.keys)}
+    for perm in permutations(range(1, law.n + 1)):
+        src = [key_pos[(name, tuple(perm[t - 1] for t in idx))] for name, idx in law.keys]
+        permuted = {tuple(vec[q] for q in src): p for vec, p in law.support.items()}
+        if tv_distance_loop(law, JointLaw(law.n, law.keys, permuted))[0] > tol:
+            return False
+    return True
 
 
 def random_space(rng, size, ids=None):
