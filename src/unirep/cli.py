@@ -53,9 +53,30 @@ def _write(chunks, out: str):
         sys.stdout.writelines(bytes(chunk).decode() for chunk in chunks)
 
 
+def _indented(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, where every dict that
+    holds a container has string keys.  ``indent`` selects CPython's
+    pure-Python encoder, so each container of scalars goes to the C encoder
+    in one call, with the line break and indent carried in its item
+    separator; only the levels that hold containers are joined here."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:  # a scalar or an empty container
+        return json.dumps(obj)
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    elif isinstance(obj, dict):
+        body = sep.join(f"{json.dumps(k)}: {_indented(v, depth + 1)}" for k, v in obj.items())
+    else:
+        body = sep.join(_indented(v, depth + 1) for v in obj)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + pad + body + "\n" + "  " * depth + ends[1]
+
+
 def _write_json(obj, out: str):
     """Write ``obj`` as indented JSON and a newline to ``out`` (``-``: stdout)."""
-    _write([json.dumps(obj, indent=2).encode() + b"\n"], out)
+    _write([(_indented(obj) + "\n").encode()], out)
 
 
 _EDGE_BLOCK = 1 << 18

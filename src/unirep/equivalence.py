@@ -15,8 +15,9 @@ come from edge-indicator rows, which a kernel side draws in bulk.
 
 ``exact_joint_law`` and ``graph_law_exact`` refuse to enumerate more
 than a configured number of assignments (default 10^7, overridable via
-the ``REP_MAX_ENUM`` environment variable or a ``cap`` argument).  The
-cap is checked before any enumeration, whatever n is.
+the ``REP_MAX_ENUM`` environment variable or a ``cap`` argument), and
+``exact_joint_law`` more coordinates (kernel evaluations per assignment)
+than that.  The cap is checked before any enumeration, whatever n is.
 """
 
 from __future__ import annotations
@@ -192,13 +193,18 @@ def exact_joint_law(
     Raises
     ------
     ScaleError
-        If ``|Omega|^n`` exceeds the enumeration cap.
+        If ``|Omega|^n``, or the number of coordinates, exceeds the
+        enumeration cap.
     """
     if family.domain != space:
         raise SpecError("family is defined over a different space")
     size = len(space)
-    _check_cap(cap, f"{size}^{n} assignments exceed the enumeration cap {{cap}}; use the "
-               "statistical mode (--mode mc) or raise REP_MAX_ENUM", (size, n))
+    hint = "; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
+    _check_cap(cap, f"{size}^{n} assignments exceed the enumeration cap {{cap}}" + hint, (size, n))
+    # each coordinate is a gather and a rank column, however few assignments there are
+    coordinates = sum(math.perm(n, k.arity) for k in family)
+    _check_cap(cap, f"{coordinates} coordinates exceed the enumeration cap {{cap}}" + hint,
+               (coordinates, 1))
     keys = canonical_keys(family, n)
     ids = {k.name: _rank(k.values)[0] for k in family}
     # a symmetric kernel has one value for all orders of an index tuple

@@ -19,6 +19,11 @@ inconsistent duplicates.  Tables are split, placed and checked in bulk
 by :func:`~unirep.kernels.values_from_table`, in time linear in the
 table size.
 
+The JSON that ``represent``, ``encode`` and ``equiv`` print is byte for
+byte ``json.dumps(doc, indent=2)`` plus one newline.  Artifact cell keys
+are each cell index written as ``str(c)``, joined by commas; the loader
+reads any cell spelling that ``int()`` reads.
+
 Errors raise :class:`~unirep.errors.SpecError` with a field path
 locating the offending entry.
 """
@@ -194,21 +199,22 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
         raise SpecError("values must be an object", field=f"{path}.values")
 
     by_cells = isinstance(domain, IntervalPartition)
-    position = {c: i for i, c in enumerate(range(len(domain)) if by_cells else domain.atom_ids)}
+    ids = map(str, range(len(domain))) if by_cells else domain.atom_ids
+    position = {c: i for i, c in enumerate(ids)}
     keys = list(raw)
     widths = np.fromiter(map(str.count, keys, repeat(",")), np.int64, len(keys)) + 1
     parts = ",".join(keys).split(",") if keys else []  # every key's coordinates, in order
-    if by_cells:
-        cells = []
-        try:
-            cells.extend(map(int, parts))  # keeps the cells parsed before a failure
-        except ValueError:
-            bad = keys[np.searchsorted(np.cumsum(widths), len(cells), side="right")]
-            why = f"cell-table key {bad!r} is not a comma-joined index tuple"
-            raise SpecError(why, field=f"{path}.values") from None
-        parts = cells
-    # row e of positions: the positions of key e's coordinates, or -1s if it has another width
     coords = np.fromiter(map(position.get, parts, repeat(-1)), np.int64, len(parts))
+    if by_cells:  # cells spelled another way that int() reads, such as "01" or " 1"
+        for i in np.flatnonzero(coords < 0).tolist():
+            try:
+                cell = int(parts[i])
+            except ValueError:
+                bad = keys[np.searchsorted(np.cumsum(widths), i, side="right")]
+                why = f"cell-table key {bad!r} is not a comma-joined index tuple"
+                raise SpecError(why, field=f"{path}.values") from None
+            coords[i] = cell if 0 <= cell < len(domain) else -1
+    # row e of positions: the positions of key e's coordinates, or -1s if it has another width
     rows = np.minimum((np.cumsum(widths) - widths)[:, None] + np.arange(arity), len(parts) - 1)
     positions = np.where((widths == arity)[:, None], coords[rows], -1)
     values = list(raw.values())
@@ -235,10 +241,10 @@ def dump_represented(family: KernelFamily) -> dict:
     if not isinstance(family.domain, IntervalPartition):
         raise SpecError("dump_represented expects a family of step kernels")
     partition = family.domain
-    cells = range(len(partition))
+    names = [str(c) for c in range(len(partition))]
     kernels = []
     for k in family:
-        keys = (",".join(map(str, key)) for key in product(cells, repeat=k.arity))
+        keys = map(",".join, product(names, repeat=k.arity))
         values = dict(zip(keys, k.values.ravel().tolist()))
         kernels.append(
             {

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+from itertools import combinations_with_replacement, product
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unirep.cli
-from unirep import sample_graph
-from unirep.cli import main
+from unirep import (
+    cantor_encode,
+    cantor_represent_family,
+    represent_family,
+    sample_graph,
+    sigma_atoms,
+)
+from unirep.cli import _indented, main
 from unirep.sampling import pair_list
 from unirep.specfile import load_spec
 
@@ -412,6 +419,67 @@ class TestEquiv:
             "use the statistical mode (--mode mc) or raise REP_MAX_ENUM\n"
         )
 
+    def test_one_atom_huge_n_refused_at_once(self, tmp_path):
+        # 1^n assignments never exceed the cap; the n(n-1) coordinates of the
+        # arity-2 kernel do, and must be counted before they are built
+        const = write_spec(tmp_path, CONST_SPEC)
+        proc = run_subprocess(["equiv", const, const, "--n", "1000000"], timeout=20)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.decode() == (
+            "error: 999999000000 coordinates exceed the enumeration cap 10000000; "
+            "use the statistical mode (--mode mc) or raise REP_MAX_ENUM\n"
+        )
+
+
+# A spec of the shape the exact-pipeline bench represents: a symmetric
+# arity-3 unit kernel, a label kernel and a real kernel holding -0.0.
+_ATOMS = ["a", "b", "c", "d"]
+BENCH_SHAPE_SPEC = {
+    "space": {"atoms": _ATOMS, "probs": [0.4, 0.3, 0.2, 0.1]},
+    "generators": [["a"], ["b", "c"], ["c"]],
+    "kernels": [
+        {"name": "t", "arity": 3, "value_space": "unit", "symmetric": True,
+         "values": {",".join(key): round((i * 0.37) % 1, 6)
+                    for i, key in enumerate(combinations_with_replacement(_ATOMS, 3))}},
+        {"name": "lab", "arity": 2, "value_space": {"labels": 3}, "symmetric": False,
+         "values": {",".join(key): i % 3 for i, key in enumerate(product(_ATOMS, repeat=2))}},
+        {"name": "r", "arity": 1, "value_space": "real", "symmetric": False,
+         "values": {"a": -0.0, "b": 1e300, "c": 5e-324, "d": -2.5}},
+    ],
+}
+
+
+def dump_represented_oracle(family):
+    """The artifact document, its keys built one ``map(str, key)`` per tuple."""
+    partition = family.domain
+    return {
+        "partition": {"breakpoints": list(partition.breakpoints),
+                      "cells": list(partition.cell_labels)},
+        "kernels": [
+            {
+                "name": k.name,
+                "arity": k.arity,
+                "value_space": {"labels": k.value_space.num_labels}
+                if k.value_space.kind == "labels" else k.value_space.kind,
+                "symmetric": k.symmetric,
+                "values": {",".join(map(str, key)): k.values[key].item()
+                           for key in product(range(len(partition)), repeat=k.arity)},
+            }
+            for k in family
+        ],
+    }
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63, 10**40), st.floats(), st.text(),
+)
+JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=40,
+)
+
 
 class TestJsonOutput:
     def test_real_stdout_matches_redirected(self, tmp_path):
@@ -434,6 +502,44 @@ class TestJsonOutput:
             assert (proc.returncode, proc.stderr) == (code, b""), argv
             assert proc.stdout == out.getvalue().encode(), argv
             assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(doc=JSON_DOCS)
+    @example(doc={})
+    @example(doc=[])
+    @example(doc={"a": {}, "b": [[], {"c": [{}, [[]]]}], "d": [{}]})
+    @example(doc=[{"x": -0.0, "y": 5e-324}, {"z": [1e300, -(10**40), True, False, None]}])
+    @example(doc={"\u00e9t\u00e9\n": ["\u65e5\u672c", "\"\\\t\x00\u2028", "\ud800"], "": [0]})
+    @example(doc=[[[1.5, "x"]], {"k": [{"m": 2**70}]}])
+    def test_indented_equals_json_indent(self, doc):
+        assert _indented(doc) == json.dumps(doc, indent=2)
+
+    def test_artifacts_at_bench_shape(self, tmp_path):
+        """``represent`` (both routes) and ``encode`` write
+        ``json.dumps(doc, indent=2)`` and a newline, where doc is built with
+        per-tuple keys, and the artifact loads back to the same values."""
+        spec = write_spec(tmp_path, BENCH_SHAPE_SPEC)
+        doc = load_spec(spec)
+        space, family, generators = doc.space, doc.family, doc.generators
+        codes = cantor_encode(space, generators)
+        expected = {
+            "represent": dump_represented_oracle(represent_family(space, family)),
+            "represent --via-cantor": dump_represented_oracle(
+                cantor_represent_family(space, generators, family)),
+            "encode": {
+                "codes": {str(a): str(codes[a]) for a in space.atom_ids},
+                "sigma_atoms": [list(map(str, m)) for m in sigma_atoms(space, generators)],
+            },
+        }
+        for i, (command, document) in enumerate(expected.items()):
+            out = tmp_path / f"{i}.json"
+            assert main([*command.split(), spec, "--out", str(out)]) == 0
+            assert out.read_bytes() == (json.dumps(document, indent=2) + "\n").encode(), command
+        artifact = tmp_path / "0.json"
+        assert '": -0.0,' in artifact.read_text()
+        for loaded, kernel in zip(load_spec(artifact).family, represent_family(space, family)):
+            assert loaded.values.dtype == kernel.values.dtype
+            assert loaded.values.tobytes() == kernel.values.tobytes()
 
 
 class TestDensities:
@@ -816,6 +922,11 @@ ARGV_POOLS = {
         "--mode": (None, ["exact", "bogus"]),
         "REP_MAX_ENUM": (None, ["abc", "-1", "0", "1e3", ""]),
     },
+    # one atom: 1^n assignments never reach the cap, the n(n-1) coordinates do
+    "equiv --mode exact": {
+        "SPEC": ("CONST", ["DEMO"]), "SPEC_B": ("CONST", ["DEMO"]),
+        "--n": ("2", ["65", "1000000", "1000000000000000000"]),
+    },
     "equiv --mode mc": {
         "SPEC": _SPEC, "SPEC_B": _SPEC_B, "--n": _SIZE,
         "--runs": ("50", ["1", "2", "300", "0", "-1", "x"]), "--seed": _SEED,
@@ -848,7 +959,7 @@ def test_fuzzed_argv_exit_contract(tmp_path, monkeypatch):
     paths = {"DEMO": demo, "REP": rep, "CONST": write_spec(tmp_path, CONST_SPEC, "const.json"),
              "MISSING": str(tmp_path / "missing.json"), "DIR": str(tmp_path),
              "NODIR": str(tmp_path / "none" / "out.txt")}
-    for i, (command, values) in enumerate(fuzzed_argv(200)):
+    for i, (command, values) in enumerate(fuzzed_argv(205)):
         written = {slot: str(tmp_path / f"{i}{slot}") for slot, v in values.items() if v == "FILE"}
         argv = command.split()
         for slot, value in values.items():

@@ -159,6 +159,7 @@ class TestEnumerationCap:
         "{} assignments exceed the enumeration cap {}; "
         "use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
     )
+    COORDINATES = MESSAGE.replace("assignments", "coordinates")
 
     @staticmethod
     def family(size=2):
@@ -187,6 +188,28 @@ class TestEnumerationCap:
         graph_law_exact(two_block_kernel(), 3, cap=64)
         with pytest.raises(ScaleError):
             graph_law_exact(two_block_kernel(), 3, cap=63)
+
+    @staticmethod
+    def one_atom_family():
+        sp = space("o", (1.0,))
+        return sp, KernelFamily((table_kernel("f", sp, {("o", "o"): 0.5}),
+                                 table_kernel("g", sp, {("o",): 0.25})))
+
+    def test_coordinate_boundary(self):
+        # one atom: 1^n assignments never exceed the cap, but the n(n-1) + n
+        # coordinates of the arity-2 and arity-1 kernels do
+        sp, fam = self.one_atom_family()
+        assert len(exact_joint_law(sp, fam, 4, cap=16).keys) == 16
+        with pytest.raises(ScaleError) as exc:
+            exact_joint_law(sp, fam, 4, cap=15)
+        assert str(exc.value) == self.COORDINATES.format(16, 15)
+
+    def test_one_atom_huge_n(self, monkeypatch):
+        monkeypatch.delenv("REP_MAX_ENUM", raising=False)
+        with pytest.raises(ScaleError) as exc:
+            exact_joint_law(*self.one_atom_family(), 10**18)
+        coordinates = 10**18 * (10**18 - 1) + 10**18
+        assert str(exc.value) == self.COORDINATES.format(coordinates, 10**7)
 
     def test_n_zero(self, monkeypatch):
         monkeypatch.delenv("REP_MAX_ENUM", raising=False)

@@ -172,12 +172,20 @@ def _kernel_spec(values, arity=2, value_space="real", symmetric=False, cells=Fal
 
 _FULL = {f"{x},{y}": 0.5 for x in "abc" for y in "abc"}
 _CELL_FULL = {f"{i},{j}": 0.5 for i in range(2) for j in range(2)}
+_CELL_DISTINCT = {f"{i},{j}": 2 * i + j + 0.5 for i in range(2) for j in range(2)}
 _ORBITS = {"a,a": 0.1, "a,b": 0.4, "a,c": 0.6, "b,b": 0.2, "b,c": 0.5, "c,c": 0.3}
 _LABELS = {"labels": 3}
 VALUES = "kernels[0].values"
 
+
+def _respelled(table, key, spelling):
+    """``table`` with ``key`` listed as ``spelling``, in the same place."""
+    return {spelling if k == key else k: v for k, v in table.items()}
+
+
 # (spec text, exception class or None if accepted, its field, and the key
-# fragment its message names -- or, when accepted, a (key, value) it loads)
+# fragment its message names -- or, when accepted, a (key, value) it loads
+# or a spec text whose first kernel has the same value array)
 LOADER_CASES = {
     "unknown_atom": (_kernel_spec({**_FULL, "a,q": 0.5}), SpecError, VALUES, "('a', 'q')"),
     "one_comma_too_many": (
@@ -191,6 +199,17 @@ LOADER_CASES = {
         _kernel_spec({**_CELL_FULL, "0,x": 0.5}, cells=True), SpecError, VALUES, "'0,x'"),
     "cell_tuple_listed_twice": (
         _kernel_spec({**_CELL_FULL, "00,1": 0.5}, cells=True), SpecError, VALUES, "'00,1'"),
+    "cell_out_of_range_then_not_integer": (
+        _kernel_spec({**_CELL_FULL, "0,7": 0.5, "0,x": 0.5}, cells=True),
+        SpecError, VALUES, "'0,x'"),
+    **{
+        f"cell_spelled_{name}": (
+            _kernel_spec(_respelled(_CELL_DISTINCT, key, spelling), cells=True),
+            None, None, _kernel_spec(_CELL_DISTINCT, cells=True))
+        for name, key, spelling in (
+            ("with_space", "0,1", "0, 1"), ("zero_padded", "1,0", "01,0"),
+            ("with_plus", "1,1", "+1,1"))
+    },
     "orbit_conflict": (
         _kernel_spec({**_ORBITS, "b,a": 0.9}, symmetric=True), SpecError, VALUES, "'b,a'"),
     "orbit_conflict_reversed": (
@@ -224,9 +243,13 @@ def test_loader_rejection_contract(tmp_path, capsys, case):
     code = main(["equiv", str(path), str(path), "--n", "1"])
     capsys.readouterr()
     if raises is None:
-        key, value = expect
-        loaded = loads_spec(text).family.kernels[0].table[key]
-        assert (loaded, type(loaded)) == (value, type(value))
+        if isinstance(expect, str):
+            loaded, same = (loads_spec(t).family.kernels[0].values for t in (text, expect))
+            assert (loaded.dtype, loaded.tobytes()) == (same.dtype, same.tobytes())
+        else:
+            key, value = expect
+            loaded = loads_spec(text).family.kernels[0].table[key]
+            assert (loaded, type(loaded)) == (value, type(value))
         assert code == 0
         return
     with pytest.raises(Exception) as excinfo:
