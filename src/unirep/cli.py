@@ -50,7 +50,7 @@ def _write(chunks, out: str):
         sys.stdout.flush()
         sys.stdout.buffer.writelines(chunks)
     else:  # a text-only stand-in, such as io.StringIO under redirect_stdout
-        sys.stdout.writelines(bytes(chunk).decode() for chunk in chunks)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
 
 
 def _indented(obj, depth: int = 0) -> str:
@@ -84,26 +84,23 @@ _EDGE_BLOCK = 1 << 18
 
 def _edge_lines(edges: np.ndarray, n: int):
     """The ``"i j\n"`` lines of ``edges`` (an (E, 2) array of integers in 1..n)
-    as bytes, one chunk per ``_EDGE_BLOCK`` edges: line ends come from a
-    cumulative sum, digits are scattered one decimal place at a time."""
+    as bytes, one chunk per ``_EDGE_BLOCK`` edges.  Row v of a table holds
+    ``str(v)`` (v ≥ 1) right-aligned in ``len(str(n))`` bytes, NULs in front;
+    each block gathers whole numbers from it into fixed-width line records,
+    and one ``bytes.translate`` deletes the NULs."""
     width = len(str(n))
-    v = np.arange(n + 1)
-    powers = 10 ** np.arange(width)[:, None]
-    lengths = 1 + (v >= powers[1:]).sum(axis=0)
-    digits = (v // powers % 10 + ord("0")).astype(np.uint8)
+    v = np.arange(n + 1, dtype=np.min_scalar_type(n))  # the narrowest type divides fastest
+    table = np.zeros((n + 1, width), dtype=np.uint8)
+    for d in range(width):  # decimal place d is present from v = 10**d on
+        table[10**d :, -1 - d] = v[10**d :] // 10**d % 10 + ord("0")
+    table = table.view(f"V{width}")[:, 0]
+    line = np.dtype([("i", f"V{width}"), ("sp", "u1"), ("j", f"V{width}"), ("nl", "u1")])
     for start in range(0, len(edges), _EDGE_BLOCK):
         i, j = edges[start : start + _EDGE_BLOCK].T
-        li, lj = lengths[i], lengths[j]
-        ends = np.cumsum(li + lj + 2)
-        # every byte not written below is a space; the spare last byte takes
-        # the digits that a shorter number does not have
-        buf = np.full(ends[-1] + 1, ord(" "), dtype=np.uint8)
-        buf[ends - 1] = ord("\n")
-        for number, last, length in ((j, ends - 2, lj), (i, ends - 3 - lj, li)):
-            buf[last] = digits[0, number]
-            for d in range(1, width):
-                buf[np.where(length > d, last - d, len(buf) - 1)] = digits[d, number]
-        yield buf[:-1].data
+        buf = np.empty(len(i), dtype=line)
+        buf["i"], buf["j"] = table[i], table[j]
+        buf["sp"], buf["nl"] = ord(" "), ord("\n")
+        yield buf.tobytes().translate(None, b"\0")
 
 
 def _select_kernel(family: KernelFamily, name: str | None) -> Kernel:

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,6 +235,23 @@ class TestSample:
 # 2^18 and a partial one
 EDGE_LIST_NS = (1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)
 
+# vertex counts at each change of decimal width up to 7 digits, for the
+# writer alone: 6 and 7 digits are beyond any graph sampled here
+EDGE_WRITER_NS = (1, 9, 10, 99, 100, 10**5 - 1, 10**5, 10**6, 10**6 + 1)
+
+
+@st.composite
+def edge_writer_cases(draw):
+    """``(n, edges, block)``: strictly ascending int64 rows (i, j), i < j, in
+    1..n, always holding (1, n) when n > 1, and a block size for the writer."""
+    n = draw(st.sampled_from(EDGE_WRITER_NS))
+    boundaries = [v for v in (1, 2, 9, 10, 11, 99, 100, 101, 10**5 - 1, 10**5, 10**6, n - 1, n) if 1 <= v <= n]
+    vertex = st.one_of(st.sampled_from(boundaries), st.integers(1, n))
+    pairs = {(min(p), max(p)) for p in draw(st.lists(st.tuples(vertex, vertex), max_size=40)) if p[0] != p[1]}
+    pairs |= {(1, n)} if n > 1 else set()
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return n, edges, draw(st.integers(1, 8))
+
 
 def random_demo_spec(rng):
     doc = json.loads(json.dumps(DEMO_SPEC))
@@ -285,6 +303,18 @@ class TestEdgeList:
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", "10", "--out", str(out)]) == 0
         assert out.read_bytes() == edge_lines_oracle(pair_list(10)).encode()
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(case=edge_writer_cases())
+    @example(case=(1, np.empty((0, 2), dtype=np.int64), 1))
+    @example(case=(10**6 + 1, np.empty((0, 2), dtype=np.int64), 3))
+    def test_writer_chunks_match_oracle(self, case):
+        n, edges, block = case
+        with mock.patch.object(unirep.cli, "_EDGE_BLOCK", block):
+            chunks = list(unirep.cli._edge_lines(edges, n))
+        assert len(chunks) == -(-len(edges) // block)
+        assert not any(b"\0" in chunk for chunk in chunks)
+        assert b"".join(chunks) == edge_lines_oracle(edges).encode()
 
     @pytest.mark.parametrize("p, n", [(1.0, 1), (0.0, 50)])
     def test_no_edges_empty_file(self, tmp_path, capsysbinary, p, n):

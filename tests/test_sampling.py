@@ -584,11 +584,10 @@ def test_sample_graph_peak_bytes_per_pair():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_cli_sample_peak_bytes_per_pair(tmp_path):
-    # 18-20 B: the edges (16 B per edge, 8 B per pair at p = 1/2) plus
-    # either their second copy in the concatenation of the blocks' edges or
-    # the writer's temporaries, which peak about as high (one edge array
-    # measured the same); the whole-triangle sampler took 40 B, a Python
-    # string per line 116 B
+    # 17-18 B: the edges (16 B per edge, 8 B per pair at p = 1/2) plus
+    # their second copy in the concatenation of the blocks' edges; the
+    # writer's line records and bytes peak lower (about 4 B per pair here);
+    # the whole-triangle sampler took 40 B, a Python string per line 116 B
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "space": {"atoms": ["o"], "probs": [1.0]},
