@@ -33,7 +33,7 @@ from .representation import (
     represent_family,
     sigma_atoms,
 )
-from .sampling import sample_graph
+from .sampling import _graph_blocks
 from .specfile import SpecDocument, dump_represented, load_spec
 
 __all__ = ["main"]
@@ -79,15 +79,12 @@ def _write_json(obj, out: str):
     _write([(_indented(obj) + "\n").encode()], out)
 
 
-_EDGE_BLOCK = 1 << 18
-
-
-def _edge_lines(edges: np.ndarray, n: int):
-    """The ``"i j\n"`` lines of ``edges`` (an (E, 2) array of integers in 1..n)
-    as bytes, one chunk per ``_EDGE_BLOCK`` edges.  Row v of a table holds
-    ``str(v)`` (v ≥ 1) right-aligned in ``len(str(n))`` bytes, NULs in front;
-    each block gathers whole numbers from it into fixed-width line records,
-    and one ``bytes.translate`` deletes the NULs."""
+def _edge_lines(blocks, n: int):
+    """The ``"i j\n"`` lines of ``blocks`` (``(e, 2)`` arrays of integers in
+    1..n, drawn as iterated) as bytes, one chunk per block.  Row v of a table
+    holds ``str(v)`` (v ≥ 1) right-aligned in ``len(str(n))`` bytes, NULs in
+    front; each block gathers whole numbers from it into fixed-width line
+    records, and one ``bytes.translate`` deletes the NULs."""
     width = len(str(n))
     v = np.arange(n + 1, dtype=np.min_scalar_type(n))  # the narrowest type divides fastest
     table = np.zeros((n + 1, width), dtype=np.uint8)
@@ -95,8 +92,7 @@ def _edge_lines(edges: np.ndarray, n: int):
         table[10**d :, -1 - d] = v[10**d :] // 10**d % 10 + ord("0")
     table = table.view(f"V{width}")[:, 0]
     line = np.dtype([("i", f"V{width}"), ("sp", "u1"), ("j", f"V{width}"), ("nl", "u1")])
-    for start in range(0, len(edges), _EDGE_BLOCK):
-        i, j = edges[start : start + _EDGE_BLOCK].T
+    for i, j in (edges.T for edges in blocks):
         buf = np.empty(len(i), dtype=line)
         buf["i"], buf["j"] = table[i], table[j]
         buf["sp"], buf["nl"] = ord(" "), ord("\n")
@@ -137,13 +133,10 @@ def cmd_represent(args) -> int:
 def cmd_sample(args) -> int:
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
-    graph = sample_graph(kernel, args.n, args.seed, threads=args.threads)
-    _write(_edge_lines(graph.edges, args.n), args.out)
+    latents, blocks = _graph_blocks(kernel, args.n, args.seed, args.threads)
+    _write(_edge_lines(blocks, args.n), args.out)
     if args.latents is not None:
-        lines = "".join(
-            f"{i} {x!r}\n"
-            for i, x in enumerate(graph.latents.uniforms.tolist(), start=1)
-        )
+        lines = "".join(f"{i} {x!r}\n" for i, x in enumerate(latents.uniforms.tolist(), start=1))
         _write([lines.encode()], args.latents)
     return 0
 

@@ -169,6 +169,22 @@ class CantorCode:
         return "".join(str(b) for b in self.bits)
 
 
+def _sigma_table(space: DiscreteSpace, generators: Iterable[Iterable[Hashable]]):
+    """The distinct rows of the atoms × generators 0/1 membership matrix (the
+    codes, in lexicographic order), the first atom of each, and each atom's row."""
+    rows = []
+    for g, gen in enumerate(generators):
+        members = set(gen)
+        for a in members:
+            if a not in space._index:
+                raise SpecError(
+                    f"generator {g} references unknown atom {a!r}", field="generators"
+                )
+        rows.append([a in members for a in space.atom_ids])
+    bits = np.array(rows, dtype=np.uint8).reshape(-1, len(space)).T  # (atoms, 0) for none
+    return np.unique(bits, axis=0, return_index=True, return_inverse=True)
+
+
 def cantor_encode(
     space: DiscreteSpace,
     generators: Iterable[Iterable[Hashable]],
@@ -183,19 +199,8 @@ def cantor_encode(
     SpecError
         If a generator references an unknown atom id.
     """
-    gen_sets = []
-    for g, gen in enumerate(generators):
-        members = set(gen)
-        for a in members:
-            if a not in space._index:
-                raise SpecError(
-                    f"generator {g} references unknown atom {a!r}", field="generators"
-                )
-        gen_sets.append(members)
-    return {
-        a: CantorCode(tuple(int(a in members) for members in gen_sets))
-        for a in space.atom_ids
-    }
+    codes, _, of = _sigma_table(space, generators)
+    return {a: CantorCode(tuple(bits)) for a, bits in zip(space.atom_ids, codes[of].tolist())}
 
 
 def sigma_atoms(
@@ -203,11 +208,8 @@ def sigma_atoms(
     generators: Iterable[Iterable[Hashable]],
 ) -> tuple[tuple[Hashable, ...], ...]:
     """Partition the atoms into classes of equal code, in first-occurrence order."""
-    codes = cantor_encode(space, generators)
-    classes: dict[tuple[int, ...], list] = {}
-    for a in space.atom_ids:
-        classes.setdefault(codes[a].bits, []).append(a)
-    return tuple(tuple(members) for members in classes.values())
+    _, first, of = _sigma_table(space, generators)
+    return tuple(tuple(space.atom_ids[i] for i in np.flatnonzero(of == c)) for c in np.argsort(first))
 
 
 def represent_family(space: DiscreteSpace, family: KernelFamily) -> KernelFamily:
@@ -251,10 +253,8 @@ def cantor_represent_family(
         raise SpecError("cantor_represent_family expects a family of table kernels")
     if family.domain != space:
         raise SpecError("family is defined over a different space")
-    codes = cantor_encode(space, generators)
-    # position of each atom's class representative, the first atom with its code
-    first: dict[tuple, int] = {}
-    rep_of = np.array([first.setdefault(codes[a].bits, i) for i, a in enumerate(space.atom_ids)])
+    codes, first, of = _sigma_table(space, generators)
+    rep_of = first[of]  # each atom's class representative, the first atom with its code
     for k in family:
         rep_values = k.values[np.ix_(*[rep_of] * k.arity)]
         differ = np.argwhere(k.values != rep_values)
@@ -266,11 +266,9 @@ def cantor_represent_family(
             values = (rep_values[index].item(), k.values[index].item())
             raise MeasurabilityError(k.name, witness, values)
 
-    merged_codes = sorted(first)
-    reps = [first[bits] for bits in merged_codes]
-    merged_ids = tuple(str(CantorCode(bits)) for bits in merged_codes)
-    merged_probs = tuple(sum(space.probs[i] for i in np.flatnonzero(rep_of == r)) for r in reps)
-    merged = DiscreteSpace(merged_ids, merged_probs)
+    merged_ids = tuple(str(CantorCode(tuple(bits))) for bits in codes.tolist())
+    # bincount adds each class's probabilities in atom order, as a Python sum would
+    merged = DiscreteSpace(merged_ids, tuple(np.bincount(of, space.probs).tolist()))
     return family.on_domain(
-        interval_partition(merged), [k.values[np.ix_(*[reps] * k.arity)] for k in family]
+        interval_partition(merged), [k.values[np.ix_(*[first] * k.arity)] for k in family]
     )

@@ -19,7 +19,8 @@ Vertex indices are 1-based throughout, matching the edge-list output
 format.
 
 One private core, :func:`_draw_edges`, draws every graph edge, for one
-seed (:func:`sample_graph`) or a column of seeds at once
+seed (:func:`_graph_blocks`, whose blocks ``unirep sample`` writes as they
+are drawn and :func:`sample_graph` joins) or a column of seeds at once
 (:func:`sample_graph_edges`, bit-identical row by row), one block of
 about ``_PAIR_BLOCK`` pairs (or one row) at a time; threads draw blocks.
 It compares each coin's 53 bits with an integer threshold per kernel
@@ -242,7 +243,8 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     53 bits m against ``ceil(w * 2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
     (seeds last, so each broadcast runs along them); ``threads`` (at most one
-    per usable CPU) draw whole blocks.  The ``(seed, 1, i)`` state is hashed per vertex."""
+    per usable CPU) draw whole blocks and return their list; one thread returns
+    a lazy ``map``.  The ``(seed, 1, i)`` state is hashed per vertex."""
     n = len(cells)
     j = _vertices(n, seed)
     prefix = _mix(seed, 1, j)
@@ -264,7 +266,7 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(block, blocks))
-    return list(map(block, blocks))
+    return map(block, blocks)
 
 
 def _block_edges(r0, keep):
@@ -277,6 +279,14 @@ def _block_edges(r0, keep):
 def _block_pairs(r0, keep):
     """The pairs of one row block of :func:`_draw_edges` per seed, in pair order."""
     return keep[np.triu(np.ones(keep.shape[:2], bool))]
+
+
+def _graph_blocks(kernel: Kernel, n: int, seed: int, threads: int = 1):
+    """The latents of :func:`sample_graph`, after all its checks, and its row
+    blocks' ``(e, 2)`` edge arrays in row order, drawn as iterated on one thread."""
+    _check_graph_kernel(kernel)
+    latents = sample_latents(kernel.domain, n, seed)
+    return latents, _draw_edges(kernel.values, latents.cells, seed, _block_edges, threads)
 
 
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:
@@ -295,9 +305,7 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
         If the kernel is not a symmetric arity-2 kernel with values in
         [0,1].
     """
-    _check_graph_kernel(kernel)
-    latents = sample_latents(kernel.domain, n, seed)
-    blocks = _draw_edges(kernel.values, latents.cells, seed, _block_edges, threads)
+    latents, blocks = _graph_blocks(kernel, n, seed, threads)
     return RandomGraph(n, np.concatenate([np.empty((0, 2), np.int64), *blocks]), latents)
 
 

@@ -9,8 +9,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,8 +229,8 @@ class TestSample:
 
 
 # vertex counts around each change in the number of decimal digits; the
-# complete graph on 1001 vertices has 500 500 edges, one full block of
-# 2^18 and a partial one
+# complete graph on 1001 vertices has 500 500 edges, in row blocks of at
+# most 2^16 pairs
 EDGE_LIST_NS = (1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)
 
 # vertex counts at each change of decimal width up to 7 digits, for the
@@ -242,15 +240,17 @@ EDGE_WRITER_NS = (1, 9, 10, 99, 100, 10**5 - 1, 10**5, 10**6, 10**6 + 1)
 
 @st.composite
 def edge_writer_cases(draw):
-    """``(n, edges, block)``: strictly ascending int64 rows (i, j), i < j, in
-    1..n, always holding (1, n) when n > 1, and a block size for the writer."""
+    """``(n, blocks)``: strictly ascending int64 rows (i, j), i < j, in 1..n,
+    always holding (1, n) when n > 1, cut into consecutive blocks for the
+    writer, empty ones included."""
     n = draw(st.sampled_from(EDGE_WRITER_NS))
     boundaries = [v for v in (1, 2, 9, 10, 11, 99, 100, 101, 10**5 - 1, 10**5, 10**6, n - 1, n) if 1 <= v <= n]
     vertex = st.one_of(st.sampled_from(boundaries), st.integers(1, n))
     pairs = {(min(p), max(p)) for p in draw(st.lists(st.tuples(vertex, vertex), max_size=40)) if p[0] != p[1]}
     pairs |= {(1, n)} if n > 1 else set()
     edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return n, edges, draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, len(edges)), max_size=8)))
+    return n, np.split(edges, cuts)
 
 
 def random_demo_spec(rng):
@@ -287,9 +287,8 @@ class TestEdgeList:
         pairs = np.sort(rng.integers(1, n + 1, size=(20_000, 2)), axis=1)
         pairs = np.vstack((pairs, [(1, 2), (1, n), (n - 1, n), (9, 10), (99, 100)]))
         edges = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
-        monkeypatch.setattr(
-            unirep.cli, "sample_graph", lambda kernel, n, seed, threads: SimpleNamespace(edges=edges)
-        )
+        blocks = np.array_split(edges, 7)
+        monkeypatch.setattr(unirep.cli, "_graph_blocks", lambda kernel, n, seed, threads: (None, blocks))
         spec = write_spec(tmp_path, DEMO_SPEC)
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", str(n), "--out", str(out)]) == 0
@@ -297,8 +296,10 @@ class TestEdgeList:
 
     @pytest.mark.parametrize("block", (1, 7, 45, 64))
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, block):
-        # 45 edges: blocks of 7 leave a partial last block, 45 fills exactly one
-        monkeypatch.setattr(unirep.cli, "_EDGE_BLOCK", block)
+        # 45 pairs in rows of 9, 8, ..., 1: blocks of at most 1 pair are
+        # single rows, of 7 pairs single rows and then pairs of rows, and
+        # of 45 or 64 pairs two blocks of several rows each
+        monkeypatch.setattr(unirep.sampling, "_PAIR_BLOCK", block)
         spec = write_spec(tmp_path, const_spec(1.0))
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", "10", "--out", str(out)]) == 0
@@ -306,14 +307,14 @@ class TestEdgeList:
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(case=edge_writer_cases())
-    @example(case=(1, np.empty((0, 2), dtype=np.int64), 1))
-    @example(case=(10**6 + 1, np.empty((0, 2), dtype=np.int64), 3))
+    @example(case=(1, []))
+    @example(case=(10**6 + 1, [np.empty((0, 2), dtype=np.int64)] * 3))
     def test_writer_chunks_match_oracle(self, case):
-        n, edges, block = case
-        with mock.patch.object(unirep.cli, "_EDGE_BLOCK", block):
-            chunks = list(unirep.cli._edge_lines(edges, n))
-        assert len(chunks) == -(-len(edges) // block)
+        n, blocks = case
+        chunks = list(unirep.cli._edge_lines(iter(blocks), n))
+        assert len(chunks) == len(blocks)
         assert not any(b"\0" in chunk for chunk in chunks)
+        edges = np.concatenate([np.empty((0, 2), dtype=np.int64), *blocks])
         assert b"".join(chunks) == edge_lines_oracle(edges).encode()
 
     @pytest.mark.parametrize("p, n", [(1.0, 1), (0.0, 50)])
@@ -821,6 +822,27 @@ class TestBadInput:
         assert code == 2
         assert_one_error_line(err)
         assert "atom 'b' has probability 1e-20" in err
+
+    @pytest.mark.parametrize(
+        "doc, kernel",
+        [
+            ({"space": {"atoms": ["a", "b"], "probs": [0.5, 0.5]},
+              "kernels": [{"name": "f", "arity": 2, "value_space": "unit", "symmetric": False,
+                           "values": {"a,a": 0.1, "a,b": 0.2, "b,a": 0.3, "b,b": 0.4}}]}, "f"),
+            (TINY_ATOM_SPEC, "r"),
+            (TINY_ATOM_SPEC, "w"),
+        ],
+        ids=["not-symmetric", "arity-1", "tiny-atom"],
+    )
+    def test_sample_checks_run_before_output_opened(self, tmp_path, capsys, doc, kernel):
+        # a sampler that opened --out before its checks would truncate it
+        out = tmp_path / "g.txt"
+        out.write_bytes(b"1 2\n")
+        argv = ["sample", write_spec(tmp_path, doc), "--kernel", kernel, "--n", "5", "--out", str(out)]
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert out.read_bytes() == b"1 2\n"
 
     def test_ztest_with_one_run_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, DEMO_SPEC)

@@ -208,6 +208,28 @@ class TestCdfValidation:
             Cdf("gaussian", ((0.0, 1.0),))
 
 
+class TestStepCdfEvaluate:
+    # jumps of 1/4, 3/8 and 3/8 at -1, 0.5 and 2; F is right-continuous
+    CDF = Cdf("step", ((-1.0, 0.25), (0.5, 0.625), (2.0, 1.0)))
+    POINTS = [
+        (-math.inf, 0.0), (-5.0, 0.0), (math.nextafter(-1.0, -math.inf), 0.0),  # below the first jump
+        (-1.0, 0.25), (0.5, 0.625), (2.0, 1.0),  # at each jump
+        (0.0, 0.25), (math.nextafter(0.5, -math.inf), 0.25), (1.0, 0.625),  # between jumps
+        (math.nextafter(2.0, math.inf), 1.0), (1e300, 1.0), (math.inf, 1.0),  # past the last one
+    ]
+
+    @pytest.mark.parametrize("x, f", POINTS)
+    def test_scalar(self, x, f):
+        value = self.CDF.evaluate(x)
+        assert type(value) is float and value == f
+
+    def test_array(self):
+        xs, fs = map(np.array, zip(*self.POINTS))
+        assert np.array_equal(self.CDF.evaluate_array(xs), fs)
+        grid = xs.reshape(3, 4)
+        assert np.array_equal(self.CDF.evaluate_array(grid), fs.reshape(3, 4))
+
+
 class TestTransportMap:
     def test_identity_cdf(self):
         ident = Cdf("pwl", ((0.0, 0.0), (1.0, 1.0)))
