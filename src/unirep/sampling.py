@@ -24,7 +24,10 @@ are drawn and :func:`sample_graph` joins) or a column of seeds at once
 (:func:`sample_graph_edges`, bit-identical row by row), one block of
 about ``_PAIR_BLOCK`` pairs (or one row) at a time; threads draw blocks.
 It compares each coin's 53 bits with an integer threshold per kernel
-value, which decides exactly as the float compare ``u < w`` would.
+value, which decides exactly as the float compare ``u < w`` would.  The
+hash's first fold is made once per vertex, and on sparse kernels a test of
+the state's top bits rejects most pairs before the last fold and the
+threshold lookup; both are exact, so decisions and bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
 _PAIR_BLOCK = 1 << 16  # vertex pairs drawn per row block
+_REJECT_TOP = 58  # _draw_edges tests candidates up to a 2^(top-64) = 1/64 share (measured)
 
 
 def _u64(v):
@@ -70,15 +74,19 @@ def _u64(v):
     return np.asarray(v).astype(np.uint64, copy=False)
 
 
-def _avalanche(x):
-    """The avalanche sequence of :func:`_mix`, in place on an array ``x``."""
+def _fold(x, shift: int):
+    """``x ^= x >> shift``, in place on an array ``x``."""
+    x ^= x >> np.uint64(shift)
+    return x
+
+
+def _middle(x):
+    """The avalanche of :func:`_mix` between its first and last fold, in place."""
     # uint64 wraparound is the point here; silence overflow accounting
     with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
         x *= _MULT1
         x ^= x >> np.uint64(27)
         x *= _MULT2
-        x ^= x >> np.uint64(31)
     return x
 
 
@@ -91,7 +99,7 @@ def _mix(seed, *words):
     with np.errstate(over="ignore"):
         x = _u64(seed) + _GOLDEN
     for v in words:
-        x = _avalanche(x ^ _u64(v))
+        x = _fold(_middle(_fold(x ^ _u64(v), 30)), 31)
     return x
 
 
@@ -244,15 +252,31 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
     (seeds last, so each broadcast runs along them); ``threads`` (at most one
     per usable CPU) draw whole blocks and return their list; one thread returns
-    a lazy ``map``.  The ``(seed, 1, i)`` state is hashed per vertex."""
+    a lazy ``map``.  The ``(seed, 1, i)`` state is hashed per vertex.
+
+    Two exact steps keep every decision and byte: the first fold, linear under
+    xor, is made once per row state and column ``j``; and as the last fold
+    keeps the highest set bit of the state y before it, ``m < T <= max T``
+    implies ``y < 2^top``, ``top = bit_length(max T) + 11``, so when ``top <=
+    _REJECT_TOP`` only those candidates get the last fold and a threshold."""
     n = len(cells)
     j = _vertices(n, seed)
-    prefix = _mix(seed, 1, j)
+    row, col = _fold(_mix(seed, 1, j), 30), _fold(j, 30)
     thr = np.ceil(values * _TWO53).astype(np.uint64)
+    top = int(thr.max()).bit_length() + 11
+    bound = np.uint64(1 << top) if top <= _REJECT_TOP else None
 
     def block(rows):
         r0, r1 = rows
-        x = _avalanche(prefix[r0:r1, None] ^ j[r0 + 1:])
+        y = _middle(row[r0:r1, None] ^ col[r0 + 1:])
+        if bound is not None:  # exact: pairs at or above the bound are never edges
+            keep = y < bound
+            hit = np.flatnonzero(keep)
+            t, c, *s = np.unravel_index(hit, y.shape)
+            m = _fold(y.reshape(-1)[hit], 31) >> np.uint64(11)
+            keep.reshape(-1)[hit] = m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]
+            return take(r0, keep)
+        x = _fold(y, 31)
         x >>= np.uint64(11)
         if cells.ndim == 1:  # a row gather, then the columns: faster than two indices
             return take(r0, x < np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1))

@@ -46,6 +46,23 @@ DEMO_SPEC = {
     ],
 }
 
+SPARSE_SPEC = {
+    "space": {"atoms": ["a", "b", "c", "d"], "probs": [0.4, 0.3, 0.2, 0.1]},
+    "kernels": [
+        {
+            "name": "f",
+            "arity": 2,
+            "value_space": "unit",
+            "symmetric": True,
+            "values": {
+                "a,a": 0.002, "a,b": 0.004, "a,c": 0.006, "a,d": 0.0085,
+                "b,b": 0.005, "b,c": 0.0075, "b,d": 0.01,
+                "c,c": 0.009, "c,d": 0.0125, "d,d": 0.015,
+            },
+        }
+    ],
+}
+
 CONST_SPEC = {
     "space": {"atoms": ["o"], "probs": [1.0]},
     "kernels": [
@@ -210,6 +227,31 @@ class TestSample:
             ]) == 0
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("doc, n, seed, digests", [
+        # every value below 2^-6: the sampler takes its candidate test
+        (SPARSE_SPEC, 2000, 7, (
+            "bdaf9097c31504716c385fab3e6a7de336c5bdc8bbbbc042aae170c7e1753e55",
+            "a1c67d8f62517e7174097df9b8950153c1fa2246a174ffb1040e932aea4c36d2",
+        )),
+        # values up to 0.6: the full compare
+        (DEMO_SPEC, 400, 5, (
+            "42565afbc4e3be94eef721ea62778f47628bddd6a8a77d909966a56646aa811a",
+            "5f5931ef611b874c7ddc2537205442dcab9457785690ca7d57adba921ee828e3",
+        )),
+    ])
+    def test_pinned_digests(self, tmp_path, doc, n, seed, digests):
+        # sha256 of the edge list and the latents, pinned from an earlier
+        # release, so that a change to the sampler that moves any edge fails
+        spec = write_spec(tmp_path, doc)
+        out, lat = tmp_path / "g.txt", tmp_path / "lat.txt"
+        for threads in ("1", "2"):
+            assert main([
+                "sample", spec, "--n", str(n), "--seed", str(seed), "--threads", threads,
+                "--out", str(out), "--latents", str(lat),
+            ]) == 0
+            got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, lat))
+            assert got == digests, threads
 
     def test_latent_dump(self, tmp_path):
         spec = write_spec(tmp_path, const_spec(0.5))

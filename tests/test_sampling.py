@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import unirep
@@ -466,6 +468,119 @@ class TestCoinThresholds:
             k = Kernel("f", 2, UNIT, sp, values, symmetric=True)
             assert sample_graph(k, 6, seed).edges.tolist() == expected
             assert pair_list(6)[sample_graph_edges(k, 6, [seed])[0]].tolist() == expected
+
+
+def rejection_top(t):
+    """The bound's bit of the sampler's candidate test for a largest threshold t."""
+    return int(t).bit_length() + 11
+
+
+def last_fold_bits(y):
+    """The coin's high 53 bits m from the state y before the hash's last fold."""
+    return (y ^ (y >> 31)) >> 11
+
+
+class TestCoinRejection:
+    """When the largest threshold T is small, the sampler keeps only the pairs
+    whose state y before the last fold is below 2^top, top = bit_length(T) + 11,
+    and finishes the hash and looks up the threshold for those alone.  Every
+    edge must still be the per-pair oracle's."""
+
+    @staticmethod
+    def check(k, n, seeds):
+        top = rejection_top(math.ceil(k.values.max() * 2**53))
+        assert top <= sampling._REJECT_TOP, "the kernel must take the rejection path"
+        rows = sample_graph_edges(k, n, seeds)
+        for seed, row in zip(seeds, rows):
+            expected = sample_graph_pairwise(k, n, seed).tolist()
+            assert pair_list(n)[row].tolist() == expected, seed
+            for threads in (1, 2):
+                assert sample_graph(k, n, seed, threads=threads).edges.tolist() == expected
+
+    def test_values_at_small_coins(self):
+        # each pair whose coin u is below 2^-8 gets a kernel whose largest
+        # value, at that pair's cells, is u or a neighbour of u
+        sp = space([f"c{a}" for a in range(32)], [1 / 32] * 32)
+        checked = 0
+        for seed in range(4):
+            cells = sample_latents(sp, 40, seed).cells
+            for i, j in pair_list(40).tolist():
+                u = unit_uniform_scalar(seed, 1, i, j)
+                if u >= 2.0**-8:
+                    continue
+                for w in (u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)):
+                    values = np.zeros((32, 32))
+                    values[cells[i - 1], cells[j - 1]] = values[cells[j - 1], cells[i - 1]] = w
+                    self.check(Kernel("f", 2, UNIT, sp, values, symmetric=True), 40, [seed])
+                    checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("k", (7, 9))
+    def test_edge_values(self, k):
+        # largest values at a power of two, one ulp below it, and one 2^-53
+        # below it, where the threshold's bit length and so top drop by one
+        p = 2.0**-k
+        sp = space([f"c{a}" for a in range(6)], [1 / 6] * 6)
+        for largest in (p, np.nextafter(p, 0.0), p - 2.0**-53):
+            w = (0.0, 5e-324, largest, np.nextafter(largest, 0.0), largest / 2, largest / 3)
+            values = np.array([[w[(a + b) % 6] for b in range(6)] for a in range(6)])
+            self.check(Kernel("f", 2, UNIT, sp, values, symmetric=True), 120, [3, 4])
+
+    def test_switch_point(self):
+        # 2^-6 - 2^-53 is the largest value at the switch; 2^-6 is past it
+        t = math.ceil((2.0**-6 - 2.0**-53) * 2**53)
+        assert rejection_top(t) == sampling._REJECT_TOP
+        assert rejection_top(math.ceil(2.0**-6 * 2**53)) == sampling._REJECT_TOP + 1
+
+    def test_both_paths_agree(self, monkeypatch):
+        # forcing the rejection path (top <= 63) or the full compare on the
+        # same kernels changes no edge, for one seed and for a column of them
+        rng = np.random.default_rng(19)
+        sp = space([f"c{a}" for a in range(5)], [0.2] * 5)
+        seeds = derive_seed(6, 0, np.arange(20, dtype=np.uint64))
+        for scale in (2.0**-12, 2.0**-5, 0.49):
+            values = rng.random((5, 5)) * scale
+            k = Kernel("f", 2, UNIT, sp, (values + values.T) / 2, symmetric=True)
+            got = []
+            for reject_top in (63, 0):
+                monkeypatch.setattr(sampling, "_REJECT_TOP", reject_top)
+                got.append((sample_graph_edges(k, 50, seeds),
+                            [sample_graph(k, 700, s, threads=2).edges for s in (1, 2)]))
+            assert np.array_equal(got[0][0], got[1][0])
+            assert all(np.array_equal(a, b) for a, b in zip(got[0][1], got[1][1]))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 64)).map(lambda a: a[0] >> a[1]),
+        st.integers(0, 2**53),
+    )
+    @example(2**63, 2**52)
+    @example(2**64 - 1, 2**53)
+    def test_rule(self, y, t):
+        # m < T implies y < 2^top(T)
+        if last_fold_bits(y) < t:
+            assert y < 2 ** rejection_top(t)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**53), st.integers(-3, 3))
+    def test_rule_at_the_bound(self, t, d):
+        y = min(max(2 ** rejection_top(t) + d, 0), 2**64 - 1)
+        if last_fold_bits(y) < t:
+            assert y < 2 ** rejection_top(t)
+
+    def test_rule_on_many_states(self):
+        # states of every bit length against thresholds of nearby bit lengths,
+        # in uint64 as the sampler computes them
+        rng = np.random.default_rng(31)
+        y = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        y >>= rng.integers(0, 64, 10**6).astype(np.uint64)
+        bits = np.array([int(v).bit_length() for v in y.tolist()]) - 11 + rng.integers(-1, 3, 10**6)
+        t = rng.integers(0, 2**53, 10**6, dtype=np.uint64, endpoint=True)
+        t >>= np.clip(53 - bits, 0, 53).astype(np.uint64)
+        hit = sampling._fold(y.copy(), 31) >> np.uint64(11) < t
+        tops = np.array([rejection_top(v) for v in t[hit].tolist()])
+        assert hit.sum() > 10**5
+        assert all(int(v) < 2**int(s) for v, s in zip(y[hit].tolist(), tops))
 
 
 class TestSampleArray:
