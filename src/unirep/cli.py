@@ -34,7 +34,7 @@ from .representation import (
     sigma_atoms,
 )
 from .sampling import _graph_blocks
-from .specfile import SpecDocument, dump_represented, load_spec
+from .specfile import SpecDocument, _represented, load_spec
 
 __all__ = ["main"]
 
@@ -55,16 +55,19 @@ def _write(chunks, out: str):
 
 def _indented(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, where every dict that
-    holds a container has string keys.  ``indent`` selects CPython's
-    pure-Python encoder, so each container of scalars goes to the C encoder
-    in one call, with the line break and indent carried in its item
-    separator; only the levels that hold containers are joined here."""
+    holds a container has string keys; an ndarray of shape ``(K,) * m`` is
+    the dict ``{"c0,...,c(m-1)": value}`` of its entries (:func:`_table`).
+    ``indent`` selects CPython's pure-Python encoder, so each other container
+    of scalars goes to the C encoder in one call, with the line break and
+    indent in its item separator; only levels holding containers are joined."""
+    if isinstance(obj, np.ndarray):
+        return _table(obj, depth)
     if not isinstance(obj, (dict, list, tuple)) or not obj:  # a scalar or an empty container
         return json.dumps(obj)
     pad = "\n" + "  " * (depth + 1)
     sep = "," + pad
     values = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+    if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in values):
         body = json.dumps(obj, separators=(sep, ": "))[1:-1]
     elif isinstance(obj, dict):
         body = sep.join(f"{json.dumps(k)}: {_indented(v, depth + 1)}" for k, v in obj.items())
@@ -74,24 +77,55 @@ def _indented(obj, depth: int = 0) -> str:
     return ends[0] + pad + body + "\n" + "  " * depth + ends[1]
 
 
+def _table(values: np.ndarray, depth: int) -> str:
+    """The indented JSON object of a value array at ``depth``: one fixed-width
+    record ``"c0,...": value,<line break and indent>`` per entry, gathered from
+    :func:`_decimals` and from the JSON texts of the distinct values (distinct
+    bit patterns, so ``-0.0`` stays apart from ``0.0``), NUL-padded.  One
+    ``bytes.translate`` deletes the NULs; the last separator is cut."""
+    pad = "\n" + "  " * (depth + 1)
+    distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    texts = json.dumps(distinct.view(values.dtype).tolist())[1:-1].split(", ")
+    texts, cells, m = np.array([t.encode() for t in texts]), _decimals(len(values) - 1), values.ndim
+    width = cells.dtype.itemsize
+    record = '"' + ",".join(["\0" * width] * m) + '": ' + "\0" * texts.dtype.itemsize + "," + pad
+    buf = bytearray(record.encode() * values.size)
+    rec = np.frombuffer(buf, np.dtype({
+        "names": [*map(str, range(m)), "v"], "formats": [cells.dtype] * m + [texts.dtype],
+        "offsets": [*range(1, m * (width + 1), width + 1), m * (width + 1) + 3],
+        "itemsize": len(record),
+    })).reshape(values.shape)
+    for a in range(m):  # cell a of every record, broadcast along the other axes
+        rec[str(a)] = cells.reshape(-1, *[1] * (m - 1 - a))
+    rec["v"] = texts[inverse].reshape(values.shape)
+    body = buf.translate(None, b"\0")[: -len(pad) - 1].decode()
+    return "{" + pad + body + "\n" + "  " * depth + "}"
+
+
 def _write_json(obj, out: str):
     """Write ``obj`` as indented JSON and a newline to ``out`` (``-``: stdout)."""
     _write([(_indented(obj) + "\n").encode()], out)
 
 
-def _edge_lines(blocks, n: int):
-    """The ``"i j\n"`` lines of ``blocks`` (``(e, 2)`` arrays of integers in
-    1..n, drawn as iterated) as bytes, one chunk per block.  Row v of a table
-    holds ``str(v)`` (v ≥ 1) right-aligned in ``len(str(n))`` bytes, NULs in
-    front; each block gathers whole numbers from it into fixed-width line
-    records, and one ``bytes.translate`` deletes the NULs."""
+def _decimals(n: int) -> np.ndarray:
+    """Row v holds ``str(v)``, v = 0..n, right-aligned in ``len(str(n))``
+    bytes with NULs in front, as one ``V{width}`` item."""
     width = len(str(n))
     v = np.arange(n + 1, dtype=np.min_scalar_type(n))  # the narrowest type divides fastest
     table = np.zeros((n + 1, width), dtype=np.uint8)
     for d in range(width):  # decimal place d is present from v = 10**d on
         table[10**d :, -1 - d] = v[10**d :] // 10**d % 10 + ord("0")
-    table = table.view(f"V{width}")[:, 0]
-    line = np.dtype([("i", f"V{width}"), ("sp", "u1"), ("j", f"V{width}"), ("nl", "u1")])
+    table[0, -1] = ord("0")
+    return table.view(f"V{width}")[:, 0]
+
+
+def _edge_lines(blocks, n: int):
+    """The ``"i j\n"`` lines of ``blocks`` (``(e, 2)`` arrays of integers in
+    1..n, drawn as iterated) as bytes, one chunk per block.  Each block
+    gathers whole numbers from :func:`_decimals` into fixed-width line
+    records, and one ``bytes.translate`` deletes the NULs."""
+    table = _decimals(n)
+    line = np.dtype([("i", table.dtype), ("sp", "u1"), ("j", table.dtype), ("nl", "u1")])
     for i, j in (edges.T for edges in blocks):
         buf = np.empty(len(i), dtype=line)
         buf["i"], buf["j"] = table[i], table[j]
@@ -126,7 +160,7 @@ def cmd_represent(args) -> int:
         represented = cantor_represent_family(space, generators, family)
     else:
         represented = represent_family(space, family)
-    _write_json(dump_represented(represented), args.out)
+    _write_json(_represented(represented), args.out)
     return 0
 
 

@@ -254,6 +254,17 @@ def _coordinates(key):
     return tuple(key.split(",")) if isinstance(key, str) else key
 
 
+def _sorted(coords) -> tuple:
+    """The m coordinate arrays ``coords`` (broadcastable) sorted elementwise,
+    as ``np.sort`` of their stack along its first axis gives them: m rounds of
+    an odd-even transposition network of ``np.minimum``/``np.maximum``."""
+    coords = list(coords)
+    for r in range(len(coords)):
+        for a in range(r % 2, len(coords) - 1, 2):
+            coords[a : a + 2] = np.minimum(*coords[a : a + 2]), np.maximum(*coords[a : a + 2])
+    return tuple(coords)
+
+
 def values_from_table(
     keys, positions: np.ndarray, values: list, size: int, value_space: ValueSpace, where: str,
     orbits=False,
@@ -265,7 +276,8 @@ def values_from_table(
     ``size`` coordinates; -1 marks an unknown coordinate or a key of
     another arity.  Without ``orbits`` each tuple is listed once.  With
     ``orbits`` each orbit of the coordinate permutations is listed with
-    one value, and each tuple takes the value first listed for its orbit."""
+    one value, and each tuple takes the value first listed for its orbit,
+    named by its sorted positions (:func:`_sorted`)."""
     count, arity = positions.shape
     unknown = (positions < 0).any(axis=1)
     if unknown.any():
@@ -282,7 +294,7 @@ def values_from_table(
     if size**arity * np.dtype(np.intp).itemsize > np.iinfo(np.intp).max:
         raise ScaleError(f"{where}: a table of {size}^{arity} tuples is more than numpy can hold")
     listed = np.full((size,) * arity, count)  # the first entry listed at each tuple
-    at = tuple((np.sort(positions, axis=1) if orbits else positions).T)
+    at = _sorted(positions.T) if orbits else tuple(positions.T)
     np.minimum.at(listed, at, np.arange(count))
     first = listed[at]  # the first entry listed at each entry's tuple
     clash = first != np.arange(count)
@@ -292,7 +304,7 @@ def values_from_table(
         key = keys[np.argmax(clash)]
         why = "symmetric orbit of {!r} lists conflicting values" if orbits else "duplicate key {!r}"
         raise SpecError(f"{where}: " + why.format(key))
-    which = listed[tuple(np.sort(np.indices(listed.shape), axis=0))] if orbits else listed
+    which = listed[_sorted(np.ix_(*[np.arange(size)] * arity))] if orbits else listed
     if (which == count).any():
         listed_count = (which < count).sum()
         raise SpecError(f"{where}: table has {listed_count} entries, needs all {which.size} tuples")

@@ -243,8 +243,8 @@ def _row_blocks(n: int, seeds: int):
 
 
 def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int = 1):
-    """``take(r0, keep)`` of each row block ``[r0, r1)`` of the vertices on the
-    first axis of ``cells``, in row order: ``keep[t, c, ...]`` says whether
+    """``take(r0, shape, hit)`` of each row block ``[r0, r1)`` of the vertices on
+    the first axis of ``cells``, in row order: ``hit[t, c, ...]`` says whether
     ``unit_uniform(seed, 1, i, j) < values[cells[i-1], cells[j-1]]`` at
     ``i = r0 + t + 1``, ``j = r0 + c + 2``, and ``take`` drops ``c < t``.
     The compare is made in integers, with the same decisions: the coin's high
@@ -258,7 +258,8 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     xor, is made once per row state and column ``j``; and as the last fold
     keeps the highest set bit of the state y before it, ``m < T <= max T``
     implies ``y < 2^top``, ``top = bit_length(max T) + 11``, so when ``top <=
-    _REJECT_TOP`` only those candidates get the last fold and a threshold."""
+    _REJECT_TOP`` only those candidates get the last fold and a threshold, and
+    ``hit`` is not a bool array of ``shape`` but the flat indices of its edges."""
     n = len(cells)
     j = _vertices(n, seed)
     row, col = _fold(_mix(seed, 1, j), 30), _fold(j, 30)
@@ -270,17 +271,16 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
         r0, r1 = rows
         y = _middle(row[r0:r1, None] ^ col[r0 + 1:])
         if bound is not None:  # exact: pairs at or above the bound are never edges
-            keep = y < bound
-            hit = np.flatnonzero(keep)
+            hit = np.flatnonzero(y < bound)
             t, c, *s = np.unravel_index(hit, y.shape)
             m = _fold(y.reshape(-1)[hit], 31) >> np.uint64(11)
-            keep.reshape(-1)[hit] = m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]
-            return take(r0, keep)
+            return take(r0, y.shape, hit[m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]])
         x = _fold(y, 31)
         x >>= np.uint64(11)
-        if cells.ndim == 1:  # a row gather, then the columns: faster than two indices
-            return take(r0, x < np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1))
-        return take(r0, x < thr[cells[r0:r1, None], cells[None, r0 + 1:]])
+        # one seed: a row gather, then the columns, is faster than two indices
+        at = (np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1) if cells.ndim == 1
+              else thr[cells[r0:r1, None], cells[None, r0 + 1:]])
+        return take(r0, y.shape, x < at)
 
     blocks = list(_row_blocks(n, np.size(seed)))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -293,16 +293,18 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     return map(block, blocks)
 
 
-def _block_edges(r0, keep):
+def _block_edges(r0, shape, hit):
     """The edges ``(i, j)`` of one row block of :func:`_draw_edges`, in pair order."""
-    t, c = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    t, c = np.divmod(np.flatnonzero(hit) if hit.dtype == bool else hit, shape[1])
     upper = c >= t
     return np.column_stack((t[upper] + (r0 + 1), c[upper] + (r0 + 2)))
 
 
-def _block_pairs(r0, keep):
+def _block_pairs(r0, shape, hit):
     """The pairs of one row block of :func:`_draw_edges` per seed, in pair order."""
-    return keep[np.triu(np.ones(keep.shape[:2], bool))]
+    if hit.dtype != bool:  # the flat indices of the edges
+        hit = np.bincount(hit, minlength=np.prod(shape)).astype(bool).reshape(shape)
+    return hit[np.triu(np.ones(shape[:2], bool))]
 
 
 def _graph_blocks(kernel: Kernel, n: int, seed: int, threads: int = 1):

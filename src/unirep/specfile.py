@@ -235,30 +235,27 @@ def _dump_value_space(vs: ValueSpace):
     return vs.kind
 
 
-def dump_represented(family: KernelFamily) -> dict:
-    """Serialize a step family (with its partition) to the artifact form
-    accepted back by :func:`load_spec`."""
+def _represented(family: KernelFamily) -> dict:
+    """The artifact document of a step family, each table as its value array."""
     if not isinstance(family.domain, IntervalPartition):
         raise SpecError("dump_represented expects a family of step kernels")
     partition = family.domain
-    names = [str(c) for c in range(len(partition))]
-    kernels = []
-    for k in family:
-        keys = map(",".join, product(names, repeat=k.arity))
-        values = dict(zip(keys, k.values.ravel().tolist()))
-        kernels.append(
-            {
-                "name": k.name,
-                "arity": k.arity,
-                "value_space": _dump_value_space(k.value_space),
-                "symmetric": k.symmetric,
-                "values": values,
-            }
-        )
     return {
-        "partition": {
-            "breakpoints": list(partition.breakpoints),
-            "cells": list(partition.cell_labels),
-        },
-        "kernels": kernels,
+        "partition": {"breakpoints": list(partition.breakpoints), "cells": list(partition.cell_labels)},
+        "kernels": [
+            {"name": k.name, "arity": k.arity, "value_space": _dump_value_space(k.value_space),
+             "symmetric": k.symmetric, "values": k.values}
+            for k in family
+        ],
     }
+
+
+def dump_represented(family: KernelFamily) -> dict:
+    """Serialize a step family (with its partition) to the artifact form
+    accepted back by :func:`load_spec`."""
+    doc = _represented(family)
+    names = [str(c) for c in range(len(family.domain))]
+    for k in doc["kernels"]:
+        keys = map(",".join, product(names, repeat=k["arity"]))
+        k["values"] = dict(zip(keys, k["values"].ravel().tolist()))
+    return doc

@@ -27,7 +27,7 @@ from unirep.cli import _indented, main
 from unirep.sampling import pair_list
 from unirep.specfile import load_spec
 
-from util import edge_lines_oracle
+from util import dump_represented_oracle, edge_lines_oracle
 
 DEMO_SPEC = {
     "space": {"atoms": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]},
@@ -522,27 +522,6 @@ BENCH_SHAPE_SPEC = {
 }
 
 
-def dump_represented_oracle(family):
-    """The artifact document, its keys built one ``map(str, key)`` per tuple."""
-    partition = family.domain
-    return {
-        "partition": {"breakpoints": list(partition.breakpoints),
-                      "cells": list(partition.cell_labels)},
-        "kernels": [
-            {
-                "name": k.name,
-                "arity": k.arity,
-                "value_space": {"labels": k.value_space.num_labels}
-                if k.value_space.kind == "labels" else k.value_space.kind,
-                "symmetric": k.symmetric,
-                "values": {",".join(map(str, key)): k.values[key].item()
-                           for key in product(range(len(partition)), repeat=k.arity)},
-            }
-            for k in family
-        ],
-    }
-
-
 _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(2**63, 10**40), st.floats(), st.text(),
 )
@@ -552,6 +531,52 @@ JSON_DOCS = st.recursive(
     | st.dictionaries(st.text(max_size=5), inner, max_size=4),
     max_leaves=40,
 )
+
+
+# Values that cross the float text widths: a signed zero beside 0.0, the
+# smallest subnormal and a 301-digit magnitude.
+_EDGE_FLOATS = {"unit": [-0.0, 0.0, 5e-324, 0.1, 1 / 3, 1.0],
+                "real": [-0.0, 0.0, 5e-324, 1e300, -2.5, 0.1]}
+
+
+@st.composite
+def table_writer_cases(draw):
+    """A cell count that crosses a digit width, an arity, a value space, how
+    many distinct values the table holds, a route and a seed for the values."""
+    cells = draw(st.sampled_from([1, 9, 10, 11, 100]))
+    arity = draw(st.sampled_from([m for m in range(1, 5) if cells**m <= 15_000]))
+    kind = draw(st.sampled_from(["real", "unit", "labels"]))
+    distinct = draw(st.sampled_from(["one", "few", "all"]))
+    return cells, arity, kind, distinct, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def table_writer_spec(cells, arity, kind, distinct, seed):
+    """A one-kernel spec on ``cells`` atoms whose table holds one value, a few
+    (the edge floats, or labels 0..6), or all different values."""
+    rng = np.random.default_rng(seed)
+    size = cells**arity
+    atoms = [f"a{k}" for k in range(cells)]
+    if kind == "labels":
+        count = size if distinct == "all" else 7
+        values = rng.permutation(size) if distinct == "all" else rng.integers(0, 7, size)
+        value_space = {"labels": count}
+    else:
+        value_space = kind
+        if distinct == "all":  # distinct magnitudes at one random scale
+            scale = 1 / size if kind == "unit" else 10.0 ** rng.integers(-300, 300)
+            sign = rng.choice([-1.0, 1.0], size) if kind == "real" else 1.0
+            values = sign * (rng.permutation(size) + 0.5 * (kind == "real")) * scale
+        else:
+            values = rng.choice(_EDGE_FLOATS[kind], size)
+    if distinct == "one":
+        values = np.full(size, values[0])
+    keys = map(",".join, product(atoms, repeat=arity))
+    return {
+        "space": {"atoms": atoms, "probs": rng.dirichlet(np.ones(cells)).tolist()},
+        "generators": [[a] for a in atoms],
+        "kernels": [{"name": "f", "arity": arity, "value_space": value_space,
+                     "values": dict(zip(keys, values.tolist()))}],
+    }
 
 
 class TestJsonOutput:
@@ -613,6 +638,34 @@ class TestJsonOutput:
         for loaded, kernel in zip(load_spec(artifact).family, represent_family(space, family)):
             assert loaded.values.dtype == kernel.values.dtype
             assert loaded.values.tobytes() == kernel.values.tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(case=table_writer_cases())
+    @example(case=(1, 1, "real", "one", False, 0))
+    @example(case=(11, 2, "real", "few", False, 1))
+    @example(case=(10, 4, "unit", "few", True, 2))
+    @example(case=(100, 2, "labels", "all", False, 3))
+    @example(case=(9, 3, "real", "all", True, 4))
+    def test_table_writer_equals_oracle(self, tmp_path_factory, case):
+        """``represent`` writes each table as ``json.dumps(oracle, indent=2)``
+        does, across the digit widths of the cells (K = 9, 10, 11, 100), in
+        every value space, with one, few or all distinct values, including
+        ``-0.0`` beside ``0.0``, ``5e-324`` and ``1e300``, by either route."""
+        *shape, cantor, seed = case
+        tmp = tmp_path_factory.mktemp("writer")
+        spec = write_spec(tmp, table_writer_spec(*shape, seed))
+        doc = load_spec(spec)
+        if cantor:
+            rep = cantor_represent_family(doc.space, doc.generators, doc.family)
+        else:
+            rep = represent_family(doc.space, doc.family)
+        out = tmp / "rep.json"
+        argv = ["represent", spec, "--out", str(out)] + ["--via-cantor"] * cantor
+        assert main(argv) == 0
+        oracle = json.dumps(dump_represented_oracle(rep), indent=2) + "\n"
+        assert out.read_text() == oracle
+        back = load_spec(out).family.kernels[0].values
+        assert back.tobytes() == rep.kernels[0].values.tobytes()
 
 
 class TestDensities:

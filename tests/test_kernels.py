@@ -1,7 +1,12 @@
-from itertools import permutations
+from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import unirep.kernels
 
 from unirep import (
     ArityError,
@@ -17,7 +22,7 @@ from unirep import (
     interval_partition,
     represent_family,
 )
-from unirep.kernels import value_array
+from unirep.kernels import _sorted, value_array, values_from_table
 
 from util import LABELS3, REAL, UNIT, const_graph_kernel, random_kernel, space, table_kernel, two_block_kernel
 
@@ -267,3 +272,72 @@ class TestValueStorage:
         assert not ok
         assert sorted(t1) == sorted(t2) == ["a", "b", "c"]
         assert table[t1] != table[t2]
+
+
+def _sort_form(coords):
+    """The coordinate arrays sorted by ``np.sort`` of their stack."""
+    return tuple(np.sort(np.stack(np.broadcast_arrays(*coords)), axis=0))
+
+
+def _orbit_table(arity, size, seed, fault):
+    """Keys, positions and values of a symmetric real table that lists each
+    orbit in a random order, some tuples twice; ``fault`` leaves one orbit
+    out or gives two listed tuples of one orbit different values."""
+    rng = np.random.default_rng(seed)
+    tuples = np.array(list(product(range(size), repeat=arity)))
+    _, first, orbit = np.unique(np.sort(tuples, axis=1), axis=0, return_index=True,
+                                return_inverse=True)
+    orbit = orbit.reshape(-1)
+    listed = rng.random(len(tuples)) < 0.4
+    listed[first] = True
+    value = rng.random(len(first))[orbit]
+    if fault == "missing":
+        listed[orbit == rng.integers(len(first))] = False
+    elif fault == "conflict" and np.bincount(orbit).max() > 1:
+        big = np.flatnonzero(np.bincount(orbit) > 1)
+        members = np.flatnonzero(orbit == rng.choice(big))
+        listed[members] = True
+        value[rng.choice(members)] += 1.0
+    rows = np.flatnonzero(listed)
+    rows = rng.permutation(np.concatenate([rows, rng.choice(rows, len(rows) // 4)]))
+    positions = tuples[rows]
+    keys = [",".join(map(str, p)) for p in positions.tolist()]
+    return keys, positions, value[rows].tolist()
+
+
+class TestOrbitNetwork:
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_sorted_equals_np_sort(self, arity, size, seed):
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, size, (arity, 50))
+        assert np.array_equal(np.stack(_sorted(coords)), np.sort(coords, axis=0))
+        grid = np.ix_(*[np.arange(size)] * arity)
+        assert np.array_equal(np.stack(np.broadcast_arrays(*_sorted(grid))),
+                              np.sort(np.indices((size,) * arity), axis=0))
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, "missing", "conflict"]))
+    def test_values_from_table_equals_sort_form(self, arity, size, seed, fault):
+        """With orbits, the compare-exchange network gives the array, or the
+        conflicting-orbit or missing-orbit error with the same witness key
+        and message, that sorting the positions with ``np.sort`` gives."""
+        keys, positions, values = _orbit_table(arity, size, seed, fault)
+
+        def load():
+            try:
+                got = values_from_table(keys, positions, values, size, REAL, "kernel 'f'", True)
+                return got.tobytes(), None
+            except SpecError as exc:
+                return None, str(exc)
+
+        result = load()
+        with mock.patch.object(unirep.kernels, "_sorted", _sort_form):
+            assert result == load()
+        if fault == "missing":
+            assert "entries, needs all" in result[1]
+        elif fault == "conflict" and size > 1 < arity:
+            assert "lists conflicting values" in result[1]
+        else:
+            assert result[1] is None

@@ -13,9 +13,12 @@ from unirep import (
     represent_family,
     step_family_as_space,
 )
-from unirep.cli import main
+from unirep.cli import _indented, main
+from unirep.specfile import _represented
 
-from util import LABELS3, REAL, UNIT, random_family, random_kernel, random_space, space
+from util import (
+    LABELS3, REAL, UNIT, dump_represented_oracle, random_family, random_kernel, random_space, space,
+)
 
 import numpy as np
 
@@ -263,6 +266,7 @@ def test_loader_rejection_contract(tmp_path, capsys, case):
 
 class TestRepresentedArtifactRoundTrip:
     def test_roundtrip(self):
+        # dump and the CLI's artifact writer give the oracle's document;
         # load(dump(represent(family))) gives back the represented arrays,
         # and their joint law has the source's support, by either route
         rng = np.random.default_rng(51)
@@ -283,7 +287,10 @@ class TestRepresentedArtifactRoundTrip:
                 rep = cantor_represent_family(sp, [[a] for a in sp.atom_ids], fam)
             else:
                 rep = represent_family(sp, fam)
-            doc = loads_spec(json.dumps(dump_represented(rep)))
+            text = json.dumps(dump_represented(rep))
+            assert text == json.dumps(dump_represented_oracle(rep))
+            assert _indented(_represented(rep)) == json.dumps(dump_represented_oracle(rep), indent=2)
+            doc = loads_spec(text)
             assert doc.partition == rep.domain
             for orig, back in zip(rep, doc.family):
                 assert (back.name, back.arity, back.value_space, back.symmetric) == (

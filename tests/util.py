@@ -119,6 +119,27 @@ def edge_lines_oracle(edges):
     return "".join(f"{i} {j}\n" for i, j in np.asarray(edges).tolist())
 
 
+def dump_represented_oracle(family):
+    """The artifact document, its keys built one ``map(str, key)`` per tuple."""
+    partition = family.domain
+    return {
+        "partition": {"breakpoints": list(partition.breakpoints),
+                      "cells": list(partition.cell_labels)},
+        "kernels": [
+            {
+                "name": k.name,
+                "arity": k.arity,
+                "value_space": {"labels": k.value_space.num_labels}
+                if k.value_space.kind == "labels" else k.value_space.kind,
+                "symmetric": k.symmetric,
+                "values": {",".join(map(str, key)): k.values[key].item()
+                           for key in product(range(len(partition)), repeat=k.arity)},
+            }
+            for k in family
+        ],
+    }
+
+
 def sample_array_loop(family, n, seed):
     """Per-tuple oracle for ``sample_array``: one ``eval_kernel`` call per
     ordered tuple of distinct indices, in ``permutations`` order."""
