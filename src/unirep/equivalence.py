@@ -2,11 +2,12 @@
 
 At small scale the decision is exact: :func:`exact_joint_law`,
 :func:`hom_density` and :func:`graph_law_exact` are sums over one
-enumerator of Omega^n, :func:`_assignments`.  Joint laws are arrays of
-value ranks packed into int64 keys, and :func:`tv_distance` matches two
-laws' support points on their values, as dict keys match (exact because
-both laws draw their values from identical tables; upstream modules
-copy values, never recompute them through different arithmetic).
+enumerator of Omega^n, :func:`_assignments`.  Joint laws hold per-kernel
+arrays of index tuples and value positions, their value ranks packed into
+int64 keys, and :func:`tv_distance` matches two laws' support points on
+their values, as dict keys match (exact because both laws draw their
+values from identical tables; upstream modules copy values, never
+recompute them through different arithmetic).
 
 Beyond enumeration scale, :func:`mc_two_sample_test` compares sampled
 graph laws statistically: labeled-graph frequency chi-squared for small
@@ -26,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ArityError, PowerError, RangeError, ScaleError, SpecError
 from .kernels import Kernel, KernelFamily
-from .sampling import derive_seed, pair_list, sample_graph, sample_graph_edges
+from .sampling import _index_tuples, derive_seed, pair_list, sample_graph, sample_graph_edges
 from .spaces import DiscreteSpace, IntervalPartition
 
 __all__ = [
@@ -72,57 +73,49 @@ def _check_cap(cap: int | None, message: str, *powers: tuple[int, int]) -> None:
 class JointLaw:
     """Exact finite distribution of all kernel values at iid points.
 
-    ``keys`` lists, in canonical order (family order, then
-    lexicographic 1-based index tuples), the coordinates of the value
-    vectors.  The law holds one probability per support point (distinct
-    points, in order of first occurrence) and per key a pair ``(table,
-    index)`` with ``table[index]`` the key's values: a kernel's flat value
-    array and flat cells from :func:`exact_joint_law`, or the column itself
-    and ``arange`` when built from a mapping.  ``support``, the read-only
-    mapping from value vectors to probabilities, is built when first read.
-    """
+    It holds one probability per support point (distinct points, in order of
+    first occurrence) and per kernel a run ``(name, tuples, table, index)``:
+    its ``(C, m)`` 1-based index tuples in ``permutations`` order, and as
+    ``table[index]`` its ``(C, S)`` values at the S points (a value array at
+    flat cells; from a mapping, per run of keys of one name, their values at
+    an ``arange``).  ``keys``, the (name, tuple) coordinates, and the read-only
+    ``support`` mapping of value vectors are built when first read."""
 
     def __init__(self, n: int, keys: tuple, support: Mapping[tuple, float]):
         if any(len(vec) != len(keys) for vec in support):
             raise SpecError(f"joint-law vectors must have {len(keys)} coordinates")
-        rows = np.arange(len(support))
-        columns = tuple((np.fromiter((vec[q] for vec in support), object, len(rows)), rows)
-                        for q in range(len(keys)))
-        self._set(n, keys, columns, np.array(list(support.values()), dtype=float))
+        names = [(name, np.array([idx for _, idx in run], np.int64))
+                 for (name, _), run in groupby(keys, key=lambda key: (key[0], len(key[1])))]
+        values = np.array(list(support), dtype=object).reshape(len(support), len(keys)).T
+        columns = np.split(values, np.cumsum([len(t) for _, t in names])[:-1])
+        runs = tuple((name, t, v.ravel(), np.arange(v.size).reshape(v.shape))
+                     for (name, t), v in zip(names, columns))
+        self._set(n, runs, np.array(list(support.values()), dtype=float))
 
-    def _set(self, n, keys, columns, probs) -> JointLaw:
+    def _set(self, n, runs, probs) -> JointLaw:
         total = math.fsum(probs.tolist())
         if (probs < 0.0).any():
             raise SpecError("joint-law probabilities must be nonnegative")
         if abs(total - 1.0) > 1e-12:
             raise SpecError(f"joint-law probabilities sum to {total!r}, not 1")
-        vars(self).update(n=n, keys=keys, _columns=columns, _probs=probs)
+        vars(self).update(n=n, _runs=runs, _probs=probs)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a JointLaw is immutable; cannot set {name!r}")
 
     @cached_property
+    def keys(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return tuple((name, idx) for name, t, _, _ in self._runs for idx in map(tuple, t.tolist()))
+
+    @cached_property
     def support(self) -> Mapping[tuple, float]:
-        vectors = list(zip(*(table[index].tolist() for table, index in self._columns))) or [()]
-        return MappingProxyType(dict(zip(vectors, self._probs.tolist())))
+        columns = (column for _, _, table, index in self._runs for column in table[index].tolist())
+        return MappingProxyType(dict(zip(list(zip(*columns)) or [()], self._probs.tolist())))
 
     @property
     def support_size(self) -> int:
         return len(self._probs)
-
-
-def canonical_keys(family: KernelFamily, n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """All (kernel name, distinct-index tuple) coordinates for sample size n.
-
-    Kernels whose arity exceeds n contribute no coordinates: the
-    n-point marginal of the infinite collection contains no tuple long
-    enough for them.
-    """
-    keys = []
-    for k in family:
-        keys.extend((k.name, idx) for idx in permutations(range(1, n + 1), k.arity))
-    return tuple(keys)
 
 
 _ENUM_BLOCK = 1 << 16  # terms per block of _assignments
@@ -156,20 +149,28 @@ def _rank(a: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.reshape(a.shape).astype(np.min_scalar_type(-len(distinct))), len(distinct)
 
 
-def _pack(columns, length: int) -> np.ndarray:
-    """One int64 key per row, equal for rows equal in all ``columns`` (of
-    nonnegative integers): a mixed-radix packing, re-ranked by ``np.unique``
-    only where the next radix would take it past ``_PACK``."""
+def _pack(blocks, length: int) -> np.ndarray:
+    """One int64 key per column of the 2-D ``blocks`` of nonnegative integers, equal
+    for equal columns: a mixed-radix packing of the rows not all zero (the others
+    keep every key), re-ranked by ``np.unique`` only where a radix would pass ``_PACK``."""
     key, size = np.zeros(length, np.int64), 1
-    for col in columns:
-        width = int(col.max(initial=0)) + 1
-        if size * width > _PACK:
-            key, size = _rank(key)
+    for block in blocks:
+        for row in block[block.any(axis=1)]:
+            width = int(row.max()) + 1
             if size * width > _PACK:
-                col, width = _rank(col)
-        key = key * np.int64(width) + col  # int64, whatever the types of key and col
-        size *= width
+                key, size = _rank(key)
+                if size * width > _PACK:
+                    row, width = _rank(row)
+            key = key * np.int64(width) + row  # int64, whatever the types of key and row
+            size *= width
     return key
+
+
+def _positions(cells: np.ndarray, tuples: np.ndarray, shape: tuple) -> np.ndarray:
+    """The flat positions, in a C-order table of ``shape``, of the cells of
+    each tuple's points (rows of ``cells``), in the narrowest signed type."""
+    cells = cells.astype(np.min_scalar_type(-math.prod(shape)))
+    return sum(cells[column - 1] * math.prod(shape[i + 1 :]) for i, column in enumerate(tuples.T))
 
 
 def exact_joint_law(
@@ -183,8 +184,8 @@ def exact_joint_law(
     Walks every atom assignment in Omega^n with its product probability and
     drops those of probability zero, so the support holds only realizable
     vectors; with no coordinates at this n, every vector is ``()``.  Per
-    block, each coordinate (in :func:`canonical_keys` order) gathers the
-    ranks of its kernel's values, and :func:`_pack` makes them one key.
+    block, each kernel takes the ranks of its values at its index tuples, one
+    row per tuple, and :func:`_pack` makes all rows one key per assignment.
     Equal keys form a group, ordered by its first assignment, whose cells
     give the values; ``np.bincount`` adds each group's probabilities in
     enumeration order, so the law is bit for bit the one a dict keyed by
@@ -201,35 +202,30 @@ def exact_joint_law(
     size = len(space)
     hint = "; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
     _check_cap(cap, f"{size}^{n} assignments exceed the enumeration cap {{cap}}" + hint, (size, n))
-    # each coordinate is a gather and a rank column, however few assignments there are
+    # each coordinate is a row of every rank block, however few assignments there are
     coordinates = sum(math.perm(n, k.arity) for k in family)
     _check_cap(cap, f"{coordinates} coordinates exceed the enumeration cap {{cap}}" + hint,
                (coordinates, 1))
-    keys = canonical_keys(family, n)
-    ids = {k.name: _rank(k.values)[0] for k in family}
-    # a symmetric kernel has one value for all orders of an index tuple
-    symmetric = {k.name for k in family if k.symmetric}
-    grouped = [(name, idx) for name, idx in keys if name not in symmetric or list(idx) == sorted(idx)]
-    rows, probs, blocks = [], [], []
-    for b, (grid, prob) in enumerate(_assignments(np.asarray(space.probs), n)):
+    kernels = [(k, _index_tuples(n, k.arity)) for k in family if k.arity <= n]
+    # a symmetric kernel has one value for all orders of an index tuple (signed, so diff cannot wrap)
+    grouped = [(_rank(k.values)[0], t[(np.diff(t) > 0).all(axis=1)] if k.symmetric else t)
+               for k, t in kernels]
+    cells, probs, blocks = [], [], []
+    for grid, prob in _assignments(np.asarray(space.probs), n):
         keep = np.flatnonzero(prob)
-        rows.append(b * prob.size + keep)  # the assignment's lexicographic index
         probs.append(prob.ravel()[keep])
-        # ``...`` keeps a gather at fixed points an array
-        cols = (ids[name][(*(grid[i - 1] for i in idx), ...)] for name, idx in grouped)
-        blocks.append([np.broadcast_to(c, prob.shape).ravel()[keep] for c in cols])
+        cells.append(np.array([np.broadcast_to(g, prob.shape).ravel()[keep] for g in grid],
+                              np.min_scalar_type(-size)).reshape(n, len(keep)))  # a row per point
+        blocks.append([ranks.take(_positions(cells[-1], t, ranks.shape)) for ranks, t in grouped])
     prob = np.concatenate(probs)
-    _, first, group = np.unique(_pack(map(np.concatenate, zip(*blocks)), len(prob)),
+    _, first, group = np.unique(_pack([np.concatenate(b, axis=1) for b in zip(*blocks)], len(prob)),
                                 return_index=True, return_inverse=True)
     order = np.argsort(first)  # the groups in order of first occurrence
-    at = np.concatenate(rows)[first[order]]
-    cells = [at // size ** (n - 1 - j) % size for j in range(n)]
-    # a key's values: its kernel's flat value array at the flat cells of each first assignment
-    tables = {k.name: k.values.ravel() for k in family}
-    flat = {k.name: np.arange(k.values.size, dtype=np.min_scalar_type(-k.values.size))
-            .reshape(k.values.shape) for k in family}
-    columns = tuple((tables[name], flat[name][tuple(cells[i - 1] for i in idx)]) for name, idx in keys)
-    return JointLaw.__new__(JointLaw)._set(n, keys, columns, np.bincount(group, prob)[order])
+    cells = np.concatenate(cells, axis=1)[:, first[order]]
+    # a kernel's values: its flat value array at the flat cells of each group's first assignment
+    runs = tuple((k.name, t, k.values.ravel(), _positions(cells, t, k.values.shape))
+                 for k, t in kernels)
+    return JointLaw.__new__(JointLaw)._set(n, runs, np.bincount(group, prob)[order])
 
 
 def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFamily]:
@@ -251,14 +247,14 @@ def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFam
 
 def _tv_and_union(law1: JointLaw, law2: JointLaw) -> tuple[float, int]:
     """:func:`tv_distance` and the size of the support union, from one grouping."""
-    if law1.n != law2.n or law1.keys != law2.keys:
+    runs = list(zip(law1._runs, law2._runs))
+    same = law1.n == law2.n and len(runs) == len(law1._runs) == len(law2._runs)
+    if not (same and all(a[0] == b[0] and np.array_equal(a[1], b[1]) for a, b in runs)):
         raise SpecError("joint laws have mismatched key structures")
-    ranks, joint = [], {}  # one joint ranking per pair of tables
-    for (t1, i1), (t2, i2) in zip(law1._columns, law2._columns):
-        if (id(t1), id(t2)) not in joint:  # ranks match as dict keys do: -0.0 == 0.0, 1 == 1.0
-            joint[id(t1), id(t2)] = _rank(np.concatenate((t1, t2)))[0]
-        r = joint[id(t1), id(t2)]
-        ranks.append(np.concatenate((r[: len(t1)][i1], r[len(t1) :][i2])))
+    ranks = []
+    for (_, _, t1, i1), (_, _, t2, i2) in runs:
+        r = _rank(np.concatenate((t1, t2)))[0]  # ranks match as dict keys do: -0.0 == 0.0, 1 == 1.0
+        ranks.append(np.concatenate((r[: len(t1)][i1], r[len(t1) :][i2]), axis=1))
     size = law1.support_size
     group, union = _rank(_pack(ranks, size + law2.support_size))
     mass = np.zeros((2, union))
@@ -287,20 +283,21 @@ def tv_distance(law1: JointLaw, law2: JointLaw) -> float:
 def law_is_exchangeable(law: JointLaw, tol: float = 1e-9) -> bool:
     """Whether a joint law is invariant under every permutation of [n].
 
-    For each permutation pi, relabels the index tuples in the keys by
-    pi, which permutes the law's value columns, and compares the induced
-    law with the original; passes when all n! comparisons have TV
-    distance at most ``tol``.  Vacuously true for n = 1.
+    For each permutation pi, relabels each kernel's index tuples by pi,
+    which moves their rows of values, and compares the induced law with the
+    original, both with the tuples sorted; passes when all n! comparisons
+    have TV distance at most ``tol``.  Vacuously true for n = 1.
     """
-    key_pos = {key: q for q, key in enumerate(law.keys)}
-    for perm in permutations(range(1, law.n + 1)):
-        src = [key_pos[(name, tuple(perm[t - 1] for t in idx))] for name, idx in law.keys]
-        permuted = JointLaw.__new__(JointLaw)._set(
-            law.n, law.keys, tuple(law._columns[q] for q in src), law._probs
-        )
-        if tv_distance(law, permuted) > tol:
-            return False
-    return True
+
+    def relabeled(relabel):  # each kernel's rows in the order of its relabeled tuples
+        runs = []
+        for name, tuples, table, index in law._runs:
+            rows = np.lexsort(relabel[tuples].T[::-1])
+            runs.append((name, relabel[tuples][rows], table, index[rows]))
+        return JointLaw.__new__(JointLaw)._set(law.n, tuple(runs), law._probs)
+
+    base, perms = relabeled(np.arange(law.n + 1)), permutations(range(1, law.n + 1))
+    return all(tv_distance(base, relabeled(np.array((0, *perm)))) <= tol for perm in perms)
 
 
 def exchangeability_check(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -346,6 +347,12 @@ def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([np.empty((0, len(row)), bool), *blocks]).T)
 
 
+def _index_tuples(n: int, m: int) -> np.ndarray:
+    """The rows of ``permutations(range(1, n + 1), m)``, in the narrowest signed type holding n."""
+    flat = chain.from_iterable(permutations(range(1, n + 1), m))
+    return np.fromiter(flat, np.min_scalar_type(~n)).reshape(-1, m)
+
+
 @dataclass(frozen=True)
 class SampleArray:
     """Kernel values at every ordered tuple of distinct indices in [n]."""
@@ -364,8 +371,6 @@ def sample_array(family: KernelFamily, n: int, seed: int) -> SampleArray:
     ArityError
         If some kernel has arity exceeding n.
     """
-    from itertools import permutations
-
     for k in family:
         if k.arity > n:
             raise ArityError(
@@ -374,7 +379,7 @@ def sample_array(family: KernelFamily, n: int, seed: int) -> SampleArray:
     latents = sample_latents(family.domain, n, seed)
     values: dict[tuple, object] = {}
     for k in family:
-        perms = list(permutations(range(1, n + 1), k.arity))
-        gathered = k.values[tuple(latents.cells[np.array(perms) - 1].T)].tolist()
-        values.update(zip(((k.name, idx) for idx in perms), gathered))
+        tuples = _index_tuples(n, k.arity)
+        gathered = k.values[tuple(latents.cells[tuples.T - 1])].tolist()
+        values.update(zip(((k.name, idx) for idx in map(tuple, tuples.tolist())), gathered))
     return SampleArray(n, latents, MappingProxyType(values))

@@ -77,7 +77,7 @@ def loads_spec(text: str, source: str = "<spec>") -> SpecDocument:
     """Parse and validate a spec document from a JSON string."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer of too many digits
         raise SpecError(f"{source} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError(f"{source} must be a JSON object")

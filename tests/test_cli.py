@@ -804,6 +804,10 @@ MALFORMED_SPECS = {
         {"name": "r", "arity": 1, "value_space": "real", "values": _ARITY1}]), "9" * 400),
     "label_value_400_digits": _spec_bytes(_demo_with(["kernels"], [
         {"name": "r", "arity": 1, "value_space": {"labels": 3}, "values": _ARITY1}]), "9" * 400),
+    # past the decoder's recursion limit and its limit on the digits of an integer
+    "nested_100000_deep": b"[" * 100_000 + b"]" * 100_000,
+    "real_value_5000_digits": _spec_bytes(_demo_with(["kernels"], [
+        {"name": "r", "arity": 1, "value_space": "real", "values": _ARITY1}]), "9" * 5000),
 }
 
 

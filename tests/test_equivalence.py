@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import subprocess
 import sys
 from itertools import combinations, product
@@ -31,12 +33,13 @@ from unirep import (
     tv_distance,
 )
 from unirep import equivalence
-from unirep.equivalence import _chi2_sf, _fsum, _observations, _pack, canonical_keys
+from unirep.equivalence import _chi2_sf, _fsum, _observations, _pack
 from unirep.sampling import derive_seed, graph_bitmask
 
 from util import (
     LABELS3,
     REAL,
+    STATUS_KB,
     UNIT,
     const_graph_kernel,
     exact_joint_law_loop,
@@ -46,6 +49,7 @@ from util import (
     random_family,
     random_kernel,
     random_space,
+    run_probe,
     space,
     table_kernel,
     tv_distance_loop,
@@ -581,14 +585,15 @@ class TestExactComparisonOracle:
 
 
 class TestPack:
-    """Keys of ``_pack`` are equal exactly where rows are, also where the
-    radix passes 2^62 and the key or a column must be re-ranked."""
+    """Keys of ``_pack`` are equal exactly where the packed points are (a
+    block's columns), also where the radix passes 2^62 and the key or a row
+    must be re-ranked, and where all-zero rows are dropped."""
 
     @staticmethod
     def check(columns):
         columns = [np.asarray(c, dtype=np.int64) for c in columns]
         length = len(columns[0]) if columns else 3
-        key = _pack(columns, length)
+        key = _pack([np.reshape(columns, (len(columns), length))], length)
         rows = list(zip(*(c.tolist() for c in columns))) or [()] * length
         pairs = set(zip(key.tolist(), rows))
         assert len(pairs) == len(set(key.tolist())) == len(set(rows))
@@ -601,6 +606,7 @@ class TestPack:
         # the column is re-ranked too
         self.check([[0, 1, 2, 3, 4, 0], [7, 2**62 - 1, 0, 0, 7, 1]])
         self.check([])
+        self.check([[0, 0, 0], [1, 0, 1], [0, 0, 0], [2**62 - 1, 2**62 - 1, 0]])
 
     def test_random_columns(self):
         rng = np.random.default_rng(62)
@@ -640,6 +646,39 @@ class TestJointLawArrays:
             JointLaw(1, keys, {(0.0,): 1.5, (1.0,): -0.5})
         with pytest.raises(SpecError, match="coordinates"):
             JointLaw(1, keys, {(0.0, 1.0): 1.0})
+
+
+# One-atom ``unirep equiv --n 1000`` in a fresh process: peak RSS growth over
+# the RSS after a small comparison, per coordinate of one law, n(n - 1).
+EXACT_MEMORY_PROBE = STATUS_KB + """
+import io
+import sys
+from contextlib import redirect_stdout
+from unirep.cli import main
+
+spec = sys.argv[1]
+n = 1000
+with redirect_stdout(io.StringIO()):
+    main(["equiv", spec, spec, "--n", "3"])
+    before_kb = status_kb("VmRSS:")
+    main(["equiv", spec, spec, "--n", str(n)])
+print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1)))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_exact_equiv_peak_bytes_per_coordinate(tmp_path):
+    # a one-atom law has one support point, so the coordinates are its whole
+    # cost: per kernel, narrow arrays of index tuples and value positions for
+    # both laws, and a few same-sized temporaries; Python objects per
+    # coordinate took about 900 B
+    spec = tmp_path / "const.json"
+    spec.write_text(json.dumps({
+        "space": {"atoms": ["o"], "probs": [1.0]},
+        "kernels": [{"name": "f", "arity": 2, "value_space": "unit",
+                     "symmetric": True, "values": {"o,o": 0.5}}],
+    }))
+    assert run_probe(EXACT_MEMORY_PROBE, str(spec)) <= 100.0
 
 
 class TestExchangeabilityOracle:
@@ -945,7 +984,7 @@ class TestCanonicalKeys:
         k1 = table_kernel("f", sp, {("a",): 0.5, ("b",): 0.25})
         k2 = cross_kernel(sp, "g")
         fam = KernelFamily((k1, k2))
-        assert canonical_keys(fam, 2) == (
+        assert exact_joint_law(sp, fam, 2).keys == (
             ("f", (1,)),
             ("f", (2,)),
             ("g", (1, 2)),

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-import unirep
 from unirep import sampling
 from unirep import (
     ArityError,
@@ -29,6 +28,7 @@ from unirep import (
     unit_uniform_array,
 )
 from unirep.sampling import (
+    _index_tuples,
     derive_seed,
     pair_list,
     sample_graph_edges,
@@ -37,12 +37,14 @@ from unirep.sampling import (
 from util import (
     LABELS3,
     REAL,
+    STATUS_KB,
     UNIT,
     const_graph_kernel,
     derive_seed_scalar,
     random_family,
     random_kernel,
     random_space,
+    run_probe,
     sample_array_loop,
     sample_graph_pairwise,
     space,
@@ -583,6 +585,19 @@ class TestCoinRejection:
         assert all(int(v) < 2**int(s) for v, s in zip(y[hit].tolist(), tops))
 
 
+def test_index_tuples_are_permutations():
+    # every coordinate order comes from this one helper; its type is signed,
+    # so that np.diff of a tuple cannot wrap and a symmetric kernel's sorted
+    # tuples are found
+    for n in range(7):
+        for m in range(1, 5):
+            tuples = _index_tuples(n, m)
+            assert tuples.shape == (math.perm(n, m), m)
+            assert tuples.tolist() == [list(idx) for idx in permutations(range(1, n + 1), m)]
+            assert np.issubdtype(tuples.dtype, np.signedinteger)
+    assert _index_tuples(127, 1).dtype == np.int8 and _index_tuples(128, 1).dtype == np.int16
+
+
 class TestSampleArray:
     def test_arity_one_counts(self):
         sp = space("ab", (0.5, 0.5))
@@ -643,15 +658,7 @@ class TestSampleArray:
 
 
 # sample_graph at n = 2000 in a fresh process: peak RSS growth over the
-# RSS just before the call, per vertex pair, on a sparse kernel.  The peak
-# is VmHWM, not getrusage's ru_maxrss: Linux carries ru_maxrss across
-# exec, so a child of a large test process would report the parent's peak.
-STATUS_KB = """
-def status_kb(field):
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith(field))
-"""
-
+# RSS just before the call, per vertex pair, on a sparse kernel.
 MEMORY_PROBE = STATUS_KB + """
 from unirep import IntervalPartition, Kernel, ValueSpace, sample_graph
 
@@ -678,15 +685,6 @@ before_kb = status_kb("VmRSS:")
 main(["sample", spec, "--n", str(n), "--seed", "1", "--out", out])
 print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1) // 2))
 """
-
-
-def run_probe(code, *args):
-    src = str(Path(unirep.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
-    )
-    return float(out.stdout)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")

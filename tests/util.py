@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from itertools import chain, permutations, product
+from pathlib import Path
 
 import numpy as np
 
+import unirep
 from unirep import (
     Cdf,
     IntervalPartition,
@@ -315,3 +320,25 @@ def random_pwl_cdf(rng, max_knots=8):
             cuts = np.sort(rng.random(k - 2))
         fs = [0.0] + list(cuts) + [1.0]
     return Cdf("pwl", tuple(zip(xs.tolist(), fs)))
+
+
+# Python source of ``status_kb(field)``, a field of /proc/self/status in kB,
+# for memory probes run by :func:`run_probe`.  Their peak is VmHWM, not
+# getrusage's ru_maxrss: Linux carries ru_maxrss across exec, so a child of
+# a large test process would report the parent's peak.
+STATUS_KB = """
+def status_kb(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field))
+"""
+
+
+def run_probe(code, *args):
+    """The number that the Python source ``code`` prints, run in a fresh
+    interpreter with ``args`` and the tested ``unirep`` on its path."""
+    src = str(Path(unirep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
+    )
+    return float(out.stdout)
