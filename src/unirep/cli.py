@@ -34,7 +34,7 @@ from .representation import (
     sigma_atoms,
 )
 from .sampling import _graph_blocks
-from .specfile import SpecDocument, _represented, load_spec
+from .specfile import SpecDocument, _cell_records, _decimals, _represented, load_spec
 
 __all__ = ["main"]
 
@@ -78,45 +78,22 @@ def _indented(obj, depth: int = 0) -> str:
 
 
 def _table(values: np.ndarray, depth: int) -> str:
-    """The indented JSON object of a value array at ``depth``: one fixed-width
-    record ``"c0,...": value,<line break and indent>`` per entry, gathered from
-    :func:`_decimals` and from the JSON texts of the distinct values (distinct
-    bit patterns, so ``-0.0`` stays apart from ``0.0``), NUL-padded.  One
-    ``bytes.translate`` deletes the NULs; the last separator is cut."""
+    """The indented JSON object of a value array at ``depth``: :func:`_cell_records` filled with
+    the JSON texts of its distinct bit patterns (``-0.0`` apart from ``0.0``), NULs deleted."""
     pad = "\n" + "  " * (depth + 1)
     distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
-    texts = json.dumps(distinct.view(values.dtype).tolist())[1:-1].split(", ")
-    texts, cells, m = np.array([t.encode() for t in texts]), _decimals(len(values) - 1), values.ndim
-    width = cells.dtype.itemsize
-    record = '"' + ",".join(["\0" * width] * m) + '": ' + "\0" * texts.dtype.itemsize + "," + pad
-    buf = bytearray(record.encode() * values.size)
-    rec = np.frombuffer(buf, np.dtype({
-        "names": [*map(str, range(m)), "v"], "formats": [cells.dtype] * m + [texts.dtype],
-        "offsets": [*range(1, m * (width + 1), width + 1), m * (width + 1) + 3],
-        "itemsize": len(record),
-    })).reshape(values.shape)
-    for a in range(m):  # cell a of every record, broadcast along the other axes
-        rec[str(a)] = cells.reshape(-1, *[1] * (m - 1 - a))
-    rec["v"] = texts[inverse].reshape(values.shape)
-    body = buf.translate(None, b"\0")[: -len(pad) - 1].decode()
+    texts = np.array(json.dumps(distinct.view(values.dtype).tolist())[1:-1].encode().split(b", "))
+    width, end = texts.dtype.itemsize, len(pad) + 1
+    buf = _cell_records(len(values), values.ndim, '"', '": ' + "\0" * width + "," + pad)
+    rows = np.frombuffer(buf, np.uint8).reshape(*values.shape, -1)
+    rows[..., -end - width : -end] = texts[inverse].view(np.uint8).reshape(*values.shape, width)
+    body = buf.translate(None, b"\0")[:-end].decode()
     return "{" + pad + body + "\n" + "  " * depth + "}"
 
 
 def _write_json(obj, out: str):
     """Write ``obj`` as indented JSON and a newline to ``out`` (``-``: stdout)."""
     _write([(_indented(obj) + "\n").encode()], out)
-
-
-def _decimals(n: int) -> np.ndarray:
-    """Row v holds ``str(v)``, v = 0..n, right-aligned in ``len(str(n))``
-    bytes with NULs in front, as one ``V{width}`` item."""
-    width = len(str(n))
-    v = np.arange(n + 1, dtype=np.min_scalar_type(n))  # the narrowest type divides fastest
-    table = np.zeros((n + 1, width), dtype=np.uint8)
-    for d in range(width):  # decimal place d is present from v = 10**d on
-        table[10**d :, -1 - d] = v[10**d :] // 10**d % 10 + ord("0")
-    table[0, -1] = ord("0")
-    return table.view(f"V{width}")[:, 0]
 
 
 def _edge_lines(blocks, n: int):
@@ -175,10 +152,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _law_of(doc: SpecDocument, n: int):
+def _law_of(doc: SpecDocument, n: int, tuples: dict):
     family = doc.require("family")
     space, family = (doc.space, family) if doc.space is not None else step_family_as_space(family)
-    return exact_joint_law(space, family, n)
+    return exact_joint_law(space, family, n, tuples=tuples)
 
 
 def _check_compatible(fam_a: KernelFamily, fam_b: KernelFamily):
@@ -198,8 +175,8 @@ def cmd_equiv(args) -> int:
     fam_b = doc_b.require("family")
     _check_compatible(fam_a, fam_b)
     if args.mode == "exact":
-        law_a = _law_of(doc_a, args.n)
-        law_b = _law_of(doc_b, args.n)
+        tuples = {}  # one index-tuple array per arity, shared by both laws
+        law_a, law_b = (_law_of(doc, args.n, tuples) for doc in (doc_a, doc_b))
         tv, union = _tv_and_union(law_a, law_b)
         support_equal = union == law_a.support_size == law_b.support_size
         passed = support_equal and tv <= EXACT_TV_TOL

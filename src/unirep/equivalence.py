@@ -178,6 +178,7 @@ def exact_joint_law(
     family: KernelFamily,
     n: int,
     cap: int | None = None,
+    tuples: dict | None = None,
 ) -> JointLaw:
     """Enumerate the exact joint law of all kernel evaluations.
 
@@ -189,7 +190,7 @@ def exact_joint_law(
     Equal keys form a group, ordered by its first assignment, whose cells
     give the values; ``np.bincount`` adds each group's probabilities in
     enumeration order, so the law is bit for bit the one a dict keyed by
-    value tuples would build.
+    value tuples would build.  Calls given one ``tuples`` dict share its index tuples.
 
     Raises
     ------
@@ -206,7 +207,9 @@ def exact_joint_law(
     coordinates = sum(math.perm(n, k.arity) for k in family)
     _check_cap(cap, f"{coordinates} coordinates exceed the enumeration cap {{cap}}" + hint,
                (coordinates, 1))
-    kernels = [(k, _index_tuples(n, k.arity)) for k in family if k.arity <= n]
+    tuples = {} if tuples is None else tuples  # index tuples by (n, arity)
+    tuples.update((t, _index_tuples(*t)) for t in {(n, k.arity) for k in family} - tuples.keys())
+    kernels = [(k, tuples[n, k.arity]) for k in family if k.arity <= n]
     # a symmetric kernel has one value for all orders of an index tuple (signed, so diff cannot wrap)
     grouped = [(_rank(k.values)[0], t[(np.diff(t) > 0).all(axis=1)] if k.symmetric else t)
                for k, t in kernels]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -348,9 +347,16 @@ def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
 
 
 def _index_tuples(n: int, m: int) -> np.ndarray:
-    """The rows of ``permutations(range(1, n + 1), m)``, in the narrowest signed type holding n."""
-    flat = chain.from_iterable(permutations(range(1, n + 1), m))
-    return np.fromiter(flat, np.min_scalar_type(~n)).reshape(-1, m)
+    """The rows of ``permutations(range(1, n + 1), m)``, read-only, in the narrowest signed
+    type holding n: each column extends every row, in order, by each index it lacks."""
+    index = np.arange(1, n + 1, dtype=np.min_scalar_type(~n))
+    t = index[:0].reshape(int(m <= n), 0)  # the empty tuple, unless there are none at all
+    for _ in range(m):
+        free = np.ones((len(t), n), bool)
+        free[np.arange(len(t))[:, None], t - 1] = False
+        t = np.column_stack((t.repeat(free.sum(1), 0), np.broadcast_to(index, free.shape)[free]))
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True)

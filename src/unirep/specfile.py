@@ -15,14 +15,15 @@ Other top-level keys are ignored.  Table keys join atom ids (or cell
 indices) with commas, so atom ids in spec files must be comma-free
 strings.  When a kernel is flagged symmetric, its ``values`` may list one
 representative per orbit; the loader completes the orbit and rejects
-inconsistent duplicates.  Tables are split, placed and checked in bulk
-by :func:`~unirep.kernels.values_from_table`, in time linear in the
-table size.
+inconsistent duplicates.
 
 The JSON that ``represent``, ``encode`` and ``equiv`` print is byte for
-byte ``json.dumps(doc, indent=2)`` plus one newline.  Artifact cell keys
-are each cell index written as ``str(c)``, joined by commas; the loader
-reads any cell spelling that ``int()`` reads.
+byte ``json.dumps(doc, indent=2)`` plus one newline.  Artifacts list every
+cell tuple in C order, cells as ``str(c)`` joined by commas
+(:func:`_cell_keys`), and are read in bulk by one ``np.array`` when the
+values are plain numbers.  Other orders and cell spellings that ``int()``
+reads are split, placed and checked in time linear in the table size by
+:func:`~unirep.kernels.values_from_table`, with the same results and errors.
 
 Errors raise :class:`~unirep.errors.SpecError` with a field path
 locating the offending entry.
@@ -31,13 +32,14 @@ locating the offending entry.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, UnirepError
 from .kernels import Kernel, KernelFamily, ValueSpace, check_arity, values_from_table
 from .spaces import DiscreteSpace, IntervalPartition
 
@@ -198,7 +200,18 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
     if not isinstance(raw, dict):
         raise SpecError("values must be an object", field=f"{path}.values")
 
+    values = list(raw.values())
+    if value_space.kind == "labels" and float in map(type, values):
+        values = [int(v) if type(v) is float and v.is_integer() else v for v in values]
     by_cells = isinstance(domain, IntervalPartition)
+    kinds = {int} if value_space.kind == "labels" else {int, float}
+    if (by_cells and len(raw) == len(domain) ** arity and set(map(type, values)) <= kinds
+            and "\n".join(raw) == _cell_keys(len(domain), arity)):  # as the writers list it
+        with suppress(OverflowError, UnirepError):  # else the general path below decides
+            table = np.array(values, value_space.dtype).reshape((len(domain),) * arity)
+            bits = table.view(np.int64)  # bit for bit: a -0.0, 0.0 orbit goes the general way
+            if not symmetric or all((bits == bits.swapaxes(a - 1, a)).all() for a in range(1, arity)):
+                return Kernel(name, arity, value_space, domain, table, symmetric)
     ids = map(str, range(len(domain))) if by_cells else domain.atom_ids
     position = {c: i for i, c in enumerate(ids)}
     keys = list(raw)
@@ -217,9 +230,6 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
     # row e of positions: the positions of key e's coordinates, or -1s if it has another width
     rows = np.minimum((np.cumsum(widths) - widths)[:, None] + np.arange(arity), len(parts) - 1)
     positions = np.where((widths == arity)[:, None], coords[rows], -1)
-    values = list(raw.values())
-    if value_space.kind == "labels" and float in map(type, values):
-        values = [int(v) if type(v) is float and v.is_integer() else v for v in values]
     try:
         table = values_from_table(
             keys, positions, values, len(position), value_space, f"kernel {name!r}", symmetric
@@ -227,6 +237,36 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
         return Kernel(name, arity, value_space, domain, table, symmetric)
     except SpecError as exc:
         raise SpecError(exc.message, field=f"{path}.values") from None
+
+
+def _decimals(n: int) -> np.ndarray:
+    """Row v holds ``str(v)``, v = 0..n, right-aligned in ``len(str(n))``
+    bytes with NULs in front, as one ``V{width}`` item."""
+    width = len(str(n))
+    v = np.arange(n + 1, dtype=np.min_scalar_type(n))  # the narrowest type divides fastest
+    table = np.zeros((n + 1, width), dtype=np.uint8)
+    for d in range(width):  # decimal place d is present from v = 10**d on
+        table[10**d :, -1 - d] = v[10**d :] // 10**d % 10 + ord("0")
+    table[0, -1] = ord("0")
+    return table.view(f"V{width}")[:, 0]
+
+
+def _cell_records(size: int, arity: int, head: str = "", tail: str = "\n") -> bytearray:
+    """The records ``head + "c0,...,c(m-1)" + tail`` of all ``(size,) * arity`` cell tuples in
+    C order, each cell ``str(c)`` from :func:`_decimals`, NUL-padded (``tail`` may hold NULs)."""
+    digits = _decimals(size - 1).view(np.uint8).reshape(size, -1)
+    record = (head + ",".join(["\0" * digits.shape[1]] * arity) + tail).encode()
+    buf = bytearray(record * size**arity)
+    rows = np.frombuffer(buf, np.uint8).reshape(*(size,) * arity, len(record))
+    for a in range(arity):  # cell a of every record, broadcast along the other axes
+        at = len(head) + a * (digits.shape[1] + 1)
+        rows[..., at : at + digits.shape[1]] = digits.reshape(size, *[1] * (arity - 1 - a), -1)
+    return buf
+
+
+def _cell_keys(size: int, arity: int) -> str:
+    """The keys of all ``(size,) * arity`` cell tuples in C order, one per line, as written."""
+    return _cell_records(size, arity).translate(None, b"\0")[:-1].decode()
 
 
 def _dump_value_space(vs: ValueSpace):
@@ -254,8 +294,7 @@ def dump_represented(family: KernelFamily) -> dict:
     """Serialize a step family (with its partition) to the artifact form
     accepted back by :func:`load_spec`."""
     doc = _represented(family)
-    names = [str(c) for c in range(len(family.domain))]
     for k in doc["kernels"]:
-        keys = map(",".join, product(names, repeat=k["arity"]))
+        keys = _cell_keys(len(family.domain), k["arity"]).split("\n")
         k["values"] = dict(zip(keys, k["values"].ravel().tolist()))
     return doc

@@ -16,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unirep.cli
+import unirep.kernels
+import unirep.specfile
 from unirep import (
     cantor_encode,
     cantor_represent_family,
@@ -638,6 +640,28 @@ class TestJsonOutput:
         for loaded, kernel in zip(load_spec(artifact).family, represent_family(space, family)):
             assert loaded.values.dtype == kernel.values.dtype
             assert loaded.values.tobytes() == kernel.values.tobytes()
+
+    def test_own_artifacts_take_the_bulk_path(self, tmp_path, monkeypatch):
+        """Both ``represent`` routes list every table (unit, real and label
+        kernels of arity 1 to 3) in the layout that the loader reads in bulk:
+        with the general path's ``values_from_table`` made to fail, both
+        artifacts still load, to the same arrays."""
+        spec = write_spec(tmp_path, BENCH_SHAPE_SPEC)
+        artifacts = {}
+        for route in ([], ["--via-cantor"]):
+            out = tmp_path / f"rep{len(route)}.json"
+            assert main(["represent", spec, "--out", str(out), *route]) == 0
+            artifacts[out] = [(k.values.dtype, k.values.tobytes()) for k in load_spec(out).family]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the general path was taken")
+
+        monkeypatch.setattr(unirep.kernels, "values_from_table", fail)
+        monkeypatch.setattr(unirep.specfile, "values_from_table", fail)
+        for out, values in artifacts.items():
+            family = load_spec(out).family
+            assert [k.arity for k in family] == [3, 2, 1]
+            assert [(k.values.dtype, k.values.tobytes()) for k in family] == values
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(case=table_writer_cases())

@@ -595,7 +595,14 @@ def test_index_tuples_are_permutations():
             assert tuples.shape == (math.perm(n, m), m)
             assert tuples.tolist() == [list(idx) for idx in permutations(range(1, n + 1), m)]
             assert np.issubdtype(tuples.dtype, np.signedinteger)
+            assert not tuples.flags.writeable  # one array may be shared by several laws
     assert _index_tuples(127, 1).dtype == np.int8 and _index_tuples(128, 1).dtype == np.int16
+    # no indices, or more places than indices: empty, with m columns
+    for n, m in ((0, 1), (0, 3), (1, 2), (2, 3), (3, 7)):
+        assert _index_tuples(n, m).shape == (0, m)
+    tuples = _index_tuples(40, 3)
+    assert tuples.tolist() == [list(idx) for idx in permutations(range(1, 41), 3)]
+    assert _index_tuples(300, 2).tolist() == [list(idx) for idx in permutations(range(1, 301), 2)]
 
 
 class TestSampleArray:

@@ -1,6 +1,9 @@
 import json
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unirep import (
     ArityError,
@@ -13,6 +16,7 @@ from unirep import (
     represent_family,
     step_family_as_space,
 )
+from unirep import specfile
 from unirep.cli import _indented, main
 from unirep.specfile import _represented
 
@@ -314,3 +318,109 @@ class TestRepresentedArtifactRoundTrip:
         fam = random_family(np.random.default_rng(53), sp, [("f", 1, REAL, False)])
         with pytest.raises(SpecError):
             dump_represented(fam)
+
+
+# One entry of a canonical artifact table changed in one way: its key (dropped,
+# listed twice, swapped with another, respelled), or its value text.
+_MUTATIONS = {
+    "none": None, "drop": None, "duplicate": None, "relist": None, "swap": None,
+    "respell_zero": None, "respell_space": None, "conflict": None, "signed_zero": None,
+    "true": "true", "null": "null", "string": '"0.5"', "label_fraction": "1.5",
+    "label_integral": "2.0", "out_of_range": "7", "negative": "-1", "nan": "NaN",
+    "inf": "1e400", "overflow": "1" + "0" * 400,
+}
+
+
+def _artifact_text(size, arity, kind, symmetric, mutation, seed):
+    """A one-kernel step artifact as JSON text, its table listed as the writer
+    lists it (every cell tuple in C order), with ``mutation`` applied."""
+    rng = np.random.default_rng(seed)
+    shape = (size,) * arity
+    value_space = {"labels": 4} if kind == "labels" else kind
+    values = {"labels": lambda: rng.integers(0, 4, shape), "unit": lambda: rng.random(shape),
+              "real": lambda: rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5)}[kind]()
+    if symmetric:  # each tuple takes the value of its sorted tuple
+        values = values[tuple(np.sort(np.indices(shape), axis=0))]
+    tuples = list(product(range(size), repeat=arity))
+    keys = [",".join(map(str, t)) for t in tuples]
+    texts = [json.dumps(v) for v in values.ravel().tolist()]
+    e, f = (int(i) for i in rng.integers(len(keys), size=2))
+    g = tuples.index(tuples[e][::-1])  # the tuple of entry e reversed
+    if mutation == "drop":
+        del keys[e], texts[e]
+    elif mutation == "duplicate":  # entry f's tuple is lost
+        keys[f] = keys[e]
+    elif mutation == "relist":  # listed again at the end, with entry f's value
+        keys.append(keys[e])
+        texts.append(texts[f])
+    elif mutation == "swap":
+        keys[e], keys[f] = keys[f], keys[e]
+    elif mutation.startswith("respell"):
+        keys[e] = ("0" if mutation == "respell_zero" else " ") + keys[e]
+    elif mutation == "conflict":
+        texts[e] = json.dumps(1 - values.ravel()[e].item())
+    elif mutation == "signed_zero":  # a tuple and its reverse, in either order
+        texts[e], texts[g] = ("0.0", "-0.0") if f % 2 else ("-0.0", "0.0")
+    elif _MUTATIONS[mutation] is not None:
+        texts[e] = _MUTATIONS[mutation]
+    table = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in zip(keys, texts)) + "}"
+    partition = {"breakpoints": [k / size for k in range(size)] + [1.0],
+                 "cells": [f"c{k}" for k in range(size)]}
+    kernel = {"name": "f", "arity": arity, "value_space": value_space, "symmetric": symmetric,
+              "values": "TABLE"}
+    return json.dumps({"partition": partition, "kernels": [kernel]}).replace('"TABLE"', table)
+
+
+def _outcome(text):
+    """What ``loads_spec`` makes of ``text``: the value array's dtype and bytes,
+    or the exception's type, message and field."""
+    try:
+        values = loads_spec(text).family.kernels[0].values
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "field", None)
+    return values.dtype, values.tobytes()
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the general path was taken")
+
+
+class TestCanonicalLayoutBulkPath:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(size=st.integers(1, 12), arity=st.integers(1, 3),
+           kind=st.sampled_from(["unit", "real", "labels"]), symmetric=st.booleans(),
+           mutation=st.sampled_from(list(_MUTATIONS)), seed=st.integers(0, 2**32 - 1))
+    @example(size=2, arity=2, kind="unit", symmetric=True, mutation="signed_zero", seed=0)
+    @example(size=3, arity=3, kind="real", symmetric=True, mutation="signed_zero", seed=1)
+    @example(size=3, arity=2, kind="unit", symmetric=True, mutation="conflict", seed=2)
+    @example(size=4, arity=2, kind="labels", symmetric=False, mutation="overflow", seed=3)
+    @example(size=12, arity=1, kind="real", symmetric=False, mutation="respell_space", seed=4)
+    def test_bulk_path_equals_general_path(self, size, arity, kind, symmetric, mutation, seed):
+        """A table in the canonical layout loads in bulk to the bytes that the
+        general path gives; any other table, and any table the bulk path
+        doubts, gives the general path's result: the same array, or the same
+        exception type, message and field."""
+        text = _artifact_text(size, arity, kind, symmetric, mutation, seed)
+        got = _outcome(text)
+        listed = list(json.loads(text)["kernels"][0]["values"])
+        canonical = listed == [",".join(map(str, t)) for t in product(range(size), repeat=arity)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfile, "_cell_keys", lambda size, arity: None)  # no layout matches
+            assert got == _outcome(text)
+            mp.undo()
+            mp.setattr(specfile, "values_from_table", _fail)
+            if mutation == "none":  # the bulk path reads it: the general one cannot
+                assert got == _outcome(text)
+            elif not canonical:  # only the canonical layout is read in bulk
+                with pytest.raises(AssertionError, match="general path"):
+                    loads_spec(text)
+
+    def test_signed_zero_orbit_takes_first_listed_value(self):
+        # the orbit of (0, 1) lists 0.0 first: both tuples load as 0.0, bit for bit
+        text = json.dumps({
+            "partition": {"breakpoints": [0.0, 0.5, 1.0], "cells": ["a", "b"]},
+            "kernels": [{"name": "f", "arity": 2, "value_space": "real", "symmetric": True,
+                         "values": {"0,0": 1.0, "0,1": 0.0, "1,0": -0.0, "1,1": 2.0}}],
+        })
+        values = loads_spec(text).family.kernels[0].values
+        assert values.tobytes() == np.array([[1.0, 0.0], [0.0, 2.0]]).tobytes()
