@@ -174,6 +174,8 @@ def cmd_equiv(args) -> int:
     fam_a = doc_a.require("family")
     fam_b = doc_b.require("family")
     _check_compatible(fam_a, fam_b)
+    if args.kernel is not None or args.mode == "mc":  # exact mode compares every kernel
+        kernel_a, kernel_b = (_select_kernel(fam, args.kernel) for fam in (fam_a, fam_b))
     if args.mode == "exact":
         tuples = {}  # one index-tuple array per arity, shared by both laws
         law_a, law_b = (_law_of(doc, args.n, tuples) for doc in (doc_a, doc_b))
@@ -190,8 +192,6 @@ def cmd_equiv(args) -> int:
         }
         _write_json(report, "-")
         return 0 if passed else 1
-    kernel_a = _select_kernel(fam_a, args.kernel)
-    kernel_b = _select_kernel(fam_b, args.kernel)
     report = mc_two_sample_test(
         kernel_a, kernel_b, args.n, args.runs, args.seed, alpha=args.alpha
     )
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=_open_unit_float, default=0.01)
-    p.add_argument("--kernel", default=None, help="graph kernel to compare in mc mode")
+    p.add_argument("--kernel", default=None, help="mc mode's graph kernel; exact mode compares all")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("densities", help="print exact pattern densities of a kernel")

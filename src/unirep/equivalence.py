@@ -33,9 +33,10 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
+from . import sampling
 from .errors import ArityError, PowerError, RangeError, ScaleError, SpecError
 from .kernels import Kernel, KernelFamily
-from .sampling import _index_tuples, derive_seed, pair_list, sample_graph, sample_graph_edges
+from .sampling import _check_n, _index_tuples, derive_seed, pair_list, sample_graph, sample_graph_edges
 from .spaces import DiscreteSpace, IntervalPartition
 
 __all__ = [
@@ -118,19 +119,16 @@ class JointLaw:
         return len(self._probs)
 
 
-_ENUM_BLOCK = 1 << 16  # terms per block of _assignments
-
-
 def _assignments(weights: np.ndarray, n: int, per: int = 1) -> Iterator[tuple]:
     """Blocks ``(grid, prob)`` covering every assignment of n points to cells,
     in lexicographic order.  ``grid[j]`` is the cell of point j: an int for
     the leading n - m points, fixed per block, and an open ``arange`` grid
     over all cells for each of the last m points, with m the largest that
-    keeps ``K^m * per`` within ``_ENUM_BLOCK`` and m <= 32, well below numpy's
+    keeps ``K^m * per`` within ``sampling._BLOCK`` and m <= 32, below numpy's
     64 dimensions.  ``prob`` has shape ``(K,)*m`` and holds the left-to-right
     products ``((1*w_a)*w_b)*...``; its C order is lexicographic order."""
     size = len(weights)
-    m = next((m for m in range(min(n, 32), 0, -1) if size**m * per <= _ENUM_BLOCK), 0)
+    m = next((m for m in range(min(n, 32), 0, -1) if size**m * per <= sampling._BLOCK), 0)
     tail = np.ix_(*[np.arange(size)] * m)
     for head in product(range(size), repeat=n - m):
         prob = np.full((size,) * m, math.prod((weights[c] for c in head), start=1.0))
@@ -198,6 +196,7 @@ def exact_joint_law(
         If ``|Omega|^n``, or the number of coordinates, exceeds the
         enumeration cap.
     """
+    _check_n(n, 0)
     if family.domain != space:
         raise SpecError("family is defined over a different space")
     size = len(space)
@@ -423,14 +422,15 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
         If ``2^(n choose 2) * K^n`` exceeds the enumeration cap; checked
         before any pair or term is built, whatever n is.
     """
+    _check_n(n, 0)
     weights, values = _weights_and_values(kernel, "graph law")
-    size, npairs = len(weights), max(n * (n - 1) // 2, 0)
+    size, npairs = len(weights), n * (n - 1) // 2
     _check_cap(cap, f"2^{npairs} * {size}^{n} terms exceed the enumeration cap", (2, npairs), (size, n))
     pairs = pair_list(n).tolist()
     num_graphs = 1 << len(pairs)
     masks = np.arange(num_graphs)
     law = np.zeros(num_graphs)
-    # blocks of at most _ENUM_BLOCK (assignment, graph) terms bound the memory
+    # blocks of at most sampling._BLOCK (assignment, graph) terms bound the memory
     for grid, prob in _assignments(weights, n, per=num_graphs):
         acc = np.repeat(prob.reshape(-1, 1), num_graphs, axis=1)
         for p, (i, j) in enumerate(pairs):
@@ -441,18 +441,15 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
     return law
 
 
-_OBS_BLOCK = 1 << 16
-
-
 def _observations(side, n: int, seeds, chi2: bool):
     """One side's observations for ``seeds``: labeled-graph
     bitmasks (chi2), else a row of edge counts and a row of triangle counts
     ``trace(A^3) / 6``, from edge-indicator rows (column p for pair p of
-    :func:`pair_list`) drawn in blocks of about ``_OBS_BLOCK`` pairs, so that
+    :func:`pair_list`) drawn in blocks of about ``sampling._BLOCK`` pairs, so that
     memory stays bounded.  A callable side gets each seed as a Python int."""
     pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
-    step = max(1, _OBS_BLOCK // max(pairs, 1))
+    step = max(1, sampling._BLOCK // max(pairs, 1))
     observed = []
     for block in (seeds[lo : lo + step] for lo in range(0, len(seeds), step)):
         if isinstance(side, Kernel):
@@ -537,6 +534,7 @@ def mc_two_sample_test(
         buckets while the samples differ; carries an estimated
         sufficient run count.
     """
+    _check_n(n)
     chi2 = statistics is None and n <= 5
     min_runs = 1 if chi2 else 2  # a z-test needs two runs for a sample variance
     if runs < min_runs:

@@ -22,7 +22,7 @@ One private core, :func:`_draw_edges`, draws every graph edge, for one
 seed (:func:`_graph_blocks`, whose blocks ``unirep sample`` writes as they
 are drawn and :func:`sample_graph` joins) or a column of seeds at once
 (:func:`sample_graph_edges`, bit-identical row by row), one block of
-about ``_PAIR_BLOCK`` pairs (or one row) at a time; threads draw blocks.
+about ``_BLOCK`` coins (or one row) at a time; threads draw blocks.
 It compares each coin's 53 bits with an integer threshold per kernel
 value, which decides exactly as the float compare ``u < w`` would.  The
 hash's first fold is made once per vertex, and on sparse kernels a test of
@@ -63,7 +63,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
-_PAIR_BLOCK = 1 << 16  # vertex pairs drawn per row block
+_BLOCK = 1 << 16  # the work of one block: coins here, terms or pairs in equivalence
 _REJECT_TOP = 58  # _draw_edges tests candidates up to a 2^(top-64) = 1/64 share (measured)
 
 
@@ -155,13 +155,17 @@ def _vertices(n: int, seed) -> np.ndarray:
     return np.arange(1, n + 1, dtype=np.uint64).reshape((n,) + (1,) * np.ndim(seed))
 
 
+def _check_n(n, least: int = 1) -> None:
+    """Raise unless the sample size ``n`` is an integer, not a bool, of at least ``least``."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
+        why = f"must be a {('nonnegative', 'positive')[least]} integer, got {n!r}"
+        raise UnsupportedError("n = infinity is out of scope" if n == float("inf") else f"n {why}")
+
+
 def _latent_draws(target, n: int, seed):
     """Partition, uniforms and cells of :func:`sample_latents`; a ``(R,)``
     row of seeds gives ``(n, R)`` uniforms and cells, one column per seed."""
-    if n == float("inf"):
-        raise UnsupportedError("n = infinity is out of scope")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise UnsupportedError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     partition = target if isinstance(target, IntervalPartition) else interval_partition(target)
     u = unit_uniform_array(seed, 0, 0, _vertices(n, seed))
     return partition, u, lookup_cells(partition, u)
@@ -177,7 +181,7 @@ def sample_latents(target, n: int, seed: int) -> Latents:
     Raises
     ------
     UnsupportedError
-        If ``n`` is infinite (only finite samples are in scope).
+        If ``n`` is infinite or not a positive integer (a bool is not one).
     """
     partition, u, cells = _latent_draws(target, n, seed)
     return Latents(u, cells, tuple(partition.cell_labels[c] for c in cells))
@@ -234,19 +238,19 @@ def graph_bitmask(edges: Iterable[tuple[int, int]], n: int) -> int:
 
 def _row_blocks(n: int, seeds: int):
     """Row ranges ``[r0, r1)`` of the pairs on ``n`` vertices, each one row or as
-    many as keep ``seeds * (r1 - r0) * (n - 1 - r0)`` coins within ``_PAIR_BLOCK``."""
+    many as keep ``seeds * (r1 - r0) * (n - 1 - r0)`` coins within ``_BLOCK``."""
     r0 = 0
     while r0 < n - 1:
-        r1 = min(n - 1, r0 + max(1, _PAIR_BLOCK // (seeds * (n - 1 - r0))))
+        r1 = min(n - 1, r0 + max(1, _BLOCK // (seeds * (n - 1 - r0))))
         yield r0, r1
         r0 = r1
 
 
 def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int = 1):
-    """``take(r0, shape, hit)`` of each row block ``[r0, r1)`` of the vertices on
-    the first axis of ``cells``, in row order: ``hit[t, c, ...]`` says whether
-    ``unit_uniform(seed, 1, i, j) < values[cells[i-1], cells[j-1]]`` at
-    ``i = r0 + t + 1``, ``j = r0 + c + 2``, and ``take`` drops ``c < t``.
+    """``take(r0, shape, hit)`` of each row block ``[r0, r1)`` of the vertices on the
+    first axis of ``cells``, in row order, ``take`` dropping ``c < t``: ``hit`` lists the
+    ascending flat indices in ``shape`` of the ``[t, c, ...]`` with ``unit_uniform(seed,
+    1, i, j) < values[cells[i-1], cells[j-1]]`` at ``i = r0 + t + 1``, ``j = r0 + c + 2``.
     The compare is made in integers, with the same decisions: the coin's high
     53 bits m against ``ceil(w * 2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
@@ -258,8 +262,7 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     xor, is made once per row state and column ``j``; and as the last fold
     keeps the highest set bit of the state y before it, ``m < T <= max T``
     implies ``y < 2^top``, ``top = bit_length(max T) + 11``, so when ``top <=
-    _REJECT_TOP`` only those candidates get the last fold and a threshold, and
-    ``hit`` is not a bool array of ``shape`` but the flat indices of its edges."""
+    _REJECT_TOP`` only those candidates get the last fold and a threshold."""
     n = len(cells)
     j = _vertices(n, seed)
     row, col = _fold(_mix(seed, 1, j), 30), _fold(j, 30)
@@ -280,7 +283,7 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
         # one seed: a row gather, then the columns, is faster than two indices
         at = (np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1) if cells.ndim == 1
               else thr[cells[r0:r1, None], cells[None, r0 + 1:]])
-        return take(r0, y.shape, x < at)
+        return take(r0, y.shape, np.flatnonzero(x < at))
 
     blocks = list(_row_blocks(n, np.size(seed)))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -295,16 +298,15 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
 
 def _block_edges(r0, shape, hit):
     """The edges ``(i, j)`` of one row block of :func:`_draw_edges`, in pair order."""
-    t, c = np.divmod(np.flatnonzero(hit) if hit.dtype == bool else hit, shape[1])
+    t, c = np.divmod(hit, shape[1])
     upper = c >= t
     return np.column_stack((t[upper] + (r0 + 1), c[upper] + (r0 + 2)))
 
 
 def _block_pairs(r0, shape, hit):
-    """The pairs of one row block of :func:`_draw_edges` per seed, in pair order."""
-    if hit.dtype != bool:  # the flat indices of the edges
-        hit = np.bincount(hit, minlength=np.prod(shape)).astype(bool).reshape(shape)
-    return hit[np.triu(np.ones(shape[:2], bool))]
+    """The pairs of one row block of :func:`_draw_edges` per seed, in pair order, as bools."""
+    edge = np.bincount(hit, minlength=np.prod(shape)).astype(bool).reshape(shape)
+    return edge[np.triu(np.ones(shape[:2], bool))]
 
 
 def _graph_blocks(kernel: Kernel, n: int, seed: int, threads: int = 1):

@@ -343,7 +343,7 @@ class TestEdgeList:
         # 45 pairs in rows of 9, 8, ..., 1: blocks of at most 1 pair are
         # single rows, of 7 pairs single rows and then pairs of rows, and
         # of 45 or 64 pairs two blocks of several rows each
-        monkeypatch.setattr(unirep.sampling, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(unirep.sampling, "_BLOCK", block)
         spec = write_spec(tmp_path, const_spec(1.0))
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", "10", "--out", str(out)]) == 0
@@ -884,6 +884,17 @@ class TestBadInput:
         code, err = run_cli(argv, capsys)
         assert code == 2
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_unknown_kernel_exit_2(self, tmp_path, capsys, mode):
+        # exact mode compares every kernel, but looks the named one up too
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        argv = ["equiv", spec, spec, "--n", "2", "--mode", mode, "--kernel", "zz"]
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "no kernel named 'zz'" in err
+        assert run_cli(argv[:-1] + ["f"], capsys)[0] == 0
 
     def test_run_count_too_large_exit_3(self, tmp_path, capsys):
         # the seed array would take 7 PiB, which numpy refuses before allocating

@@ -20,6 +20,7 @@ from unirep import (
     PowerError,
     ScaleError,
     SpecError,
+    UnirepError,
     cantor_represent_family,
     exact_joint_law,
     exchangeability_check,
@@ -28,13 +29,15 @@ from unirep import (
     law_is_exchangeable,
     mc_two_sample_test,
     represent_family,
+    sample_array,
     sample_graph,
+    sample_latents,
     step_family_as_space,
     tv_distance,
 )
-from unirep import equivalence
+from unirep import equivalence, sampling
 from unirep.equivalence import _chi2_sf, _fsum, _observations, _pack
-from unirep.sampling import derive_seed, graph_bitmask
+from unirep.sampling import derive_seed, graph_bitmask, sample_graph_edges
 
 from util import (
     LABELS3,
@@ -152,6 +155,40 @@ class TestExactJointLaw:
             exact_joint_law(sp, fam, 3)
         monkeypatch.setenv("REP_MAX_ENUM", "1000000")
         exact_joint_law(sp, fam, 3)
+
+
+class TestSampleSizeChecks:
+    """Every entry point that takes a sample size refuses a negative, fractional,
+    bool or infinite one with a package error, before any work."""
+
+    SP = space("ab", (0.5, 0.5))
+    K = table_kernel("f", SP, {(a, b): 0.5 for a in "ab" for b in "ab"}, symmetric=True)
+    FAM = KernelFamily((K,))
+    CALLS = {
+        "exact_joint_law": lambda c, n: exact_joint_law(c.SP, c.FAM, n),
+        "exchangeability_check": lambda c, n: exchangeability_check(c.SP, c.FAM, n),
+        "graph_law_exact": lambda c, n: graph_law_exact(c.K, n),
+        "sample_latents": lambda c, n: sample_latents(c.SP, n, 0),
+        "sample_graph": lambda c, n: sample_graph(c.K, n, 0),
+        "sample_graph_edges": lambda c, n: sample_graph_edges(c.K, n, [0, 1]),
+        "sample_array": lambda c, n: sample_array(c.FAM, n, 0),
+        "mc_two_sample_test": lambda c, n: mc_two_sample_test(c.K, c.K, n, 10, 0),
+        "mc_two_sample_test_callables": lambda c, n: mc_two_sample_test(
+            lambda s: sample_graph(c.K, 3, s), lambda s: sample_graph(c.K, 3, s), n, 10, 0),
+    }
+
+    @pytest.mark.parametrize("n", [-1, 1.5, True, float("inf")], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_bad_n_raises_package_error(self, entry, n):
+        with pytest.raises(UnirepError):
+            self.CALLS[entry](self, n)
+
+    def test_zero_points_give_the_empty_vector(self):
+        law = exact_joint_law(self.SP, self.FAM, 0)
+        assert law.support_size == 1 and law.support == {(): 1.0}
+        assert exchangeability_check(self.SP, self.FAM, 0)
+        assert graph_law_exact(self.K, 0).tolist() == [1.0]
+        assert exact_joint_law(self.SP, self.FAM, np.int64(2)).support_size == 1
 
 
 class TestEnumerationCap:
@@ -305,7 +342,7 @@ class TestExactJointLawBitForBit:
 
 class TestEnumeratorBlocks:
     """Every exact output is independent of the enumerator's block: with
-    ``_ENUM_BLOCK`` at 1 (one assignment per block), 7 and 100 (strictly
+    ``sampling._BLOCK`` at 1 (one assignment per block), 7 and 100 (strictly
     between K^m and K^(m+1) for every K > 1 here), each still equals its
     scalar oracle bit for bit, for one cell, zero-probability atoms and
     step kernels."""
@@ -318,7 +355,7 @@ class TestEnumeratorBlocks:
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_hom_density_and_graph_law(self, monkeypatch, block):
-        monkeypatch.setattr(equivalence, "_ENUM_BLOCK", block)
+        monkeypatch.setattr(sampling, "_BLOCK", block)
         for k in (self.one_cell_kernel(), *oracle_kernels()):
             for pattern in PATTERNS.values():
                 assert hom_density(k, pattern) == hom_density_loop(k, pattern)
@@ -327,7 +364,7 @@ class TestEnumeratorBlocks:
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_exact_joint_law(self, monkeypatch, block):
-        monkeypatch.setattr(equivalence, "_ENUM_BLOCK", block)
+        monkeypatch.setattr(sampling, "_BLOCK", block)
         k = self.one_cell_kernel()
         cases = [(k.domain, KernelFamily((k,)))]
         for trial in range(10):
@@ -336,6 +373,31 @@ class TestEnumeratorBlocks:
         for sp, fam in cases:
             for n in (1, 2, 3):
                 TestExactJointLawBitForBit._check(sp, fam, n)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_blocks_honour_the_budget(self, monkeypatch, block):
+        # each block spans the last m points with K^m * per <= budget (or m = 0),
+        # m as large as that allows: the enumerator reads sampling._BLOCK as it runs
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        real, spans = equivalence._assignments, []
+
+        def checked(weights, n, per=1):
+            size = len(weights)
+            for grid, prob in real(weights, n, per):
+                m = prob.ndim
+                assert m == 0 or size**m * per <= block, (size, m, per)
+                assert m == min(n, 32) or size ** (m + 1) * per > block, (size, m, per)
+                spans.append(m)
+                yield grid, prob
+
+        monkeypatch.setattr(equivalence, "_assignments", checked)
+        for k in (self.one_cell_kernel(), *oracle_kernels()):
+            hom_density(k, PATTERNS["c4"])
+            graph_law_exact(k, 3)
+        for trial in range(3):
+            sp, fam = TestExactJointLawBitForBit.case(trial)
+            exact_joint_law(sp, fam, 3)
+        assert spans
 
 
 class TestExactSum:
@@ -896,9 +958,26 @@ class TestMcKernelSides:
                 side = lambda s, n=n: sample_graph(table, n, s)  # noqa: E731
                 for block in (1, 7, 100):
                     with monkeypatch.context() as m:
-                        m.setattr(equivalence, "_OBS_BLOCK", block)
+                        m.setattr(sampling, "_BLOCK", block)
                         assert _observations(table, n, seeds, chi2).tolist() == whole
                         assert _observations(side, n, seeds, chi2).tolist() == whole
+
+    @pytest.mark.parametrize("block", (1, 7, 100))
+    def test_observation_blocks_honour_the_budget(self, monkeypatch, block):
+        # a kernel side draws its seeds in runs of max(1, budget // pairs), read
+        # from sampling._BLOCK as _observations runs
+        table, _ = self._kernels()
+        seeds = derive_seed(3, 0, np.arange(50, dtype=np.uint64))
+        real, sizes = equivalence.sample_graph_edges, []
+        monkeypatch.setattr(equivalence, "sample_graph_edges",
+                            lambda k, n, s: sizes.append(len(s)) or real(k, n, s))
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        for n in (1, 3, 8):
+            step = max(1, block // max(n * (n - 1) // 2, 1))
+            for chi2 in (True, False):
+                sizes.clear()
+                _observations(table, n, seeds, chi2)
+                assert sum(sizes) == 50 and sizes[0] == min(step, 50) and max(sizes) <= step
 
     def test_statistics_with_kernel_side(self):
         table, step = self._kernels()

@@ -284,7 +284,7 @@ class TestSampleGraph:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         k = two_block_kernel()
         expected = sample_graph(k, 40, 8, threads=1).edges.tolist()
-        monkeypatch.setattr(sampling, "_PAIR_BLOCK", 50)
+        monkeypatch.setattr(sampling, "_BLOCK", 50)
         blocks = len(list(sampling._row_blocks(40, 1)))
         for cpus in (os.cpu_count(), 4, 1, None):
             monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
@@ -372,7 +372,7 @@ class TestRowBlocks:
         # consecutive row ranges ending at row n - 1; a block over its
         # budget of coins (seeds times pairs) is a single row
         for block in (*self.BLOCKS, 1 << 16):
-            monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(sampling, "_BLOCK", block)
             for n in (1, 2, 3, 31, 60, 4000):
                 for seeds in (1, 2, 30):
                     blocks = list(sampling._row_blocks(n, seeds))
@@ -386,7 +386,7 @@ class TestRowBlocks:
         for n in (1, 2, 3, 31, 60):
             expected = sample_graph_pairwise(k, n, 17).tolist()
             for block in self.BLOCKS:
-                monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+                monkeypatch.setattr(sampling, "_BLOCK", block)
                 for threads in (1, 8):
                     got = sample_graph(k, n, 17, threads=threads).edges
                     assert got.tolist() == expected, (n, block, threads)
@@ -401,7 +401,7 @@ class TestRowBlocks:
                 expected = sample_graph_edges(k, n, seeds)
                 assert expected.shape == (count, n * (n - 1) // 2)
                 for block in self.BLOCKS:
-                    monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+                    monkeypatch.setattr(sampling, "_BLOCK", block)
                     got = sample_graph_edges(k, n, seeds)
                     assert got.dtype == bool and np.array_equal(got, expected), (n, block)
                 monkeypatch.undo()
@@ -550,6 +550,27 @@ class TestCoinRejection:
                             [sample_graph(k, 700, s, threads=2).edges for s in (1, 2)]))
             assert np.array_equal(got[0][0], got[1][0])
             assert all(np.array_equal(a, b) for a, b in zip(got[0][1], got[1][1]))
+
+    def test_both_paths_hand_on_flat_indices(self, monkeypatch):
+        # the rejection path (top = 63 below 1/2) and the full compare both give
+        # ``take`` the ascending flat indices of a block's edges, for one seed
+        # and for a column of them
+        sp = space([f"c{a}" for a in range(3)], [0.2, 0.3, 0.5])
+        values = np.array([[0.01, 0.3, 0.2], [0.3, 0.001, 0.45], [0.2, 0.45, 0.02]])
+        assert rejection_top(math.ceil(0.45 * 2**53)) == 63
+        seeds = derive_seed(6, 0, np.arange(3, dtype=np.uint64))
+        monkeypatch.setattr(sampling, "_BLOCK", 200)
+        for reject_top in (63, 0):
+            monkeypatch.setattr(sampling, "_REJECT_TOP", reject_top)
+            for seed in (5, seeds):
+                cells = sampling._latent_draws(sp, 60, seed)[2]
+                take = lambda r0, shape, hit: (shape, hit)  # noqa: E731
+                hits = list(sampling._draw_edges(values, cells, seed, take))
+                assert len(hits) > 1 and any(len(hit) for _, hit in hits)
+                for shape, hit in hits:
+                    assert hit.dtype.kind == "i" and hit.ndim == 1
+                    assert (np.diff(hit) > 0).all() and hit.min(initial=0) >= 0
+                    assert hit.max(initial=-1) < np.prod(shape)
 
     @settings(max_examples=1000, deadline=None)
     @given(
