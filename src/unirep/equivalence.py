@@ -443,12 +443,15 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
 
 def _observations(side, n: int, seeds, chi2: bool):
     """One side's observations for ``seeds``: labeled-graph
-    bitmasks (chi2), else a row of edge counts and a row of triangle counts
-    ``trace(A^3) / 6``, from edge-indicator rows (column p for pair p of
-    :func:`pair_list`) drawn in blocks of about ``sampling._BLOCK`` pairs, so that
-    memory stays bounded.  A callable side gets each seed as a Python int."""
+    bitmasks (chi2), else float64 rows of edge counts and of triangle counts
+    ``sum((U @ U) * U)`` over the strict upper-triangle adjacency U, from edge-indicator
+    rows (column p for pair p of :func:`pair_list`) drawn in blocks of about
+    ``sampling._BLOCK`` pairs, so that memory stays bounded.  U is float32 while
+    C(n, 3) <= 2^24, as every sum is then an integer that float32 holds exactly.
+    A callable side gets each seed as a Python int."""
     pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
+    exact = np.float32 if math.comb(n, 3) <= 1 << 24 else np.float64
     step = max(1, sampling._BLOCK // max(pairs, 1))
     observed = []
     for block in (seeds[lo : lo + step] for lo in range(0, len(seeds), step)):
@@ -462,9 +465,9 @@ def _observations(side, n: int, seeds, chi2: bool):
         if chi2:
             observed.append(rows @ (1 << np.arange(pairs)))
             continue
-        adj = np.zeros((len(rows), n, n))
-        adj[:, iu, ju] = adj[:, ju, iu] = rows
-        observed.append(np.stack((rows.sum(axis=1), np.einsum("rij,rji->r", adj @ adj, adj) / 6)))
+        up = np.zeros((len(rows), n, n), exact)
+        up[:, iu, ju] = rows
+        observed.append(np.stack((rows.sum(axis=1), np.einsum("rij,rij->r", up @ up, up))))
     return np.concatenate(observed, axis=-1)
 
 
@@ -492,6 +495,12 @@ def _chi2_sf(x: float, df: int) -> float:
     if odd:
         terms.append(math.erfc(math.sqrt(h)))
     return min(math.fsum(terms), 1.0)
+
+
+def _mask_counts(obs_a, obs_b, pairs: int) -> np.ndarray:
+    """Each side's count of every labeled-graph mask that either side shows, masks ascending."""
+    counts = np.stack([np.bincount(obs, minlength=1 << pairs) for obs in (obs_a, obs_b)])
+    return counts[:, counts.any(axis=0)]
 
 
 def mc_two_sample_test(
@@ -552,8 +561,7 @@ def mc_two_sample_test(
         obs_a, obs_b = ([np.array([fn(g) for g in gs]) for fn in stats.values()] for gs in graphs)
 
     if chi2:
-        distinct, inverse = np.unique(np.concatenate((obs_a, obs_b)), return_inverse=True)
-        counts = np.stack([np.bincount(side, minlength=len(distinct)) for side in np.split(inverse, 2)])
+        counts = _mask_counts(obs_a, obs_b, n * (n - 1) // 2)
         totals = counts.sum(axis=0)
         big = totals / 2.0 >= _CHI2_FLOOR
         # one bucket per frequent graph in ascending order, then one tail bucket

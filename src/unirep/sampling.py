@@ -241,7 +241,7 @@ def _row_blocks(n: int, seeds: int):
     many as keep ``seeds * (r1 - r0) * (n - 1 - r0)`` coins within ``_BLOCK``."""
     r0 = 0
     while r0 < n - 1:
-        r1 = min(n - 1, r0 + max(1, _BLOCK // (seeds * (n - 1 - r0))))
+        r1 = min(n - 1, r0 + max(1, _BLOCK // (max(seeds, 1) * (n - 1 - r0))))
         yield r0, r1
         r0 = r1
 
@@ -280,9 +280,9 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
             return take(r0, y.shape, hit[m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]])
         x = _fold(y, 31)
         x >>= np.uint64(11)
-        # one seed: a row gather, then the columns, is faster than two indices
+        # one seed: a row gather, then the columns; a seed row: one flat take
         at = (np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1) if cells.ndim == 1
-              else thr[cells[r0:r1, None], cells[None, r0 + 1:]])
+              else np.take(thr, cells[r0:r1, None] * len(thr) + cells[r0 + 1:]))
         return take(r0, y.shape, np.flatnonzero(x < at))
 
     blocks = list(_row_blocks(n, np.size(seed)))
@@ -304,8 +304,10 @@ def _block_edges(r0, shape, hit):
 
 
 def _block_pairs(r0, shape, hit):
-    """The pairs of one row block of :func:`_draw_edges` per seed, in pair order, as bools."""
-    edge = np.bincount(hit, minlength=np.prod(shape)).astype(bool).reshape(shape)
+    """The pairs of one row block of :func:`_draw_edges` per seed, in pair order, as
+    bools: ``True`` scattered at ``hit`` into a zeroed block, then its upper triangle."""
+    edge = np.zeros(shape, bool)
+    edge.reshape(-1)[hit] = True
     return edge[np.triu(np.ones(shape[:2], bool))]
 
 
@@ -340,9 +342,11 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
 def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
     """A ``(len(seeds), n choose 2)`` bool array: entry ``[r, p]`` says whether
     pair p of :func:`pair_list` is an edge of ``sample_graph(kernel, n, seeds[r])``.
-    Its memory grows with its size, so draw long seed arrays in blocks."""
+    Seeds are taken mod 2^64, as there; a numeric array is cast as a whole.  Its
+    memory grows with its size, so draw long seed arrays in blocks."""
     _check_graph_kernel(kernel)
-    row = np.asarray(seeds, dtype=np.uint64)
+    row = (_u64(seeds) if getattr(seeds, "dtype", object) != object
+           else np.array([int(s) & _MASK64 for s in seeds], np.uint64))
     cells = _latent_draws(kernel.domain, n, row)[2]
     blocks = _draw_edges(kernel.values, cells, row, _block_pairs)
     return np.ascontiguousarray(np.concatenate([np.empty((0, len(row)), bool), *blocks]).T)

@@ -122,6 +122,60 @@ MC_ZTEST_STDOUT = (
 )
 
 
+# ``equiv --mode mc --runs 2`` stdout on DEMO_SPEC against itself (seed 0) at the
+# last n whose triangle counts are float32-exact (C(466, 3) <= 2^24) and the first
+# past it, captured from the float64 trace(A^3) / 6 counts the upper-triangle
+# product replaced
+MC_ZTEST_EDGE_STDOUT = {
+    466: (
+        '{\n'
+        '  "pass": true,\n'
+        '  "pvalues": {\n'
+        '    "edge_count": 0.7499487549864499,\n'
+        '    "triangle_count": 0.8000749619945151\n'
+        '  },\n'
+        '  "mode": "ztest",\n'
+        '  "means": {\n'
+        '    "edge_count": {\n'
+        '      "mean_a": 38248.5,\n'
+        '      "mean_b": 38133.5\n'
+        '    },\n'
+        '    "triangle_count": {\n'
+        '      "mean_a": 782595.5,\n'
+        '      "mean_b": 777964.0\n'
+        '    }\n'
+        '  },\n'
+        '  "runs": 2,\n'
+        '  "alpha": 0.01,\n'
+        '  "n": 466\n'
+        '}\n'
+    ),
+    467: (
+        '{\n'
+        '  "pass": true,\n'
+        '  "pvalues": {\n'
+        '    "edge_count": 0.7112264508283539,\n'
+        '    "triangle_count": 0.7647544836995048\n'
+        '  },\n'
+        '  "mode": "ztest",\n'
+        '  "means": {\n'
+        '    "edge_count": {\n'
+        '      "mean_a": 38429.0,\n'
+        '      "mean_b": 38292.0\n'
+        '    },\n'
+        '    "triangle_count": {\n'
+        '      "mean_a": 788418.5,\n'
+        '      "mean_b": 782778.0\n'
+        '    }\n'
+        '  },\n'
+        '  "runs": 2,\n'
+        '  "alpha": 0.01,\n'
+        '  "n": 467\n'
+        '}\n'
+    ),
+}
+
+
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -468,6 +522,13 @@ class TestEquiv:
         assert capsys.readouterr().out == MC_CHI2_STDOUT
         assert main(["equiv", a, b, "--mode", "mc", "--n", "12", "--runs", "200"]) == 0
         assert capsys.readouterr().out == MC_ZTEST_STDOUT
+
+    @pytest.mark.parametrize("n", sorted(MC_ZTEST_EDGE_STDOUT))
+    def test_mc_stdout_pinned_at_the_float32_edge(self, tmp_path, capsys, n):
+        a = write_spec(tmp_path, DEMO_SPEC, "a.json")
+        b = write_spec(tmp_path, DEMO_SPEC, "b.json")
+        assert main(["equiv", a, b, "--mode", "mc", "--n", str(n), "--runs", "2"]) == 0
+        assert capsys.readouterr().out == MC_ZTEST_EDGE_STDOUT[n]
 
     @pytest.mark.parametrize("n", [65, 100])
     def test_one_atom_past_numpy_dimensions(self, tmp_path, capsys, n):

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unirep import (
@@ -36,7 +36,7 @@ from unirep import (
     tv_distance,
 )
 from unirep import equivalence, sampling
-from unirep.equivalence import _chi2_sf, _fsum, _observations, _pack
+from unirep.equivalence import _chi2_sf, _fsum, _mask_counts, _observations, _pack
 from unirep.sampling import derive_seed, graph_bitmask, sample_graph_edges
 
 from util import (
@@ -1056,6 +1056,48 @@ def test_triangle_count_matches_triple_count():
                 )
                 assert (e, t) == (len(edges), triples)
 
+
+@pytest.mark.parametrize("n", (466, 467))
+def test_complete_graph_counts_at_the_float32_edge(n):
+    # C(466, 3) <= 2^24 < C(467, 3): the last n counted in float32 and the
+    # first in float64, where float32 would drop the odd triangle count by one
+    kernel = const_graph_kernel(1.0)
+    for side in (kernel, lambda s: sample_graph(kernel, n, s)):
+        got = _observations(side, n, [3, 4], chi2=False)
+        assert got.dtype == np.float64
+        assert got.tolist() == [[math.comb(n, 2)] * 2, [math.comb(n, 3)] * 2]
+
+
+def _unique_buckets(obs_a, obs_b):
+    """The chi-squared bucket counts in their ``np.unique`` form."""
+    distinct, inverse = np.unique(np.concatenate((obs_a, obs_b)), return_inverse=True)
+    return np.stack([np.bincount(side, minlength=len(distinct)) for side in np.split(inverse, 2)])
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two equal-length sides of labeled-graph masks on n <= 5 vertices; sides may
+    share no mask, and masks may be seen on one side only."""
+    pairs = draw(st.integers(0, 10))
+    runs = draw(st.integers(1, 40))
+    masks = st.integers(0, (1 << pairs) - 1)
+    obs_a = draw(st.lists(masks, min_size=runs, max_size=runs))
+    unseen = sorted(set(range(1 << pairs)) - set(obs_a))
+    if unseen and draw(st.booleans()):  # no common mask
+        masks = st.sampled_from(unseen)
+    obs_b = draw(st.lists(masks, min_size=runs, max_size=runs))
+    return pairs, np.array(obs_a, np.int64), np.array(obs_b, np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_pairs())
+@example((3, np.array([0, 3, 3]), np.array([3, 5, 0])))  # mask 5 on one side only
+@example((3, np.array([6, 1]), np.array([2, 2])))  # no common mask
+def test_mask_counts_equal_the_unique_buckets(case):
+    pairs, obs_a, obs_b = case
+    got = _mask_counts(obs_a, obs_b, pairs)
+    expected = _unique_buckets(obs_a, obs_b)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
 
 class TestCanonicalKeys:
     def test_order(self):

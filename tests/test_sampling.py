@@ -355,6 +355,29 @@ class TestBitmaskSampler:
             [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4],
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=6))
+    @example([])
+    @example([-1, 2**64 - 1, 2**64, 0, -(2**70), 2**70])
+    def test_takes_every_seed_sample_graph_takes(self, seeds):
+        # Python integers are taken mod 2^64, as sample_graph takes one seed
+        k = two_block_kernel()
+        rows = sample_graph_edges(k, 5, seeds)
+        assert rows.shape == (len(seeds), 10) and rows.dtype == bool
+        for seed, row in zip(seeds, rows):
+            assert sample_graph(k, 5, seed).edges.tolist() == pair_list(5)[row].tolist()
+
+    def test_empty_and_signed_seed_arrays(self):
+        k = two_block_kernel()
+        for empty in ([], (), np.array([], np.uint64), np.array([], np.int64)):
+            rows = sample_graph_edges(k, 5, empty)
+            assert rows.shape == (0, 10) and rows.dtype == bool
+        wrapped = sample_graph_edges(k, 5, np.array([2**64 - 1], np.uint64))
+        assert (sample_graph_edges(k, 5, np.array([-1], np.int64)) == wrapped).all()
+        assert (sample_graph_edges(k, 5, [np.int64(-1)]) == wrapped).all()
+        held = np.array([-1, 2**64 + 3], dtype=object)  # Python ints in an array
+        assert (sample_graph_edges(k, 5, held) == sample_graph_edges(k, 5, [2**64 - 1, 3])).all()
+
 
 class TestRowBlocks:
     # block sizes of 1 and 7 pairs, one below the 59 pairs of the first row
