@@ -33,7 +33,7 @@ from .representation import (
     represent_family,
     sigma_atoms,
 )
-from .sampling import _graph_blocks
+from .sampling import _block_rows, _graph_blocks
 from .specfile import SpecDocument, _cell_records, _decimals, _represented, load_spec
 
 __all__ = ["main"]
@@ -97,17 +97,19 @@ def _write_json(obj, out: str):
 
 
 def _edge_lines(blocks, n: int):
-    """The ``"i j\n"`` lines of ``blocks`` (``(e, 2)`` arrays of integers in
-    1..n, drawn as iterated) as bytes, one chunk per block.  Each block
-    gathers whole numbers from :func:`_decimals` into fixed-width line
-    records, and one ``bytes.translate`` deletes the NULs."""
+    """The ``"i j\n"`` lines of ``blocks`` (the ``(r0, counts, j)`` of :func:`_block_rows`,
+    vertices in 1..n, drawn as iterated) as bytes, one chunk per block.  Each block fills
+    fixed-width records with whole numbers from :func:`_decimals`, each row's i repeated
+    and the j gathered; one ``bytes.translate`` deletes the NULs, which a block holds
+    unless its first row ``r0 + 1``, and so every vertex in it (j > i), has full width."""
     table = _decimals(n)
+    full = 10 ** (table.dtype.itemsize - 1)
     line = np.dtype([("i", table.dtype), ("sp", "u1"), ("j", table.dtype), ("nl", "u1")])
-    for i, j in (edges.T for edges in blocks):
-        buf = np.empty(len(i), dtype=line)
-        buf["i"], buf["j"] = table[i], table[j]
+    for r0, counts, j in blocks:
+        buf = np.empty(len(j), dtype=line)
+        buf["i"], buf["j"] = np.repeat(table[r0 + 1 : r0 + 1 + len(counts)], counts), table[j]
         buf["sp"], buf["nl"] = ord(" "), ord("\n")
-        yield buf.tobytes().translate(None, b"\0")
+        yield buf.tobytes() if r0 + 1 >= full else buf.tobytes().translate(None, b"\0")
 
 
 def _select_kernel(family: KernelFamily, name: str | None) -> Kernel:
@@ -144,7 +146,7 @@ def cmd_represent(args) -> int:
 def cmd_sample(args) -> int:
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
-    latents, blocks = _graph_blocks(kernel, args.n, args.seed, args.threads)
+    latents, blocks = _graph_blocks(kernel, args.n, args.seed, args.threads, _block_rows)
     _write(_edge_lines(blocks, args.n), args.out)
     if args.latents is not None:
         lines = "".join(f"{i} {x!r}\n" for i, x in enumerate(latents.uniforms.tolist(), start=1))

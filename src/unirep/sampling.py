@@ -19,8 +19,8 @@ Vertex indices are 1-based throughout, matching the edge-list output
 format.
 
 One private core, :func:`_draw_edges`, draws every graph edge, for one
-seed (:func:`_graph_blocks`, whose blocks ``unirep sample`` writes as they
-are drawn and :func:`sample_graph` joins) or a column of seeds at once
+seed (:func:`_graph_blocks`, whose per-row hits ``unirep sample`` writes as
+they are drawn and :func:`sample_graph` joins) or a column of seeds at once
 (:func:`sample_graph_edges`, bit-identical row by row), one block of
 about ``_BLOCK`` coins (or one row) at a time; threads draw blocks.
 It compares each coin's 53 bits with an integer threshold per kernel
@@ -68,10 +68,13 @@ _REJECT_TOP = 58  # _draw_edges tests candidates up to a 2^(top-64) = 1/64 share
 
 
 def _u64(v):
-    """``v`` mod 2^64 as uint64: a scalar for an integer, else an array."""
+    """``v`` mod 2^64 as uint64, exactly: a scalar for an integer, else an array."""
     if isinstance(v, (int, np.integer)):
         return np.uint64(int(v) & _MASK64)
-    return np.asarray(v).astype(np.uint64, copy=False)
+    a = np.asarray(v, None if hasattr(v, "dtype") else object)
+    if a.dtype.kind not in "iu":  # one Python int at a time, as numpy may not infer ints
+        a = np.array([int(x) & _MASK64 for x in a.flat], np.uint64).reshape(a.shape)
+    return a.astype(np.uint64, copy=False)
 
 
 def _fold(x, shift: int):
@@ -248,9 +251,10 @@ def _row_blocks(n: int, seeds: int):
 
 def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int = 1):
     """``take(r0, shape, hit)`` of each row block ``[r0, r1)`` of the vertices on the
-    first axis of ``cells``, in row order, ``take`` dropping ``c < t``: ``hit`` lists the
-    ascending flat indices in ``shape`` of the ``[t, c, ...]`` with ``unit_uniform(seed,
-    1, i, j) < values[cells[i-1], cells[j-1]]`` at ``i = r0 + t + 1``, ``j = r0 + c + 2``.
+    first axis of ``cells``, in row order: ``hit`` lists the ascending flat indices in
+    ``shape`` of the ``[t, c, ...]`` with ``unit_uniform(seed, 1, i, j) < values[cells[i-1],
+    cells[j-1]]`` at ``i = r0 + t + 1``, ``j = r0 + c + 2``.  For one seed none has ``c < t``
+    (``j <= i``), as no pair below the diagonal is drawn; for a seed row ``take`` drops those.
     The compare is made in integers, with the same decisions: the coin's high
     53 bits m against ``ceil(w * 2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
@@ -277,12 +281,15 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
             hit = np.flatnonzero(y < bound)
             t, c, *s = np.unravel_index(hit, y.shape)
             m = _fold(y.reshape(-1)[hit], 31) >> np.uint64(11)
-            return take(r0, y.shape, hit[m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]])
+            edge = m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]
+            return take(r0, y.shape, hit[edge & (c >= t)])
         x = _fold(y, 31)
         x >>= np.uint64(11)
-        # one seed: a row gather, then the columns; a seed row: one flat take
-        at = (np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1) if cells.ndim == 1
-              else np.take(thr, cells[r0:r1, None] * len(thr) + cells[r0 + 1:]))
+        if cells.ndim == 1:  # one seed: a row gather, then the columns, none below the diagonal
+            at = np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1)
+            at[:, : r1 - r0][np.tri(r1 - r0, r1 - r0, -1, bool)] = 0
+        else:  # a seed row: one flat take
+            at = np.take(thr, cells[r0:r1, None] * len(thr) + cells[r0 + 1:])
         return take(r0, y.shape, np.flatnonzero(x < at))
 
     blocks = list(_row_blocks(n, np.size(seed)))
@@ -296,11 +303,18 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     return map(block, blocks)
 
 
+def _block_rows(r0, shape, hit):
+    """``(r0, counts, j)`` of one row block of :func:`_draw_edges` for one seed: row
+    ``i = r0 + t + 1`` holds the ``counts[t]`` edges ``(i, j)`` next in ``j``, in pair order."""
+    starts = np.arange(0, (shape[0] + 1) * shape[1], shape[1])  # flat index of each row's start
+    counts = np.diff(np.searchsorted(hit, starts))
+    return r0, counts, hit - np.repeat(starts[:-1] - (r0 + 2), counts)
+
+
 def _block_edges(r0, shape, hit):
-    """The edges ``(i, j)`` of one row block of :func:`_draw_edges`, in pair order."""
-    t, c = np.divmod(hit, shape[1])
-    upper = c >= t
-    return np.column_stack((t[upper] + (r0 + 1), c[upper] + (r0 + 2)))
+    """The ``(e, 2)`` edges of one row block of :func:`_draw_edges` for one seed, in pair order."""
+    r0, counts, j = _block_rows(r0, shape, hit)
+    return np.column_stack((np.repeat(np.arange(r0 + 1, r0 + 1 + len(counts)), counts), j))
 
 
 def _block_pairs(r0, shape, hit):
@@ -311,12 +325,12 @@ def _block_pairs(r0, shape, hit):
     return edge[np.triu(np.ones(shape[:2], bool))]
 
 
-def _graph_blocks(kernel: Kernel, n: int, seed: int, threads: int = 1):
-    """The latents of :func:`sample_graph`, after all its checks, and its row
-    blocks' ``(e, 2)`` edge arrays in row order, drawn as iterated on one thread."""
+def _graph_blocks(kernel: Kernel, n: int, seed: int, threads: int = 1, take=_block_edges):
+    """The latents of :func:`sample_graph`, after all its checks, and ``take`` of its row
+    blocks (by default their ``(e, 2)`` edges) in row order, drawn as iterated on one thread."""
     _check_graph_kernel(kernel)
     latents = sample_latents(kernel.domain, n, seed)
-    return latents, _draw_edges(kernel.values, latents.cells, seed, _block_edges, threads)
+    return latents, _draw_edges(kernel.values, latents.cells, seed, take, threads)
 
 
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:
@@ -342,11 +356,10 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
 def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
     """A ``(len(seeds), n choose 2)`` bool array: entry ``[r, p]`` says whether
     pair p of :func:`pair_list` is an edge of ``sample_graph(kernel, n, seeds[r])``.
-    Seeds are taken mod 2^64, as there; a numeric array is cast as a whole.  Its
+    Seeds are taken mod 2^64, as there; an integer array is cast as a whole.  Its
     memory grows with its size, so draw long seed arrays in blocks."""
     _check_graph_kernel(kernel)
-    row = (_u64(seeds) if getattr(seeds, "dtype", object) != object
-           else np.array([int(s) & _MASK64 for s in seeds], np.uint64))
+    row = _u64(seeds)
     cells = _latent_draws(kernel.domain, n, row)[2]
     blocks = _draw_edges(kernel.values, cells, row, _block_pairs)
     return np.ascontiguousarray(np.concatenate([np.empty((0, len(row)), bool), *blocks]).T)

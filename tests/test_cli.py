@@ -29,7 +29,7 @@ from unirep.cli import _indented, main
 from unirep.sampling import pair_list
 from unirep.specfile import load_spec
 
-from util import dump_represented_oracle, edge_lines_oracle
+from util import dump_represented_oracle, edge_lines_oracle, edge_row_blocks
 
 DEMO_SPEC = {
     "space": {"atoms": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]},
@@ -338,17 +338,19 @@ EDGE_WRITER_NS = (1, 9, 10, 99, 100, 10**5 - 1, 10**5, 10**6, 10**6 + 1)
 
 @st.composite
 def edge_writer_cases(draw):
-    """``(n, blocks)``: strictly ascending int64 rows (i, j), i < j, in 1..n,
-    always holding (1, n) when n > 1, cut into consecutive blocks for the
-    writer, empty ones included."""
+    """``(n, edges, blocks)``: strictly ascending int64 rows (i, j), i < j, in
+    1..n, always holding (1, n) when n > 1, and the writer's row blocks of them,
+    cut at random rows and at rows around each change of width, empty ones
+    included."""
     n = draw(st.sampled_from(EDGE_WRITER_NS))
     boundaries = [v for v in (1, 2, 9, 10, 11, 99, 100, 101, 10**5 - 1, 10**5, 10**6, n - 1, n) if 1 <= v <= n]
     vertex = st.one_of(st.sampled_from(boundaries), st.integers(1, n))
     pairs = {(min(p), max(p)) for p in draw(st.lists(st.tuples(vertex, vertex), max_size=40)) if p[0] != p[1]}
     pairs |= {(1, n)} if n > 1 else set()
     edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    cuts = sorted(draw(st.lists(st.integers(0, len(edges)), max_size=8)))
-    return n, np.split(edges, cuts)
+    row = st.one_of(st.sampled_from([v - 1 for v in boundaries]), st.integers(0, n))
+    starts = [r0 for r0 in draw(st.lists(row, max_size=8)) if r0 < n - 1]
+    return n, edges, edge_row_blocks(edges, n, starts)
 
 
 def random_demo_spec(rng):
@@ -385,8 +387,9 @@ class TestEdgeList:
         pairs = np.sort(rng.integers(1, n + 1, size=(20_000, 2)), axis=1)
         pairs = np.vstack((pairs, [(1, 2), (1, n), (n - 1, n), (9, 10), (99, 100)]))
         edges = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
-        blocks = np.array_split(edges, 7)
-        monkeypatch.setattr(unirep.cli, "_graph_blocks", lambda kernel, n, seed, threads: (None, blocks))
+        blocks = edge_row_blocks(edges, n, np.linspace(0, n - 1, 8).astype(int)[:-1])
+        assert len(blocks) == 7
+        monkeypatch.setattr(unirep.cli, "_graph_blocks", lambda kernel, n, seed, threads, take: (None, blocks))
         spec = write_spec(tmp_path, DEMO_SPEC)
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", str(n), "--out", str(out)]) == 0
@@ -405,14 +408,29 @@ class TestEdgeList:
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(case=edge_writer_cases())
-    @example(case=(1, []))
-    @example(case=(10**6 + 1, [np.empty((0, 2), dtype=np.int64)] * 3))
+    @example(case=(1, np.empty((0, 2), dtype=np.int64), []))
+    @example(case=(10**6 + 1, np.empty((0, 2), dtype=np.int64),
+                   edge_row_blocks([], 10**6 + 1, (10**6 - 2, 10**6 - 1))))
     def test_writer_chunks_match_oracle(self, case):
-        n, blocks = case
+        n, edges, blocks = case
         chunks = list(unirep.cli._edge_lines(iter(blocks), n))
         assert len(chunks) == len(blocks)
         assert not any(b"\0" in chunk for chunk in chunks)
-        edges = np.concatenate([np.empty((0, 2), dtype=np.int64), *blocks])
+        assert b"".join(chunks) == edge_lines_oracle(edges).encode()
+
+    @pytest.mark.parametrize("n", (9, 10, 11, 999, 1000, 1001, 10_001))
+    def test_writer_at_each_change_of_width(self, n):
+        # blocks start where r0 + 1, their first row, is 10^k - 1 and 10^k, so
+        # a block whose rows all have full width is written without the
+        # NUL-deleting pass and one just below that width is not
+        powers = [10**k for k in range(1, len(str(n)))]
+        rows = {1, 2, n - 1} | {p + d for p in powers for d in (-2, -1, 0, 1)}
+        edges = sorted({(i, j) for i in rows for j in (i + 1, *powers, n) if 1 <= i < j <= n})
+        blocks = edge_row_blocks(edges, n, [p - d for p in powers for d in (1, 2)])
+        assert {r0 + 1 for r0, _, _ in blocks} >= {p - d for p in powers for d in (0, 1) if p - d < n}
+        chunks = list(unirep.cli._edge_lines(iter(blocks), n))
+        assert len(chunks) == len(blocks)
+        assert not any(b"\0" in chunk for chunk in chunks)
         assert b"".join(chunks) == edge_lines_oracle(edges).encode()
 
     @pytest.mark.parametrize("p, n", [(1.0, 1), (0.0, 50)])

@@ -131,6 +131,32 @@ class TestUnitUniform:
             assert seeds.dtype == np.uint64
             assert seeds.tolist() == [derive_seed_scalar(seed, -300, a) for a in i.tolist()]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=12), st.booleans())
+    @example([-1, 2**63 + 1], False)
+    @example([-2, 2**64 - 1], False)
+    @example([2**64, 5], False)
+    @example([2**64, 5], True)
+    def test_integer_sequences_are_taken_exactly(self, ints, as_objects):
+        # a list (numpy may infer float64 for one, or refuse it) or an object
+        # array of any integers draws what each of them draws alone
+        index = np.array(ints, dtype=object) if as_objects else ints
+        got = unit_uniform_array(0, 0, 0, index)
+        assert got.tolist() == [unit_uniform(0, 0, 0, v) for v in ints]
+        assert got.tolist() == [unit_uniform_scalar(0, 0, 0, v) for v in ints]
+        seeds = derive_seed(7, 0, index)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(7, 0, v) for v in ints]
+        assert seeds.tolist() == [derive_seed_scalar(7, 0, v) for v in ints]
+
+    def test_integer_sequences_pinned(self):
+        # numpy infers float64 for the first two lists and refuses the third
+        assert unit_uniform_array(0, 0, 0, [-1, 2**63 + 1])[1] == unit_uniform(0, 0, 0, 2**63 + 1)
+        assert unit_uniform(0, 0, 0, 2**63 + 1) == 0.9286724979240314
+        assert derive_seed(7, 0, [-2, 2**64 - 1])[1] == 12663294609929742467
+        assert unit_uniform_array(0, 0, 0, [2**64, 5]).tolist() == [
+            unit_uniform(0, 0, 0, 0), unit_uniform(0, 0, 0, 5)]
+
     def test_pinned_values(self):
         # computed by the pure-Python hash this package shipped before its
         # one uint64 implementation, so that oracle and package cannot drift together
@@ -404,6 +430,25 @@ class TestRowBlocks:
                     for r0, r1 in blocks:
                         assert r1 == r0 + 1 or seeds * (r1 - r0) * (n - 1 - r0) <= block
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 30), st.integers(0, 30),
+           st.sets(st.integers(0, 30 * 60 - 1)))
+    @example(0, 1, 0, set())
+    @example(10**6, 30, 0, set(range(900)))
+    def test_block_rows_equal_the_divmod_form(self, r0, rows, extra, flat):
+        # per-row counts and columns of any ascending flat hits in a block of
+        # shape (rows, cols), cols >= rows, against t, c = divmod(hit, cols)
+        cols = rows + extra
+        hit = np.array(sorted(v for v in flat if v < rows * cols), dtype=np.intp)
+        got_r0, counts, j = sampling._block_rows(r0, (rows, cols), hit)
+        t, c = np.divmod(hit, cols)
+        assert got_r0 == r0
+        assert counts.tolist() == np.bincount(t, minlength=rows).tolist()
+        assert j.dtype == np.int64 and j.tolist() == (c + r0 + 2).tolist()
+        edges = sampling._block_edges(r0, (rows, cols), hit)
+        assert edges.dtype == np.int64 and edges.shape == (len(hit), 2)
+        assert edges.tolist() == np.column_stack((t + r0 + 1, c + r0 + 2)).tolist()
+
     def test_sample_graph_matches_oracle(self, monkeypatch):
         k = self.kernel()
         for n in (1, 2, 3, 31, 60):
@@ -577,7 +622,7 @@ class TestCoinRejection:
     def test_both_paths_hand_on_flat_indices(self, monkeypatch):
         # the rejection path (top = 63 below 1/2) and the full compare both give
         # ``take`` the ascending flat indices of a block's edges, for one seed
-        # and for a column of them
+        # and for a column of them; for one seed none lies below the diagonal
         sp = space([f"c{a}" for a in range(3)], [0.2, 0.3, 0.5])
         values = np.array([[0.01, 0.3, 0.2], [0.3, 0.001, 0.45], [0.2, 0.45, 0.02]])
         assert rejection_top(math.ceil(0.45 * 2**53)) == 63
@@ -594,6 +639,8 @@ class TestCoinRejection:
                     assert hit.dtype.kind == "i" and hit.ndim == 1
                     assert (np.diff(hit) > 0).all() and hit.min(initial=0) >= 0
                     assert hit.max(initial=-1) < np.prod(shape)
+                    if np.ndim(seed) == 0:
+                        assert (hit % shape[1] >= hit // shape[1]).all()
 
     @settings(max_examples=1000, deadline=None)
     @given(

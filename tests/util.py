@@ -124,6 +124,21 @@ def edge_lines_oracle(edges):
     return "".join(f"{i} {j}\n" for i, j in np.asarray(edges).tolist())
 
 
+def edge_row_blocks(edges, n, starts):
+    """Sorted edges ``(i, j)``, i < j in 1..n, as the ``(r0, counts, j)`` row blocks
+    the edge-list writer takes: one block per start ``r0`` in ``starts`` (0 is added),
+    holding rows ``r0 + 1`` up to the next start, the last up to row n - 1; entry t
+    of ``counts`` is the number of edges in row ``r0 + t + 1``, and ``j`` lists them."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    starts = sorted({0, *starts})
+    blocks = []
+    for r0, r1 in zip(starts, starts[1:] + [n - 1]):
+        if r0 < r1:
+            rows = edges[(edges[:, 0] > r0) & (edges[:, 0] <= r1)]
+            blocks.append((r0, np.bincount(rows[:, 0] - r0 - 1, minlength=r1 - r0), rows[:, 1]))
+    return blocks
+
+
 def dump_represented_oracle(family):
     """The artifact document, its keys built one ``map(str, key)`` per tuple."""
     partition = family.domain
