@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -144,13 +145,19 @@ def cmd_represent(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.latents not in (None, "-") and args.out != "-":
+        if os.path.realpath(args.out) == os.path.realpath(args.latents):
+            raise SpecError(f"--out and --latents name the same file {args.latents!r}")
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
-    latents, blocks = _graph_blocks(kernel, args.n, args.seed, args.threads, _block_rows)
-    _write(_edge_lines(blocks, args.n), args.out)
+    latents, blocks = _graph_blocks(kernel, args.n, args.seed, _block_rows)
     if args.latents is not None:
         lines = "".join(f"{i} {x!r}\n" for i, x in enumerate(latents.uniforms.tolist(), start=1))
-        _write([lines.encode()], args.latents)
+        if args.latents != "-":  # before the edges, so an unwritable path opens no --out
+            _write([lines.encode()], args.latents)
+    _write(_edge_lines(blocks, args.n), args.out)
+    if args.latents == "-":
+        _write([lines.encode()], "-")
     return 0
 
 
@@ -206,11 +213,10 @@ def cmd_densities(args) -> int:
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
     names = [p.strip() for p in args.patterns.split(",") if p.strip()]
-    for name in names:
-        if name not in PATTERNS:
-            raise SpecError(
-                f"unknown pattern {name!r}; available: {', '.join(sorted(PATTERNS))}"
-            )
+    unknown = [name for name in names if name not in PATTERNS]
+    if unknown or not names:
+        what = f"unknown pattern {unknown[0]!r}" if unknown else "no pattern given"
+        raise SpecError(f"{what}; available: {', '.join(sorted(PATTERNS))}")
     for name in names:
         print(f"{name} {hom_density(kernel, PATTERNS[name]):.12g}")
     return 0
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--threads", type=_positive_int, default=1, help="affects speed only, never output"
+        "--threads", type=_positive_int, default=1, help="accepted, but changes nothing"
     )
     p.add_argument("--out", "-o", default="-")
     p.add_argument("--latents", default=None, help="also write 'i x_i' latent lines here")

@@ -22,7 +22,7 @@ One private core, :func:`_draw_edges`, draws every graph edge, for one
 seed (:func:`_graph_blocks`, whose per-row hits ``unirep sample`` writes as
 they are drawn and :func:`sample_graph` joins) or a column of seeds at once
 (:func:`sample_graph_edges`, bit-identical row by row), one block of
-about ``_BLOCK`` coins (or one row) at a time; threads draw blocks.
+about ``_BLOCK`` coins (or one row) at a time, each drawn as it is asked for.
 It compares each coin's 53 bits with an integer threshold per kernel
 value, which decides exactly as the float compare ``u < w`` would.  The
 hash's first fold is made once per vertex, and on sparse kernels a test of
@@ -32,7 +32,6 @@ threshold lookup; both are exact, so decisions and bytes are unchanged.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -249,7 +248,7 @@ def _row_blocks(n: int, seeds: int):
         r0 = r1
 
 
-def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int = 1):
+def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take):
     """``take(r0, shape, hit)`` of each row block ``[r0, r1)`` of the vertices on the
     first axis of ``cells``, in row order: ``hit`` lists the ascending flat indices in
     ``shape`` of the ``[t, c, ...]`` with ``unit_uniform(seed, 1, i, j) < values[cells[i-1],
@@ -258,9 +257,9 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
     The compare is made in integers, with the same decisions: the coin's high
     53 bits m against ``ceil(w * 2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
-    (seeds last, so each broadcast runs along them); ``threads`` (at most one
-    per usable CPU) draw whole blocks and return their list; one thread returns
-    a lazy ``map``.  The ``(seed, 1, i)`` state is hashed per vertex.
+    (seeds last, so each broadcast runs along them).  The result is a lazy ``map``:
+    each block is drawn as it is iterated, so a consumer that hands each on holds
+    one at a time.  The ``(seed, 1, i)`` state is hashed per vertex.
 
     Two exact steps keep every decision and byte: the first fold, linear under
     xor, is made once per row state and column ``j``; and as the last fold
@@ -292,15 +291,7 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take, threads: int 
             at = np.take(thr, cells[r0:r1, None] * len(thr) + cells[r0 + 1:])
         return take(r0, y.shape, np.flatnonzero(x < at))
 
-    blocks = list(_row_blocks(n, np.size(seed)))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(threads, len(blocks), cpus)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(block, blocks))
-    return map(block, blocks)
+    return map(block, _row_blocks(n, np.size(seed)))
 
 
 def _block_rows(r0, shape, hit):
@@ -325,12 +316,12 @@ def _block_pairs(r0, shape, hit):
     return edge[np.triu(np.ones(shape[:2], bool))]
 
 
-def _graph_blocks(kernel: Kernel, n: int, seed: int, threads: int = 1, take=_block_edges):
+def _graph_blocks(kernel: Kernel, n: int, seed: int, take=_block_edges):
     """The latents of :func:`sample_graph`, after all its checks, and ``take`` of its row
-    blocks (by default their ``(e, 2)`` edges) in row order, drawn as iterated on one thread."""
+    blocks (by default their ``(e, 2)`` edges) in row order, each drawn as it is iterated."""
     _check_graph_kernel(kernel)
     latents = sample_latents(kernel.domain, n, seed)
-    return latents, _draw_edges(kernel.values, latents.cells, seed, take, threads)
+    return latents, _draw_edges(kernel.values, latents.cells, seed, take)
 
 
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:
@@ -339,9 +330,9 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
 
     The edge coin for pair (i, j) is ``unit_uniform(seed, 1, i, j)``,
     so the output is bit-identical for a fixed seed under any degree of
-    parallelism or edge-evaluation order.  ``threads`` draw row blocks of
-    pairs in parallel (at most one per usable CPU); they never change
-    the result.
+    parallelism or edge-evaluation order.  Row blocks of pairs are drawn
+    one at a time on the calling thread; ``threads`` is accepted for
+    compatibility and changes nothing.
 
     Raises
     ------
@@ -349,7 +340,7 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
         If the kernel is not a symmetric arity-2 kernel with values in
         [0,1].
     """
-    latents, blocks = _graph_blocks(kernel, n, seed, threads)
+    latents, blocks = _graph_blocks(kernel, n, seed)
     return RandomGraph(n, np.concatenate([np.empty((0, 2), np.int64), *blocks]), latents)
 
 

@@ -389,7 +389,7 @@ class TestEdgeList:
         edges = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
         blocks = edge_row_blocks(edges, n, np.linspace(0, n - 1, 8).astype(int)[:-1])
         assert len(blocks) == 7
-        monkeypatch.setattr(unirep.cli, "_graph_blocks", lambda kernel, n, seed, threads, take: (None, blocks))
+        monkeypatch.setattr(unirep.cli, "_graph_blocks", lambda kernel, n, seed, take: (None, blocks))
         spec = write_spec(tmp_path, DEMO_SPEC)
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", str(n), "--out", str(out)]) == 0
@@ -795,9 +795,14 @@ class TestDensities:
         assert name == "edge"
         assert float(value) == pytest.approx(0.5, rel=1e-12)
 
-    def test_unknown_pattern_exit_2(self, tmp_path):
+    def test_unknown_pattern_exit_2(self, tmp_path, capsys):
+        # an empty list is refused like an unknown name, not answered with no lines
         spec = write_spec(tmp_path, const_spec(0.3))
-        assert main(["densities", spec, "--patterns", "pentagon"]) == 2
+        for patterns in ("pentagon", "", ",", " , "):
+            code, err = run_cli(["densities", spec, "--patterns", patterns], capsys)
+            assert code == 2
+            assert_one_error_line(err)
+            assert "; available: c4, edge, k4, p3, triangle" in err
 
     def test_lines_pinned(self, tmp_path, capsys):
         # a zero-probability atom, zero and unit values; the expected lines
@@ -958,11 +963,26 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag", ["--out", "--latents"])
     def test_unwritable_output_exit_2(self, tmp_path, capsys, flag):
+        # the latents are written before the edge list, so an unwritable
+        # --latents leaves no --out file behind
         spec = write_spec(tmp_path, DEMO_SPEC)
         argv = ["sample", spec, "--n", "20", "--out", str(tmp_path / "g.txt"), flag, str(tmp_path)]
         code, err = run_cli(argv, capsys)
         assert code == 2
         assert_one_error_line(err)
+        assert not (tmp_path / "g.txt").exists()
+
+    def test_same_out_and_latents_exit_2(self, tmp_path, capsys, monkeypatch):
+        # two spellings of one path; the latents would replace the edges
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        argv = ["sample", spec, "--n", "20", "--out", "g.txt", "--latents", "d/../g.txt"]
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "--out and --latents name the same file" in err
+        assert not (tmp_path / "g.txt").exists()
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_unknown_kernel_exit_2(self, tmp_path, capsys, mode):
@@ -1160,8 +1180,8 @@ def test_fuzzed_spec_exit_contract(field, shape):
 # replace it.  A slot is a positional spec, an option, or REP_MAX_ENUM; None
 # omits an option (or leaves REP_MAX_ENUM unset) and True gives a bare flag.
 # Upper-case words name paths made for the test.  Vertex counts stay at most
-# 40 (one row block, so --threads 1000000 starts no pool), and at most 4 for
-# exact enumeration, except for a --n of 10^18 that the cap must refuse at once.
+# 40, and at most 4 for exact enumeration, except for a --n of 10^18 that the
+# cap must refuse at once.
 _SPEC = ("DEMO", ["REP", "CONST", "MISSING", "DIR"])
 _SPEC_B = ("REP", ["DEMO", "CONST", "MISSING", "DIR"])
 _OUT = ("FILE", ["-", "", "DIR", "NODIR", None])

@@ -275,67 +275,6 @@ class TestSampleGraph:
         g8 = sample_graph(k, 60, 123, threads=8)
         assert g1.edges.tolist() == g8.edges.tolist()
 
-    @staticmethod
-    def serial_pools(monkeypatch):
-        """The pools the sampler starts, as recorders that stand in for
-        ``ThreadPoolExecutor`` and run map serially, so no thread is started
-        whatever the requested count."""
-        import concurrent.futures
-
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                self.max_workers, self.chunks = max_workers, 0
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                parts = [fn(item) for item in items]
-                self.chunks = len(parts)
-                return parts
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-        return pools
-
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
-        # where the platform has no affinity set; blocks of 50 pairs give
-        # n = 40 more row blocks than CPUs, and every block goes through the pool
-        pools = self.serial_pools(monkeypatch)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        k = two_block_kernel()
-        expected = sample_graph(k, 40, 8, threads=1).edges.tolist()
-        monkeypatch.setattr(sampling, "_BLOCK", 50)
-        blocks = len(list(sampling._row_blocks(40, 1)))
-        for cpus in (os.cpu_count(), 4, 1, None):
-            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-            pools.clear()
-            assert sample_graph(k, 40, 8, threads=10**6).edges.tolist() == expected
-            workers = [(p.max_workers, p.chunks) for p in pools]
-            if (cpus or 1) > 1:
-                assert workers == [(min(cpus, blocks), blocks)]
-            else:
-                assert workers == []
-
-    def test_threads_capped_at_affinity(self, monkeypatch):
-        # a process pinned to one CPU (as by ``taskset -c 0``) starts no pool,
-        # however many CPUs the machine has
-        pools = self.serial_pools(monkeypatch)
-        k = two_block_kernel()
-        expected = sample_graph(k, 2000, 1, threads=1).edges.tolist()
-        blocks = len(list(sampling._row_blocks(2000, 1)))
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        for cpus, workers in (({0}, []), ({0, 1, 2}, [(3, blocks)])):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-            pools.clear()
-            assert sample_graph(k, 2000, 1, threads=8).edges.tolist() == expected
-            assert [(p.max_workers, p.chunks) for p in pools] == workers
-
     def test_table_kernel_domain(self):
         sp = space("ab", (0.5, 0.5))
         table = {("a", "a"): 0.0, ("a", "b"): 1.0, ("b", "a"): 1.0, ("b", "b"): 0.0}
@@ -770,17 +709,17 @@ sample_graph(kernel, n, 1)
 print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1) // 2))
 """
 
-# The same growth for ``unirep sample --n 2000 --out FILE`` on a constant
-# p = 1/2 kernel (about 10^6 edges): sampling and writing the edge list.
+# The same growth for ``unirep sample --n 2000 --threads T --out FILE`` on a
+# constant p = 1/2 kernel (about 10^6 edges): sampling and writing the edge list.
 CLI_MEMORY_PROBE = STATUS_KB + """
 import sys
 from unirep.cli import main
 
-spec, out = sys.argv[1:]
+spec, out, threads = sys.argv[1:]
 n = 2000
 main(["sample", spec, "--n", "3", "--out", out])
 before_kb = status_kb("VmRSS:")
-main(["sample", spec, "--n", str(n), "--seed", "1", "--out", out])
+main(["sample", spec, "--n", str(n), "--seed", "1", "--threads", threads, "--out", out])
 print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1) // 2))
 """
 
@@ -794,16 +733,21 @@ def test_sample_graph_peak_bytes_per_pair():
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_cli_sample_peak_bytes_per_pair(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_sample_peak_bytes_per_pair(tmp_path, threads):
     # under 2 B: each row block's edges are written as they are drawn, so
     # one block's coins, edges, line records and bytes are held at a time
     # and only the latents grow with n; holding the whole edge array and
     # its concatenation took 17-18 B, the whole-triangle sampler 40 B, a
-    # Python string per line 116 B
+    # Python string per line 116 B.  More threads hold no more than one: a
+    # pool that kept every block until the last was drawn took 6.4-7.0 B
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "space": {"atoms": ["o"], "probs": [1.0]},
         "kernels": [{"name": "f", "arity": 2, "value_space": "unit",
                      "symmetric": True, "values": {"o,o": 0.5}}],
     }))
-    assert run_probe(CLI_MEMORY_PROBE, str(spec), str(tmp_path / "g.txt")) <= 4.0
+    got, one = (run_probe(CLI_MEMORY_PROBE, str(spec), str(tmp_path / "g.txt"), t)
+                for t in (threads, "1"))
+    assert got <= 4.0
+    assert abs(got - one) <= 0.1 * one
