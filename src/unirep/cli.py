@@ -85,7 +85,7 @@ def _table(values: np.ndarray, depth: int) -> str:
     distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
     texts = np.array(json.dumps(distinct.view(values.dtype).tolist())[1:-1].encode().split(b", "))
     width, end = texts.dtype.itemsize, len(pad) + 1
-    buf = _cell_records(len(values), values.ndim, '"', '": ' + "\0" * width + "," + pad)
+    buf = _cell_records(range(len(values)), values.ndim, '"', '": ' + "\0" * width + "," + pad)
     rows = np.frombuffer(buf, np.uint8).reshape(*values.shape, -1)
     rows[..., -end - width : -end] = texts[inverse].view(np.uint8).reshape(*values.shape, width)
     body = buf.translate(None, b"\0")[:-end].decode()
@@ -256,7 +256,9 @@ def _open_unit_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The ``unirep`` parser.  Every subcommand is listed, so usage, help and errors do not
+    change, but with ``commands`` only those named in it get their arguments."""
     parser = argparse.ArgumentParser(
         prog="unirep",
         description=(
@@ -266,55 +268,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("represent", help="emit the step-kernel representation of a spec")
-    p.add_argument("spec")
-    p.add_argument("--out", "-o", default="-")
-    p.add_argument(
-        "--via-cantor",
-        action="store_true",
-        help="use the generator-code route (requires a generators block)",
-    )
-    p.set_defaults(func=cmd_represent)
+    def add(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p if commands is None or name in commands else None
 
-    p = sub.add_parser("sample", help="sample a random graph and write its edge list")
-    p.add_argument("spec")
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads", type=_positive_int, default=1, help="accepted, but changes nothing"
-    )
-    p.add_argument("--out", "-o", default="-")
-    p.add_argument("--latents", default=None, help="also write 'i x_i' latent lines here")
-    p.set_defaults(func=cmd_sample)
+    if p := add("represent", cmd_represent, "emit the step-kernel representation of a spec"):
+        p.add_argument("spec")
+        p.add_argument("--out", "-o", default="-")
+        p.add_argument(
+            "--via-cantor",
+            action="store_true",
+            help="use the generator-code route (requires a generators block)",
+        )
 
-    p = sub.add_parser("equiv", help="decide whether two specs induce the same joint law")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--runs", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=_open_unit_float, default=0.01)
-    p.add_argument("--kernel", default=None, help="mc mode's graph kernel; exact mode compares all")
-    p.set_defaults(func=cmd_equiv)
+    if p := add("sample", cmd_sample, "sample a random graph and write its edge list"):
+        p.add_argument("spec")
+        p.add_argument("--kernel", default=None)
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--threads", type=_positive_int, default=1, help="accepted, but changes nothing"
+        )
+        p.add_argument("--out", "-o", default="-")
+        p.add_argument("--latents", default=None, help="also write 'i x_i' latent lines here")
 
-    p = sub.add_parser("densities", help="print exact pattern densities of a kernel")
-    p.add_argument("spec")
-    p.add_argument("--patterns", default="edge,triangle,c4")
-    p.add_argument("--kernel", default=None)
-    p.set_defaults(func=cmd_densities)
+    if p := add("equiv", cmd_equiv, "decide whether two specs induce the same joint law"):
+        p.add_argument("spec_a")
+        p.add_argument("spec_b")
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--mode", choices=("exact", "mc"), default="exact")
+        p.add_argument("--runs", type=_positive_int, default=10000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--alpha", type=_open_unit_float, default=0.01)
+        p.add_argument("--kernel", default=None, help="mc mode's graph kernel; exact mode compares all")
 
-    p = sub.add_parser("encode", help="dump generator codes and sigma-atoms")
-    p.add_argument("spec")
-    p.add_argument("--out", "-o", default="-")
-    p.set_defaults(func=cmd_encode)
+    if p := add("densities", cmd_densities, "print exact pattern densities of a kernel"):
+        p.add_argument("spec")
+        p.add_argument("--patterns", default="edge,triangle,c4")
+        p.add_argument("--kernel", default=None)
+
+    if p := add("encode", cmd_encode, "dump generator codes and sigma-atoms"):
+        p.add_argument("spec")
+        p.add_argument("--out", "-o", default="-")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse runs the subparser of the first positional word: build the ones argv names
+    args = build_parser(set(sys.argv[1:] if argv is None else argv)).parse_args(argv)
     try:
         return args.func(args)
     except (ScaleError, MemoryError) as exc:

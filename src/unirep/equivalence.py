@@ -220,8 +220,9 @@ def exact_joint_law(
                               np.min_scalar_type(-size)).reshape(n, len(keep)))  # a row per point
         blocks.append([ranks.take(_positions(cells[-1], t, ranks.shape)) for ranks, t in grouped])
     prob = np.concatenate(probs)
-    _, first, group = np.unique(_pack([np.concatenate(b, axis=1) for b in zip(*blocks)], len(prob)),
-                                return_index=True, return_inverse=True)
+    group, groups = _rank(_pack([np.concatenate(b, axis=1) for b in zip(*blocks)], len(prob)))
+    first = np.full(groups, len(group))  # not np.unique's return_index: it sorts stably, slower
+    np.minimum.at(first, group, np.arange(len(group)))  # each group's first assignment
     order = np.argsort(first)  # the groups in order of first occurrence
     cells = np.concatenate(cells, axis=1)[:, first[order]]
     # a kernel's values: its flat value array at the flat cells of each group's first assignment

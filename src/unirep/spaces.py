@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Hashable, Mapping
 
@@ -47,6 +46,8 @@ PROB_SUM_TOL = 1e-9
 
 #: Final cumulative value of a CDF must equal 1 within this tolerance.
 CDF_END_TOL = 1e-12
+
+_ULPS = 2**1074  # the subnormal step 2**-1074 divides every finite float
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,10 @@ def interval_partition(space: DiscreteSpace) -> IntervalPartition:
         half an ulp of its prefix sum has no float cell of its own.
     """
     last = max(k for k, p in enumerate(space.probs) if p > 0.0)
-    # float(Fraction) rounds correctly, like fsum of each prefix, in O(K)
-    prefix = accumulate(map(Fraction, space.probs[:last]))
-    bp = [0.0, *(min(float(s), 1.0) for s in prefix)]
+    # exact sums in units of 2**-1074, in O(K); int / rounds correctly, like fsum of each prefix
+    ratios = map(float.as_integer_ratio, space.probs[:last])
+    prefix = accumulate(p * (_ULPS // q) for p, q in ratios)
+    bp = [0.0, *(min(s / _ULPS, 1.0) for s in prefix)]
     bp.extend([1.0] * (len(space) + 1 - len(bp)))
     for a, p, lo, hi in zip(space.atom_ids, space.probs, bp, bp[1:]):
         if p > 0.0 and lo == hi:

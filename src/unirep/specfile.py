@@ -19,10 +19,14 @@ inconsistent duplicates.
 
 The JSON that ``represent``, ``encode`` and ``equiv`` print is byte for
 byte ``json.dumps(doc, indent=2)`` plus one newline.  Artifacts list every
-cell tuple in C order, cells as ``str(c)`` joined by commas
-(:func:`_cell_keys`), and are read in bulk by one ``np.array`` when the
-values are plain numbers.  Other orders and cell spellings that ``int()``
-reads are split, placed and checked in time linear in the table size by
+cell tuple in C order, cells as ``str(c)`` joined by commas (:func:`_keys`).
+A table of plain numbers is read in bulk by one ``np.array``
+(:func:`_canonical_table`) when its keys, atom ids or cells, list every
+tuple in C order or, for a symmetric kernel, one sorted tuple per orbit in
+C order.  Other orders, cell spellings that ``int()`` reads, ids holding a
+newline or a NUL, orbit listings of more than 64 tuples per key, and full
+symmetric listings whose mirrored tuples differ in a bit are split, placed
+and checked in time linear in the table size by
 :func:`~unirep.kernels.values_from_table`, with the same results and errors.
 
 Errors raise :class:`~unirep.errors.SpecError` with a field path
@@ -32,6 +36,7 @@ locating the offending entry.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
@@ -40,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpecError, UnirepError
-from .kernels import Kernel, KernelFamily, ValueSpace, check_arity, values_from_table
+from .kernels import Kernel, KernelFamily, ValueSpace, _sorted, check_arity, values_from_table
 from .spaces import DiscreteSpace, IntervalPartition
 
 __all__ = ["SpecDocument", "load_spec", "loads_spec", "dump_represented"]
@@ -200,21 +205,17 @@ def _parse_kernel(block, domain, path: str) -> Kernel:
     if not isinstance(raw, dict):
         raise SpecError("values must be an object", field=f"{path}.values")
 
-    values = list(raw.values())
+    keys, values = list(raw), list(raw.values())
     if value_space.kind == "labels" and float in map(type, values):
         values = [int(v) if type(v) is float and v.is_integer() else v for v in values]
     by_cells = isinstance(domain, IntervalPartition)
-    kinds = {int} if value_space.kind == "labels" else {int, float}
-    if (by_cells and len(raw) == len(domain) ** arity and set(map(type, values)) <= kinds
-            and "\n".join(raw) == _cell_keys(len(domain), arity)):  # as the writers list it
-        with suppress(OverflowError, UnirepError):  # else the general path below decides
-            table = np.array(values, value_space.dtype).reshape((len(domain),) * arity)
-            bits = table.view(np.int64)  # bit for bit: a -0.0, 0.0 orbit goes the general way
-            if not symmetric or all((bits == bits.swapaxes(a - 1, a)).all() for a in range(1, arity)):
+    ids = list(map(str, range(len(domain)))) if by_cells else domain.atom_ids
+    if set(map(type, values)) <= ({int} if value_space.kind == "labels" else {int, float}):
+        with suppress(OverflowError, UnicodeError, UnirepError):  # else the general path decides
+            table = _canonical_table(keys, values, ids, arity, value_space.dtype, symmetric)
+            if table is not None:
                 return Kernel(name, arity, value_space, domain, table, symmetric)
-    ids = map(str, range(len(domain))) if by_cells else domain.atom_ids
     position = {c: i for i, c in enumerate(ids)}
-    keys = list(raw)
     widths = np.fromiter(map(str.count, keys, repeat(",")), np.int64, len(keys)) + 1
     parts = ",".join(keys).split(",") if keys else []  # every key's coordinates, in order
     coords = np.fromiter(map(position.get, parts, repeat(-1)), np.int64, len(parts))
@@ -251,22 +252,51 @@ def _decimals(n: int) -> np.ndarray:
     return table.view(f"V{width}")[:, 0]
 
 
-def _cell_records(size: int, arity: int, head: str = "", tail: str = "\n") -> bytearray:
-    """The records ``head + "c0,...,c(m-1)" + tail`` of all ``(size,) * arity`` cell tuples in
-    C order, each cell ``str(c)`` from :func:`_decimals`, NUL-padded (``tail`` may hold NULs)."""
-    digits = _decimals(size - 1).view(np.uint8).reshape(size, -1)
-    record = (head + ",".join(["\0" * digits.shape[1]] * arity) + tail).encode()
+def _cell_records(ids, arity: int, head: str = "", tail: str = "\n") -> bytearray:
+    """The records ``head + "c0,...,c(m-1)" + tail`` of all ``(len(ids),) * arity`` tuples in
+    C order, coordinate c spelled ``str(ids[c])`` in UTF-8, NUL-padded (``tail`` may hold NULs)."""
+    names = np.array([str(c).encode() for c in ids])
+    size, width = len(names), names.itemsize
+    record = (head + ",".join(["\0" * width] * arity) + tail).encode()
     buf = bytearray(record * size**arity)
     rows = np.frombuffer(buf, np.uint8).reshape(*(size,) * arity, len(record))
-    for a in range(arity):  # cell a of every record, broadcast along the other axes
-        at = len(head) + a * (digits.shape[1] + 1)
-        rows[..., at : at + digits.shape[1]] = digits.reshape(size, *[1] * (arity - 1 - a), -1)
+    for a in range(arity):  # coordinate a of every record, broadcast along the other axes
+        at = len(head) + a * (width + 1)
+        rows[..., at : at + width] = names.view(np.uint8).reshape(size, *[1] * (arity - 1 - a), -1)
     return buf
 
 
-def _cell_keys(size: int, arity: int) -> str:
-    """The keys of all ``(size,) * arity`` cell tuples in C order, one per line, as written."""
-    return _cell_records(size, arity).translate(None, b"\0")[:-1].decode()
+def _keys(ids, arity: int, rows=slice(None)) -> str:
+    """The keys of the tuples of :func:`_cell_records` in C order, or of the flat tuple indices
+    ``rows`` alone, one per line: as the writers list them."""
+    records = np.frombuffer(_cell_records(ids, arity), np.uint8).reshape(len(ids) ** arity, -1)
+    return records[rows].tobytes().translate(None, b"\0")[:-1].decode()
+
+
+def _canonical_table(keys: list, values: list, ids, arity: int, dtype, symmetric: bool):
+    """The value array of a table whose ``keys`` name every tuple of ``ids`` in C order, or,
+    if ``symmetric``, one sorted tuple (a <= b <= ... by position) per orbit in C order of the
+    sorted tuples; None for any other listing.  Ids holding a newline, which could make other
+    keys join to the same text, or a NUL, the padding, are never read this way, nor is a table
+    of more than 64 tuples per key, whose work arrays could outgrow the memory of its input."""
+    size, shape = len(ids), (len(ids),) * arity
+    full = len(keys) == size**arity
+    listed = full or symmetric and len(keys) == math.comb(size + arity - 1, arity)
+    if not listed or size**arity > 64 * len(keys) or any("\n" in a or "\0" in a for a in ids):
+        return None
+    if not full:  # the flat index of each tuple's sorted tuple, and the sorted tuples
+        at = np.ravel_multi_index(_sorted(np.ix_(*[np.arange(size)] * arity)), shape).ravel()
+        orbits = at == np.arange(at.size)
+    if "\n".join(keys) != _keys(ids, arity, slice(None) if full else orbits):
+        return None
+    table = np.array(values, dtype)
+    if not full:  # each tuple takes the entry listed for its sorted tuple
+        return table[(np.cumsum(orbits) - 1)[at]].reshape(shape)
+    table = table.reshape(shape)
+    bits = table.view(np.int64)  # bit for bit: a -0.0, 0.0 orbit goes the general way
+    if symmetric and not all((bits == bits.swapaxes(a - 1, a)).all() for a in range(1, arity)):
+        return None
+    return table
 
 
 def _dump_value_space(vs: ValueSpace):
@@ -295,6 +325,6 @@ def dump_represented(family: KernelFamily) -> dict:
     accepted back by :func:`load_spec`."""
     doc = _represented(family)
     for k in doc["kernels"]:
-        keys = _cell_keys(len(family.domain), k["arity"]).split("\n")
+        keys = _keys(range(len(family.domain)), k["arity"]).split("\n")
         k["values"] = dict(zip(keys, k["values"].ravel().tolist()))
     return doc

@@ -742,6 +742,23 @@ class TestJsonOutput:
             assert [k.arity for k in family] == [3, 2, 1]
             assert [(k.values.dtype, k.values.tobytes()) for k in family] == values
 
+    def test_bench_shaped_spec_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        """A space spec laid out as the benchmark writes its specs (an arity-3 unit table
+        listed once per orbit, a fully listed arity-2 label table, an arity-1 table)
+        loads with the general path's ``values_from_table`` made to fail, to the same
+        arrays."""
+        spec = write_spec(tmp_path, BENCH_SHAPE_SPEC)
+        expected = [(k.values.dtype, k.values.tobytes()) for k in load_spec(spec).family]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the general path was taken")
+
+        monkeypatch.setattr(unirep.kernels, "values_from_table", fail)
+        monkeypatch.setattr(unirep.specfile, "values_from_table", fail)
+        family = load_spec(spec).family
+        assert [k.arity for k in family] == [3, 2, 1]
+        assert [(k.values.dtype, k.values.tobytes()) for k in family] == expected
+
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(case=table_writer_cases())
     @example(case=(1, 1, "real", "one", False, 0))
@@ -1015,6 +1032,20 @@ class TestBadInput:
         assert_one_error_line(err)
         assert "3^50" in err
 
+    def test_orbit_listed_table_too_large_for_numpy_exit_3(self, tmp_path, capsys):
+        # every orbit of the 3^50 tuples listed once, in order: the loader refuses it
+        # before it builds any array of the table's size
+        doc = {
+            "space": {"atoms": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
+            "kernels": [{"name": "f", "arity": 50, "value_space": "unit", "symmetric": True,
+                         "values": {",".join(key): 0.5
+                                    for key in combinations_with_replacement("abc", 50)}}],
+        }
+        code, err = run_cli(["sample", write_spec(tmp_path, doc), "--n", "2"], capsys)
+        assert code == 3
+        assert_one_error_line(err)
+        assert "3^50" in err
+
     # b's probability is below half an ulp of its prefix sum 0.5: no float cell holds it
     TINY_ATOM_SPEC = {
         "space": {"atoms": ["a", "b", "c"], "probs": [0.5, 1e-20, 0.5]},
@@ -1271,3 +1302,33 @@ def test_fuzzed_argv_exit_contract(tmp_path, monkeypatch):
             outputs = [values.get(slot) for slot in ("--out", "--latents")]
             assert all(v in (None, "-", "FILE") for v in outputs), context
             assert all(Path(path).is_file() for path in written.values()), context
+
+
+def test_parser_of_one_command_matches_full_parser(tmp_path, monkeypatch):
+    """``main`` builds the arguments of the commands its argv names only; help, usage,
+    every error and every result stay those of the full ``build_parser()``."""
+    spec = write_spec(tmp_path, DEMO_SPEC)
+    argvs = [[], ["-h"], ["-h", "encode"], ["bogus"], ["rep", spec], ["encode"],
+             ["--bogus", "encode", spec], ["sample", spec], ["equiv", spec],
+             ["equiv", spec, spec, "--n", "2", "--mode", "bad"],
+             ["equiv", spec, spec, "--n", "2", "--mode", "mc", "--alpha", "2"],
+             ["encode", spec, "extra"], ["represent", spec, "sample"], ["encode", spec, "--n", "3"],
+             ["sample", spec, "--n", "3", "--lat", "-"], ["sample", "--n", "3", "--", spec],
+             ["sample", spec, "--n", "3", "--threads", "0"], ["densities", spec, "--patterns", "edge"],
+             *([command, "-h"] for command in ("represent", "sample", "equiv", "densities", "encode"))]
+
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    ours = [outcome(argv) for argv in argvs]
+    full = unirep.cli.build_parser
+    monkeypatch.setattr(unirep.cli, "build_parser", lambda commands=None: full())
+    for argv, got in zip(argvs, ours):
+        assert got == outcome(argv), argv
+    assert {code for code, _, _ in ours} == {0, 2}

@@ -1,6 +1,5 @@
 import math
 from bisect import bisect_right
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from unirep import (
 )
 from unirep.spaces import lookup_cells
 
-from util import random_pwl_cdf, space
+from util import breakpoints_oracle, random_pwl_cdf, space
 
 
 class TestValidateSpace:
@@ -107,13 +106,7 @@ class TestIntervalPartition:
             return
         probs = [p / total for p in raw]
         sp = validate_space([f"a{k}" for k in range(len(probs))], probs)
-        # breakpoints from exact prefix sums, each rounded once, up to the
-        # last positive atom; every later one is 1
-        last = max(k for k, p in enumerate(sp.probs) if p > 0.0)
-        sums = [Fraction(0)]
-        for p in sp.probs[:last]:
-            sums.append(sums[-1] + Fraction(p))
-        bp = [min(float(s), 1.0) for s in sums] + [1.0] * (len(sp.probs) - last)
+        bp = breakpoints_oracle(sp.probs)
         if any(p > 0.0 and lo == hi for p, lo, hi in zip(sp.probs, bp, bp[1:])):
             with pytest.raises(UnsupportedError, match="but an empty cell"):
                 interval_partition(sp)
@@ -124,6 +117,27 @@ class TestIntervalPartition:
         assert math.fsum(part.lengths) == pytest.approx(1.0, abs=1e-15)
         for length, p in zip(part.lengths, sp.probs):
             assert length == pytest.approx(p, abs=4 * np.finfo(float).eps)
+
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310, 1 / 3])),
+                    min_size=1, max_size=64))
+    @example(raw=[0.5, 1e-20, 0.5])
+    @example(raw=[1 / 3] * 3)
+    @example(raw=[5e-324, 5e-324])
+    @settings(max_examples=300, deadline=None)
+    def test_breakpoints_equal_exact_prefix_sums(self, raw):
+        """Each breakpoint is its exact prefix sum rounded once, bit for bit, across
+        subnormal, zero and inexact probabilities; a positive atom that rounds to an
+        empty cell is refused."""
+        total = math.fsum(raw)
+        if total <= 0.0:
+            return
+        sp = validate_space([f"a{k}" for k in range(len(raw))], [p / total for p in raw])
+        bp = breakpoints_oracle(sp.probs)
+        if any(p > 0.0 and lo == hi for p, lo, hi in zip(sp.probs, bp, bp[1:])):
+            with pytest.raises(UnsupportedError, match="but an empty cell"):
+                interval_partition(sp)
+        else:
+            assert interval_partition(sp).breakpoints == tuple(bp)
 
 
 class TestLookupCell:

@@ -331,21 +331,24 @@ _MUTATIONS = {
 }
 
 
-def _artifact_text(size, arity, kind, symmetric, mutation, seed):
-    """A one-kernel step artifact as JSON text, its table listed as the writer
-    lists it (every cell tuple in C order), with ``mutation`` applied."""
+def _spec_text(domain, ids, arity, kind, symmetric, mutation, seed, orbits=False):
+    """A one-kernel spec as JSON text: the ``domain`` block and a table over the
+    coordinates ``ids`` listing every tuple in C order, or with ``orbits`` one sorted
+    tuple per orbit, as the writers list them, with ``mutation`` applied; every
+    label 2 is written ``2.0``."""
     rng = np.random.default_rng(seed)
-    shape = (size,) * arity
+    shape = (len(ids),) * arity
     value_space = {"labels": 4} if kind == "labels" else kind
     values = {"labels": lambda: rng.integers(0, 4, shape), "unit": lambda: rng.random(shape),
               "real": lambda: rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5)}[kind]()
     if symmetric:  # each tuple takes the value of its sorted tuple
         values = values[tuple(np.sort(np.indices(shape), axis=0))]
-    tuples = list(product(range(size), repeat=arity))
-    keys = [",".join(map(str, t)) for t in tuples]
-    texts = [json.dumps(v) for v in values.ravel().tolist()]
+    tuples = [t for t in product(range(len(ids)), repeat=arity) if not orbits or list(t) == sorted(t)]
+    keys = [",".join(ids[i] for i in t) for t in tuples]
+    texts = [json.dumps(values[t].item()) for t in tuples]
+    texts = ["2.0" if kind == "labels" and v == "2" else v for v in texts]
     e, f = (int(i) for i in rng.integers(len(keys), size=2))
-    g = tuples.index(tuples[e][::-1])  # the tuple of entry e reversed
+    g = tuples.index(tuples[e][::-1]) if tuples[e][::-1] in tuples else f  # entry e reversed
     if mutation == "drop":
         del keys[e], texts[e]
     elif mutation == "duplicate":  # entry f's tuple is lost
@@ -358,17 +361,23 @@ def _artifact_text(size, arity, kind, symmetric, mutation, seed):
     elif mutation.startswith("respell"):
         keys[e] = ("0" if mutation == "respell_zero" else " ") + keys[e]
     elif mutation == "conflict":
-        texts[e] = json.dumps(1 - values.ravel()[e].item())
+        texts[e] = json.dumps(1 - values[tuples[e]].item())
     elif mutation == "signed_zero":  # a tuple and its reverse, in either order
         texts[e], texts[g] = ("0.0", "-0.0") if f % 2 else ("-0.0", "0.0")
     elif _MUTATIONS[mutation] is not None:
         texts[e] = _MUTATIONS[mutation]
     table = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in zip(keys, texts)) + "}"
-    partition = {"breakpoints": [k / size for k in range(size)] + [1.0],
-                 "cells": [f"c{k}" for k in range(size)]}
     kernel = {"name": "f", "arity": arity, "value_space": value_space, "symmetric": symmetric,
               "values": "TABLE"}
-    return json.dumps({"partition": partition, "kernels": [kernel]}).replace('"TABLE"', table)
+    return json.dumps({**domain, "kernels": [kernel]}).replace('"TABLE"', table)
+
+
+def _artifact_text(size, arity, kind, symmetric, mutation, seed):
+    """A one-kernel step artifact as JSON text (:func:`_spec_text`)."""
+    partition = {"breakpoints": [k / size for k in range(size)] + [1.0],
+                 "cells": [f"c{k}" for k in range(size)]}
+    cells = [str(k) for k in range(size)]
+    return _spec_text({"partition": partition}, cells, arity, kind, symmetric, mutation, seed)
 
 
 def _outcome(text):
@@ -405,7 +414,7 @@ class TestCanonicalLayoutBulkPath:
         listed = list(json.loads(text)["kernels"][0]["values"])
         canonical = listed == [",".join(map(str, t)) for t in product(range(size), repeat=arity)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(specfile, "_cell_keys", lambda size, arity: None)  # no layout matches
+            mp.setattr(specfile, "_keys", lambda *args: None)  # no layout matches
             assert got == _outcome(text)
             mp.undo()
             mp.setattr(specfile, "values_from_table", _fail)
@@ -424,3 +433,51 @@ class TestCanonicalLayoutBulkPath:
         })
         values = loads_spec(text).family.kernels[0].values
         assert values.tobytes() == np.array([[1.0, 0.0], [0.0, 2.0]]).tobytes()
+
+
+# Atom ids that may spell a key of another table, or hold the newline or NUL that
+# keys the bulk path must never read: unicode, spaces, digits, the empty id.
+_ID_CHARS = st.sampled_from(["a", "b", "0", "1", " ", "é", "☃", "\n", "\0", "\ud800"])
+_IDS = st.lists(st.text(_ID_CHARS, max_size=3), min_size=1, max_size=6, unique=True)
+
+
+class TestAtomTableBulkPath:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(ids=_IDS, arity=st.integers(1, 3), kind=st.sampled_from(["unit", "real", "labels"]),
+           layout=st.sampled_from(["full", "symmetric", "orbits"]),
+           mutation=st.sampled_from(list(_MUTATIONS)), seed=st.integers(0, 2**32 - 1))
+    @example(ids=["x", "y"], arity=2, kind="real", layout="symmetric", mutation="signed_zero",
+             seed=1)
+    @example(ids=["x", "y", "z"], arity=3, kind="unit", layout="orbits", mutation="none", seed=1)
+    @example(ids=["", " ", "1"], arity=2, kind="labels", layout="orbits", mutation="none", seed=2)
+    @example(ids=["a", "a\na"], arity=1, kind="real", layout="full", mutation="swap", seed=3)
+    @example(ids=["a\0", "b"], arity=2, kind="unit", layout="full", mutation="none", seed=4)
+    def test_bulk_path_equals_general_path(self, ids, arity, kind, layout, mutation, seed):
+        """A space table in a canonical layout (every tuple in C order, or one sorted
+        tuple per orbit of a symmetric kernel) loads in bulk to the bytes that the
+        general path gives, unless an id holds a newline or a NUL; any other table,
+        and any table the bulk path doubts, gives the general path's result."""
+        symmetric, orbits = layout != "full", layout == "orbits"
+        space = {"atoms": ids, "probs": [1 / len(ids)] * len(ids)}
+        text = _spec_text({"space": space}, ids, arity, kind, symmetric, mutation, seed, orbits)
+        got = _outcome(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfile, "_keys", lambda *args: None)  # no layout matches
+            assert got == _outcome(text)
+            mp.undo()
+            mp.setattr(specfile, "values_from_table", _fail)
+            plain = not any(c in "".join(ids) for c in "\n\0\ud800")
+            if mutation == "none" and plain:  # read in bulk
+                assert got == _outcome(text)
+            elif not plain:  # these ids never take the bulk path
+                with pytest.raises(AssertionError, match="general path"):
+                    loads_spec(text)
+
+    def test_newline_ids_never_join_to_the_canonical_text(self):
+        # the keys "a\na", "a" join to the text of the canonical listing "a", "a\na"
+        text = json.dumps({
+            "space": {"atoms": ["a", "a\na"], "probs": [0.5, 0.5]},
+            "kernels": [{"name": "f", "arity": 1, "value_space": "real",
+                         "values": {"a\na": 1.0, "a": 2.0}}],
+        })
+        assert loads_spec(text).family.kernels[0].values.tolist() == [2.0, 1.0]

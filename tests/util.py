@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import chain, permutations, product
 from pathlib import Path
 
@@ -261,6 +262,16 @@ def law_is_exchangeable_loop(law, tol=1e-9):
         if tv_distance_loop(law, JointLaw(law.n, law.keys, permuted))[0] > tol:
             return False
     return True
+
+
+def breakpoints_oracle(probs):
+    """Breakpoints of the interval partition of ``probs``: each prefix sum exact, as a
+    ``Fraction``, rounded once to a float, up to the last positive atom; every later one is 1."""
+    last = max(k for k, p in enumerate(probs) if p > 0.0)
+    sums = [Fraction(0)]
+    for p in probs[:last]:
+        sums.append(sums[-1] + Fraction(p))
+    return [min(float(s), 1.0) for s in sums] + [1.0] * (len(probs) - last)
 
 
 def random_space(rng, size, ids=None):
