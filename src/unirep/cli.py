@@ -5,16 +5,22 @@ Subcommands: ``represent``, ``sample``, ``equiv``, ``densities``,
 writes them to stdout for piping).  Every command is deterministic in
 its arguments and input bytes.
 
+One table, ``_COMMANDS``, is the grammar.  A plain command line (the
+command word, its positionals and its options, each option once with its
+value) is read from it directly; every other one, with help, usage and
+every error, goes to the argparse parser built from the same table, so
+their text and exit codes are argparse's.
+
 Exit codes: 0 success/pass, 1 test failed, 2 spec, argument, I/O or
 unsupported-input error, 3 scale error or memory that cannot be allocated.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -242,6 +248,8 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
 
@@ -252,13 +260,107 @@ def _open_unit_float(text: str) -> float:
     except ValueError:
         value = 0.0
     if not 0.0 < value < 1.0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
     return value
 
 
-def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The ``unirep`` parser.  Every subcommand is listed, so usage, help and errors do not
-    change, but with ``commands`` only those named in it get their arguments."""
+def _opt(*strings, **kwargs):
+    """One option of the grammar: its option strings and its ``add_argument`` keywords,
+    ``dest`` named as argparse names it (the first string without ``--``, ``-`` read as ``_``)."""
+    return strings, {"dest": strings[0][2:].replace("-", "_"), **kwargs}
+
+
+# The CLI grammar: for each command its help line, its positionals and its options.  Plain
+# command lines are read from it by `_plain_args`, all others by the parser `build_parser`
+# makes of it.  A command runs the function `cmd_<command>` of this module.
+_COMMANDS = {
+    "represent": ("emit the step-kernel representation of a spec", ("spec",), (
+        _opt("--out", "-o", default="-"),
+        _opt("--via-cantor", action="store_true", default=False,
+             help="use the generator-code route (requires a generators block)"),
+    )),
+    "sample": ("sample a random graph and write its edge list", ("spec",), (
+        _opt("--kernel", default=None),
+        _opt("--n", type=_positive_int, required=True),
+        _opt("--seed", type=int, default=0),
+        _opt("--threads", type=_positive_int, default=1, help="accepted, but changes nothing"),
+        _opt("--out", "-o", default="-"),
+        _opt("--latents", default=None, help="also write 'i x_i' latent lines here"),
+    )),
+    "equiv": ("decide whether two specs induce the same joint law", ("spec_a", "spec_b"), (
+        _opt("--n", type=_positive_int, required=True),
+        _opt("--mode", choices=("exact", "mc"), default="exact"),
+        _opt("--runs", type=_positive_int, default=10000),
+        _opt("--seed", type=int, default=0),
+        _opt("--alpha", type=_open_unit_float, default=0.01),
+        _opt("--kernel", default=None, help="mc mode's graph kernel; exact mode compares all"),
+    )),
+    "densities": ("print exact pattern densities of a kernel", ("spec",), (
+        _opt("--patterns", default="edge,triangle,c4"),
+        _opt("--kernel", default=None),
+    )),
+    "encode": ("dump generator codes and sigma-atoms", ("spec",), (
+        _opt("--out", "-o", default="-"),
+    )),
+}
+
+
+def _dashed(word: str) -> bool:
+    """Whether argparse may take ``word`` for an option: it starts with ``-`` and is not ``-``."""
+    return word.startswith("-") and word != "-"
+
+
+def _plain_args(argv: list):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from ``_COMMANDS``
+    without argparse, if ``argv`` is plain: the command word, then its positionals and its
+    option strings, each option once and followed by its value (a flag by none), every
+    value converted by its type and in its choices, no required word missing and no
+    positional or value but ``-`` starting with ``-``.  ``None`` for any other argv."""
+    if not argv or not all(isinstance(word, str) for word in argv) or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, options = _COMMANDS[argv[0]]
+    by_string = {string: kwargs for strings, kwargs in options for string in strings}
+    values = {kwargs["dest"]: kwargs.get("default") for _, kwargs in options}
+    given, seen, words = [], set(), iter(argv[1:])
+    for word in words:
+        kwargs = by_string.get(word)
+        if kwargs is None:
+            if _dashed(word):
+                return None
+            given.append(word)
+            continue
+        dest = kwargs["dest"]
+        if dest in seen:
+            return None
+        seen.add(dest)
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(words, "--")  # a missing value declines like a dashed one
+        if _dashed(value):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except Exception:  # argparse catches three kinds; it calls the type again on decline
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[dest] = value
+    missing = any(kwargs.get("required") and kwargs["dest"] not in seen for _, kwargs in options)
+    if missing or len(given) != len(positionals):
+        return None
+    # by name at call time, so that a cmd_* replaced on the module (a tracer's wrapper) runs
+    func = globals()["cmd_" + argv[0]]
+    return SimpleNamespace(command=argv[0], **dict(zip(positionals, given)), **values, func=func)
+
+
+def build_parser():
+    """The ``unirep`` argparse parser of ``_COMMANDS``.  ``main`` runs it only on the command
+    lines ``_plain_args`` declines: help, usage, errors and the rest of argparse's syntax."""
+    import argparse  # not imported by a plain command line
+
     parser = argparse.ArgumentParser(
         prog="unirep",
         description=(
@@ -267,57 +369,19 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        return p if commands is None or name in commands else None
-
-    if p := add("represent", cmd_represent, "emit the step-kernel representation of a spec"):
-        p.add_argument("spec")
-        p.add_argument("--out", "-o", default="-")
-        p.add_argument(
-            "--via-cantor",
-            action="store_true",
-            help="use the generator-code route (requires a generators block)",
-        )
-
-    if p := add("sample", cmd_sample, "sample a random graph and write its edge list"):
-        p.add_argument("spec")
-        p.add_argument("--kernel", default=None)
-        p.add_argument("--n", type=_positive_int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--threads", type=_positive_int, default=1, help="accepted, but changes nothing"
-        )
-        p.add_argument("--out", "-o", default="-")
-        p.add_argument("--latents", default=None, help="also write 'i x_i' latent lines here")
-
-    if p := add("equiv", cmd_equiv, "decide whether two specs induce the same joint law"):
-        p.add_argument("spec_a")
-        p.add_argument("spec_b")
-        p.add_argument("--n", type=_positive_int, required=True)
-        p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-        p.add_argument("--runs", type=_positive_int, default=10000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--alpha", type=_open_unit_float, default=0.01)
-        p.add_argument("--kernel", default=None, help="mc mode's graph kernel; exact mode compares all")
-
-    if p := add("densities", cmd_densities, "print exact pattern densities of a kernel"):
-        p.add_argument("spec")
-        p.add_argument("--patterns", default="edge,triangle,c4")
-        p.add_argument("--kernel", default=None)
-
-    if p := add("encode", cmd_encode, "dump generator codes and sigma-atoms"):
-        p.add_argument("spec")
-        p.add_argument("--out", "-o", default="-")
-
+    for command, (help, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(func=globals()["cmd_" + command])
+        for dest in positionals:
+            p.add_argument(dest)
+        for strings, kwargs in options:
+            p.add_argument(*strings, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    # argparse runs the subparser of the first positional word: build the ones argv names
-    args = build_parser(set(sys.argv[1:] if argv is None else argv)).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScaleError, MemoryError) as exc:

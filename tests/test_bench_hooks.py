@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from unirep.cli import build_parser
+from unirep.cli import _plain_args, build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,3 +44,7 @@ def test_workload_command_lines_parse(tmp_path, monkeypatch):
             except SystemExit:
                 pytest.fail(f"{name}: the CLI does not parse {argv}")
             assert callable(args.func), (name, argv)
+            # the benchmark times the direct reader, which must agree with argparse
+            plain = _plain_args(argv)
+            assert plain is not None, (name, argv)
+            assert vars(plain) == vars(args), (name, argv)

@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement, product
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -1305,8 +1306,8 @@ def test_fuzzed_argv_exit_contract(tmp_path, monkeypatch):
 
 
 def test_parser_of_one_command_matches_full_parser(tmp_path, monkeypatch):
-    """``main`` builds the arguments of the commands its argv names only; help, usage,
-    every error and every result stay those of the full ``build_parser()``."""
+    """``main`` reads plain command lines without argparse; help, usage, every error and
+    every result stay those of ``build_parser()`` reading every command line."""
     spec = write_spec(tmp_path, DEMO_SPEC)
     argvs = [[], ["-h"], ["-h", "encode"], ["bogus"], ["rep", spec], ["encode"],
              ["--bogus", "encode", spec], ["sample", spec], ["equiv", spec],
@@ -1315,6 +1316,7 @@ def test_parser_of_one_command_matches_full_parser(tmp_path, monkeypatch):
              ["encode", spec, "extra"], ["represent", spec, "sample"], ["encode", spec, "--n", "3"],
              ["sample", spec, "--n", "3", "--lat", "-"], ["sample", "--n", "3", "--", spec],
              ["sample", spec, "--n", "3", "--threads", "0"], ["densities", spec, "--patterns", "edge"],
+             ["represent", spec, "--via-cantor", "-o", "-"], ["equiv", "--n", "2", spec, spec],
              *([command, "-h"] for command in ("represent", "sample", "equiv", "densities", "encode"))]
 
     def outcome(argv):
@@ -1327,8 +1329,92 @@ def test_parser_of_one_command_matches_full_parser(tmp_path, monkeypatch):
         return code, out.getvalue(), err.getvalue()
 
     ours = [outcome(argv) for argv in argvs]
-    full = unirep.cli.build_parser
-    monkeypatch.setattr(unirep.cli, "build_parser", lambda commands=None: full())
+    monkeypatch.setattr(unirep.cli, "_plain_args", lambda argv: None)
     for argv, got in zip(argvs, ours):
         assert got == outcome(argv), argv
     assert {code for code, _, _ in ours} == {0, 2}
+
+
+OPTION_WORDS = sorted({string for _, _, options in unirep.cli._COMMANDS.values()
+                       for strings, _ in options for string in strings})
+ARGV_WORDS = {
+    "command": [*unirep.cli._COMMANDS, "bogus", "rep"],
+    "spec": ["a.json", "b.json", "-", "", "-5"],
+    "option": [*OPTION_WORDS, "-h", "--help", "--lat", "--n=3", "--"],
+    "value": ["0", "3", "x", "exact", "mc", "bad", "0.5", "2"],
+}
+
+
+@st.composite
+def argv_lines(draw):
+    """An argv of ``ARGV_WORDS``: the command word, a spec word per positional, up to three
+    of the command's options, in about half the lines every required one too, each with a
+    value (a flag with none; half the values from ``3``, ``2``, ``0.5``, which most types
+    take), and, in about half the lines, noise: one to three chunks of any words, so
+    options repeat, come from other commands or lack values, and specs are extra.  Then
+    the chunks are shuffled."""
+    command = draw(st.sampled_from(ARGV_WORDS["command"]))
+    _, positionals, options = unirep.cli._COMMANDS.get(command, ("", (), ()))
+    chunks = [[draw(st.sampled_from(ARGV_WORDS["spec"]))] for _ in positionals]
+    chosen = draw(st.sets(st.sampled_from(range(len(options))), max_size=3)) if options else set()
+    if draw(st.booleans()):
+        chosen |= {i for i, (_, kwargs) in enumerate(options) if kwargs.get("required")}
+    for i in chosen:
+        strings, kwargs = options[i]
+        string = draw(st.sampled_from(strings))
+        value = draw(st.sampled_from(("3", "2", "0.5")) | st.sampled_from(ARGV_WORDS["value"]))
+        chunks.append([string] if kwargs.get("action") == "store_true" else [string, value])
+    noise = st.sampled_from(ARGV_WORDS["option"] + ARGV_WORDS["value"] + ARGV_WORDS["spec"])
+    if draw(st.booleans()):
+        chunks += draw(st.lists(st.lists(noise, min_size=1, max_size=2), min_size=1, max_size=3))
+    return [command] + [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+
+
+@given(argv_lines())
+@settings(max_examples=1000, deadline=None)
+@example(["equiv", "a.json", "b.json", "--n", "3", "--mode", "bad"])
+@example(["sample", "a.json", "--seed", "2"])
+@example(["sample", "a.json", "--n", "3"])
+@example(["encode", "a.json", "b.json"])
+@example(["represent", "-", "--via-cantor", "-o", ""])
+def test_direct_parser_never_disagrees_with_argparse(argv):
+    """Wherever ``_plain_args`` reads an argv, argparse reads the same namespace from it
+    without an error."""
+    plain = unirep.cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(unirep.cli.build_parser().parse_args(argv)), argv
+
+
+def test_commands_dispatch_by_name(tmp_path, monkeypatch):
+    """Both parsers run the ``cmd_*`` the module holds when ``main`` is called, as a
+    tracer's wrapper is."""
+    spec = write_spec(tmp_path, DEMO_SPEC)
+    calls = []
+    monkeypatch.setattr(unirep.cli, "cmd_encode", lambda args: calls.append(args) or 0)
+    assert main(["encode", spec]) == 0
+    assert main(["encode", spec, "--out=-"]) == 0  # argparse's syntax
+    assert [(args.command, args.spec, args.out) for args in calls] == [("encode", spec, "-")] * 2
+    assert all(args.func is unirep.cli.cmd_encode for args in calls)
+
+
+def test_plain_command_line_never_imports_argparse(tmp_path):
+    """A plain command line runs without loading argparse (or gettext, which it loads);
+    a rejected value still raises argparse's ``ArgumentTypeError`` with its message."""
+    argv = ["encode", write_spec(tmp_path, DEMO_SPEC), "--out", str(tmp_path / "c.json")]
+    code = textwrap.dedent(f"""
+        import sys, unirep.cli
+        assert unirep.cli.main({argv!r}) == 0
+        assert not {{"argparse", "gettext"}} & set(sys.modules), sorted(sys.modules)
+        import argparse
+        for convert, text in ((unirep.cli._positive_int, "0"), (unirep.cli._open_unit_float, "1")):
+            try:
+                convert(text)
+            except argparse.ArgumentTypeError as exc:
+                print(exc)
+    """)
+    src = str(Path(unirep.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines() == [
+        "expected an integer >= 1, got '0'", "expected a number in (0, 1), got '1'"]
