@@ -26,8 +26,7 @@ import numpy as np
 
 from .equivalence import (
     PATTERNS,
-    _tv_and_union,
-    exact_joint_law,
+    _exact_comparison,
     hom_density,
     mc_two_sample_test,
     step_family_as_space,
@@ -156,21 +155,15 @@ def cmd_sample(args) -> int:
             raise SpecError(f"--out and --latents name the same file {args.latents!r}")
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
-    latents, blocks = _graph_blocks(kernel, args.n, args.seed, _block_rows)
-    if args.latents is not None:
-        lines = "".join(f"{i} {x!r}\n" for i, x in enumerate(latents.uniforms.tolist(), start=1))
+    draws, blocks = _graph_blocks(kernel, args.n, args.seed, _block_rows)
+    if args.latents is not None:  # draws[1]: the uniforms
+        lines = "".join(f"{i} {x!r}\n" for i, x in enumerate(draws[1].tolist(), start=1))
         if args.latents != "-":  # before the edges, so an unwritable path opens no --out
             _write([lines.encode()], args.latents)
     _write(_edge_lines(blocks, args.n), args.out)
     if args.latents == "-":
         _write([lines.encode()], "-")
     return 0
-
-
-def _law_of(doc: SpecDocument, n: int, tuples: dict):
-    family = doc.require("family")
-    space, family = (doc.space, family) if doc.space is not None else step_family_as_space(family)
-    return exact_joint_law(space, family, n, tuples=tuples)
 
 
 def _check_compatible(fam_a: KernelFamily, fam_b: KernelFamily):
@@ -184,6 +177,8 @@ def _check_compatible(fam_a: KernelFamily, fam_b: KernelFamily):
 
 
 def cmd_equiv(args) -> int:
+    """Compare two specs' joint laws at n: exactly, with ``_exact_comparison`` grouping both
+    sides' assignments at once (no law is built), or by ``mc_two_sample_test``."""
     doc_a = load_spec(args.spec_a)
     doc_b = load_spec(args.spec_b)
     fam_a = doc_a.require("family")
@@ -192,10 +187,10 @@ def cmd_equiv(args) -> int:
     if args.kernel is not None or args.mode == "mc":  # exact mode compares every kernel
         kernel_a, kernel_b = (_select_kernel(fam, args.kernel) for fam in (fam_a, fam_b))
     if args.mode == "exact":
-        tuples = {}  # one index-tuple array per arity, shared by both laws
-        law_a, law_b = (_law_of(doc, args.n, tuples) for doc in (doc_a, doc_b))
-        tv, union = _tv_and_union(law_a, law_b)
-        support_equal = union == law_a.support_size == law_b.support_size
+        sides = [(doc.space, fam) if doc.space is not None else step_family_as_space(fam)
+                 for doc, fam in ((doc_a, fam_a), (doc_b, fam_b))]
+        tv, union, size_a, size_b = _exact_comparison(*sides, args.n)
+        support_equal = union == size_a == size_b
         passed = support_equal and tv <= EXACT_TV_TOL
         report = {
             "mode": "exact",

@@ -7,7 +7,8 @@ arrays of index tuples and value positions, their value ranks packed into
 int64 keys, and :func:`tv_distance` matches two laws' support points on
 their values, as dict keys match (exact because both laws draw their
 values from identical tables; upstream modules copy values, never
-recompute them through different arithmetic).
+recompute them through different arithmetic).  ``unirep equiv`` builds
+no law: :func:`_exact_comparison` groups both sides' assignments at once.
 
 Beyond enumeration scale, :func:`mc_two_sample_test` compares sampled
 graph laws statistically: labeled-graph frequency chi-squared for small
@@ -71,6 +72,14 @@ def _check_cap(cap: int | None, message: str, *powers: tuple[int, int]) -> None:
         raise ScaleError(message.format(cap=cap))
 
 
+def _check_probs(probs: np.ndarray, total: float) -> None:
+    """Raise unless ``probs``, which sum to ``total``, form a probability law."""
+    if (probs < 0.0).any():
+        raise SpecError("joint-law probabilities must be nonnegative")
+    if abs(total - 1.0) > 1e-12:
+        raise SpecError(f"joint-law probabilities sum to {total!r}, not 1")
+
+
 class JointLaw:
     """Exact finite distribution of all kernel values at iid points.
 
@@ -94,11 +103,7 @@ class JointLaw:
         self._set(n, runs, np.array(list(support.values()), dtype=float))
 
     def _set(self, n, runs, probs) -> JointLaw:
-        total = math.fsum(probs.tolist())
-        if (probs < 0.0).any():
-            raise SpecError("joint-law probabilities must be nonnegative")
-        if abs(total - 1.0) > 1e-12:
-            raise SpecError(f"joint-law probabilities sum to {total!r}, not 1")
+        _check_probs(probs, math.fsum(probs.tolist()))
         vars(self).update(n=n, _runs=runs, _probs=probs)
         return self
 
@@ -171,6 +176,56 @@ def _positions(cells: np.ndarray, tuples: np.ndarray, shape: tuple) -> np.ndarra
     return sum(cells[column - 1] * math.prod(shape[i + 1 :]) for i, column in enumerate(tuples.T))
 
 
+def _sides(sides, n: int, cap: int | None, tuples: dict) -> list[tuple]:
+    """Check each ``(space, family)`` side as :func:`exact_joint_law` does, before any is
+    enumerated, and give its ``(weights, ranked)``: per kernel of arity m <= n, its ranks
+    among the kernel's values on all sides (equal as dict keys are: ``-0.0 == 0.0``) and
+    its ``tuples[n, m]``, only the ascending ones if all sides declare it symmetric."""
+    hint = "; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
+    for space, family in sides:
+        _check_n(n, 0)
+        if family.domain != space:
+            raise SpecError("family is defined over a different space")
+        size = len(space)
+        _check_cap(cap, f"{size}^{n} assignments exceed the enumeration cap {{cap}}" + hint,
+                   (size, n))
+        # each coordinate is a row of every rank block, however few assignments there are
+        coordinates = sum(math.perm(n, k.arity) for k in family)
+        _check_cap(cap, f"{coordinates} coordinates exceed the enumeration cap {{cap}}" + hint,
+                   (coordinates, 1))
+    ranked = [[] for _ in sides]
+    for kernels in zip(*(family for _, family in sides)):
+        if (m := kernels[0].arity) <= n:
+            t = tuples[n, m] = tuples[n, m] if (n, m) in tuples else _index_tuples(n, m)
+            if all(k.symmetric for k in kernels):  # signed, so diff cannot wrap
+                t = t[(np.diff(t) > 0).all(axis=1)]
+            ranks = _rank(np.concatenate([k.values.ravel() for k in kernels]))[0]
+            ranks = np.split(ranks, np.cumsum([k.values.size for k in kernels[:-1]]))
+            for side, r, k in zip(ranked, ranks, kernels):
+                side.append((r.reshape(k.values.shape), t))
+    return [(np.asarray(space.probs), r) for (space, _), r in zip(sides, ranked)]
+
+
+def _groups(sides, n: int, law: bool) -> tuple[np.ndarray, list, np.ndarray, int]:
+    """The probabilities and groups of the assignments of each ``(weights, ranked)`` side in
+    turn, and the group count; for a ``law``, only those of nonzero probability, and their
+    cell blocks (a row per point).  Per block, each ``(ranks, tuples)`` of ``ranked`` gives a
+    rank row per tuple; :func:`_pack` makes all rows of all sides one key per assignment."""
+    probs, cells, blocks = [], [], []
+    for weights, ranked in sides:
+        for grid, prob in _assignments(weights, n):
+            keep = np.flatnonzero(prob) if law else slice(None)
+            probs.append(prob.ravel()[keep])
+            cell = np.array([np.broadcast_to(g, prob.shape).ravel()[keep] for g in grid],
+                            np.min_scalar_type(-len(weights))).reshape(n, len(probs[-1]))
+            blocks.append([r.take(_positions(cell, t, r.shape)) for r, t in ranked])
+            cells += [cell] if law else []
+    prob = np.concatenate(probs)
+    key = _pack([np.concatenate(b, axis=1) for b in zip(*blocks)], len(prob))
+    del probs, blocks  # freed before the sort, whose peak memory would add to theirs
+    return prob, cells, *_rank(key)
+
+
 def exact_joint_law(
     space: DiscreteSpace,
     family: KernelFamily,
@@ -183,11 +238,11 @@ def exact_joint_law(
     Walks every atom assignment in Omega^n with its product probability and
     drops those of probability zero, so the support holds only realizable
     vectors; with no coordinates at this n, every vector is ``()``.  Per
-    block, each kernel takes the ranks of its values at its index tuples, one
-    row per tuple, and :func:`_pack` makes all rows one key per assignment.
-    Equal keys form a group, ordered by its first assignment, whose cells
-    give the values; ``np.bincount`` adds each group's probabilities in
-    enumeration order, so the law is bit for bit the one a dict keyed by
+    block of :func:`_groups`, each kernel takes the ranks of its values at its
+    index tuples, one row per tuple, and :func:`_pack` makes all rows one key
+    per assignment.  Equal keys form a group, ordered by its first assignment,
+    whose cells give the values; ``np.bincount`` adds each group's probabilities
+    in enumeration order, so the law is bit for bit the one a dict keyed by
     value tuples would build.  Calls given one ``tuples`` dict share its index tuples.
 
     Raises
@@ -196,31 +251,10 @@ def exact_joint_law(
         If ``|Omega|^n``, or the number of coordinates, exceeds the
         enumeration cap.
     """
-    _check_n(n, 0)
-    if family.domain != space:
-        raise SpecError("family is defined over a different space")
-    size = len(space)
-    hint = "; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
-    _check_cap(cap, f"{size}^{n} assignments exceed the enumeration cap {{cap}}" + hint, (size, n))
-    # each coordinate is a row of every rank block, however few assignments there are
-    coordinates = sum(math.perm(n, k.arity) for k in family)
-    _check_cap(cap, f"{coordinates} coordinates exceed the enumeration cap {{cap}}" + hint,
-               (coordinates, 1))
-    tuples = {} if tuples is None else tuples  # index tuples by (n, arity)
-    tuples.update((t, _index_tuples(*t)) for t in {(n, k.arity) for k in family} - tuples.keys())
+    tuples = {} if tuples is None else tuples
+    sides = _sides([(space, family)], n, cap, tuples)
     kernels = [(k, tuples[n, k.arity]) for k in family if k.arity <= n]
-    # a symmetric kernel has one value for all orders of an index tuple (signed, so diff cannot wrap)
-    grouped = [(_rank(k.values)[0], t[(np.diff(t) > 0).all(axis=1)] if k.symmetric else t)
-               for k, t in kernels]
-    cells, probs, blocks = [], [], []
-    for grid, prob in _assignments(np.asarray(space.probs), n):
-        keep = np.flatnonzero(prob)
-        probs.append(prob.ravel()[keep])
-        cells.append(np.array([np.broadcast_to(g, prob.shape).ravel()[keep] for g in grid],
-                              np.min_scalar_type(-size)).reshape(n, len(keep)))  # a row per point
-        blocks.append([ranks.take(_positions(cells[-1], t, ranks.shape)) for ranks, t in grouped])
-    prob = np.concatenate(probs)
-    group, groups = _rank(_pack([np.concatenate(b, axis=1) for b in zip(*blocks)], len(prob)))
+    prob, cells, group, groups = _groups(sides, n, law=True)
     first = np.full(groups, len(group))  # not np.unique's return_index: it sorts stably, slower
     np.minimum.at(first, group, np.arange(len(group)))  # each group's first assignment
     order = np.argsort(first)  # the groups in order of first occurrence
@@ -262,8 +296,32 @@ def _tv_and_union(law1: JointLaw, law2: JointLaw) -> tuple[float, int]:
     group, union = _rank(_pack(ranks, size + law2.support_size))
     mass = np.zeros((2, union))
     mass[0, group[:size]], mass[1, group[size:]] = law1._probs, law2._probs
-    # the exact sum rounded once, so the order of the terms cannot change a bit
-    return 0.5 * _fsum([np.abs(mass[0] - mass[1])]), union
+    return _tv(mass), union
+
+
+def _tv(mass: np.ndarray) -> float:
+    """Half the L1 distance of the rows of ``mass``, rounded once, whatever the term order."""
+    return 0.5 * _fsum([np.abs(mass[0] - mass[1])])
+
+
+def _exact_comparison(side_a, side_b, n: int, cap: int | None = None) -> tuple[float, int, ...]:
+    """``_tv_and_union`` of the laws :func:`exact_joint_law` gives two ``(space, family)``
+    sides with equal kernel names and arities, and both support sizes, bit for bit, from one
+    :func:`_groups` of both sides that keeps every assignment (+0.0 leaves a mass as it is).
+    With equal cell counts and ranks, B's keys are A's: only B's probabilities are formed."""
+    (weights_a, ranked_a), (weights_b, ranked_b) = sides = _sides([side_a, side_b], n, cap, {})
+    shared = len(weights_a) == len(weights_b) and all(
+        np.array_equal(a, b) for (a, _), (b, _) in zip(ranked_a, ranked_b))
+    prob, _, group, groups = _groups(sides[: 2 - shared], n, law=False)
+    if shared:  # B's keys are A's
+        prob = np.concatenate([prob, *(p.ravel() for _, p in _assignments(weights_b, n))])
+        group = np.concatenate((group, group))
+    split = len(weights_a) ** n  # side A's assignments
+    mass = np.stack([np.bincount(group[:split], prob[:split], groups),
+                     np.bincount(group[split:], prob[split:], groups)])
+    for m in mass:
+        _check_probs(m, _fsum([m]))
+    return _tv(mass), int(mass.any(axis=0).sum()), *np.count_nonzero(mass, axis=1).tolist()
 
 
 def tv_distance(law1: JointLaw, law2: JointLaw) -> float:

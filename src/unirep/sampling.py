@@ -317,11 +317,11 @@ def _block_pairs(r0, shape, hit):
 
 
 def _graph_blocks(kernel: Kernel, n: int, seed: int, take=_block_edges):
-    """The latents of :func:`sample_graph`, after all its checks, and ``take`` of its row
-    blocks (by default their ``(e, 2)`` edges) in row order, each drawn as it is iterated."""
+    """The :func:`_latent_draws` of :func:`sample_graph`, after all its checks, and ``take`` of
+    its row blocks (by default their ``(e, 2)`` edges) in row order, each drawn as iterated."""
     _check_graph_kernel(kernel)
-    latents = sample_latents(kernel.domain, n, seed)
-    return latents, _draw_edges(kernel.values, latents.cells, seed, take)
+    draws = _latent_draws(kernel.domain, n, seed)
+    return draws, _draw_edges(kernel.values, draws[2], seed, take)
 
 
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:
@@ -340,8 +340,9 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
         If the kernel is not a symmetric arity-2 kernel with values in
         [0,1].
     """
-    latents, blocks = _graph_blocks(kernel, n, seed)
-    return RandomGraph(n, np.concatenate([np.empty((0, 2), np.int64), *blocks]), latents)
+    (partition, u, cells), blocks = _graph_blocks(kernel, n, seed)
+    edges = np.concatenate([np.empty((0, 2), np.int64), *blocks])
+    return RandomGraph(n, edges, Latents(u, cells, tuple(partition.cell_labels[c] for c in cells)))
 
 
 def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:

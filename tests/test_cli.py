@@ -326,6 +326,23 @@ class TestSample:
         assert i == "1"
         assert float(x) == unit_uniform(2, 0, 0, 1)
 
+    def test_sample_builds_no_latents_object(self, tmp_path, monkeypatch):
+        # the command writes the uniforms and draws the edges from the cells: no Latents,
+        # with its tuple of per-vertex atom labels, is built
+        spec = write_spec(tmp_path, DEMO_SPEC)
+        graph = sample_graph(load_spec(spec).family.kernels[0], 300, 4)
+
+        def never(*args):
+            raise AssertionError("a Latents was built")
+
+        monkeypatch.setattr(unirep.sampling, "Latents", never)
+        out, lat = tmp_path / "g.txt", tmp_path / "lat.txt"
+        argv = ["sample", spec, "--n", "300", "--seed", "4"]
+        assert main(argv + ["--out", str(out), "--latents", str(lat)]) == 0
+        assert out.read_bytes() == edge_lines_oracle(graph.edges).encode()
+        uniforms = graph.latents.uniforms.tolist()
+        assert lat.read_text() == "".join(f"{i} {x!r}\n" for i, x in enumerate(uniforms, start=1))
+
 
 # vertex counts around each change in the number of decimal digits; the
 # complete graph on 1001 vertices has 500 500 edges, in row blocks of at
@@ -522,6 +539,24 @@ class TestEquiv:
         assert code == 3
         assert_one_error_line(err)
         assert "--mode mc" in err
+
+    def test_second_side_over_the_cap_exits_before_any_enumeration(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the one-atom side fits the cap and the three-atom side does not: its error
+        # comes before the first side is enumerated
+        def never(*args):
+            raise AssertionError("enumerated before the caps of both sides were checked")
+
+        monkeypatch.setattr(unirep.equivalence, "_assignments", never)
+        monkeypatch.setenv("REP_MAX_ENUM", "8")
+        const = write_spec(tmp_path, CONST_SPEC, "const.json")
+        demo = write_spec(tmp_path, DEMO_SPEC, "demo.json")
+        code, err = run_cli(["equiv", const, demo, "--n", "3"], capsys)
+        assert (code, capsys.readouterr().out) == (3, "")
+        assert err == (
+            "error: 3^3 assignments exceed the enumeration cap 8; "
+            "use the statistical mode (--mode mc) or raise REP_MAX_ENUM\n"
+        )
 
     def test_mc_mode_same_spec_passes(self, tmp_path, capsys):
         a = write_spec(tmp_path, DEMO_SPEC, "a.json")

@@ -38,6 +38,7 @@ from unirep import (
 from unirep import equivalence, sampling
 from unirep.equivalence import _chi2_sf, _fsum, _mask_counts, _observations, _pack
 from unirep.sampling import derive_seed, graph_bitmask, sample_graph_edges
+from unirep.specfile import parse_spec
 
 from util import (
     LABELS3,
@@ -646,6 +647,112 @@ class TestExactComparisonOracle:
         assert {("f", "-0.0", True), ("g", "-0.0", True)} <= seen
 
 
+def as_spec(sp, fam, label=int):
+    """``(space, family)`` read back from a spec document of ``sp`` and ``fam``, every
+    label written as ``label(value)``, as ``unirep equiv`` reads a spec file."""
+    kernels = [{
+        "name": k.name, "arity": k.arity, "symmetric": k.symmetric,
+        "value_space": {"labels": k.value_space.num_labels} if k.value_space.kind == "labels"
+        else k.value_space.kind,
+        "values": {",".join(key): label(v) if k.value_space.kind == "labels" else v
+                   for key, v in k.table.items()},
+    } for k in fam]
+    doc = parse_spec({"space": {"atoms": list(sp.atom_ids), "probs": list(sp.probs)},
+                      "kernels": kernels})
+    return doc.space, doc.family
+
+
+def comparison_pairs(seed):
+    """Named pairs of ``(space, family)`` sides with equal kernel names, arities and value
+    spaces, around ``classed_case(seed)``: the source against its direct and Cantor
+    artifacts and an unrelated spec; zero atoms on one side only; zeros of the other sign
+    (equal ranks, so B may take A's keys); one value changed (equal cell counts only); labels
+    written ``1.0`` in a spec; a kernel symmetric on one side only, with symmetric values or
+    not; and an arity-3 kernel, above n for n < 3."""
+    rng, sp, generators, fam = classed_case(seed)
+    f, g, h = (k.values for k in fam)
+    src = (sp, fam)
+    direct = step_family_as_space(represent_family(sp, fam))
+    cantor = step_family_as_space(cantor_represent_family(sp, generators, fam))
+    _, usp, _, ufam = classed_case(seed + 10**6)
+    probs = np.asarray(sp.probs) + (np.asarray(sp.probs) == 0.0)  # zeros where the source has none
+    probs[rng.choice(len(sp), int(rng.integers(0, len(sp))), replace=False)] = 0.0
+    other = space(sp.atom_ids, probs / probs.sum())
+    top = int(np.argmax(sp.probs))
+    g2 = g.copy()
+    g2[top] += 0.5
+    asym = f.copy()
+    asym[0, -1] = 0.75 if f[0, -1] != 0.75 else 0.25  # asymmetric unless there is one atom
+    cube = (len(sp),) * 3  # a value per sorted index triple, so symmetric bit for bit
+    sym3 = rng.random(cube)[tuple(np.sort(np.indices(cube), axis=0))]
+    fam3 = KernelFamily((*fam.kernels, Kernel("t", 3, UNIT, sp, sym3, symmetric=True)))
+    flipped = [np.where(f == 0.0, -f, f), np.where(g == 0.0, -g, g), h]
+    rest = fam.kernels[1:]  # f, declared symmetric in the source, is not on the other side
+    return {
+        "direct": (src, direct),
+        "cantor": (src, cantor),
+        "artifacts": (cantor, direct),
+        "unrelated": (src, (usp, ufam)),
+        "zero atoms": (src, (other, fam.on_domain(other))),
+        "signs": (src, (sp, fam.on_domain(sp, flipped))),
+        "changed": (src, (sp, fam.on_domain(sp, [f, g2, h]))),
+        "labels as floats": (as_spec(sp, fam), as_spec(sp, fam, float)),
+        "float labels vs artifact": (as_spec(sp, fam, float), direct),
+        "one side symmetric": (src, (sp, KernelFamily((Kernel("f", 2, UNIT, sp, f), *rest)))),
+        "one side symmetric, values not":
+            (src, (sp, KernelFamily((Kernel("f", 2, UNIT, sp, asym), *rest)))),
+        "arity 3": ((sp, fam3), step_family_as_space(represent_family(sp, fam3))),
+    }
+
+
+class TestExactComparison:
+    """``_exact_comparison``, the comparison ``unirep equiv`` makes in exact mode, equals
+    ``_tv_and_union`` of the two ``exact_joint_law``\\ s and their support sizes, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           name=st.sampled_from(sorted(comparison_pairs(0))), swap=st.booleans())
+    @example(seed=5100, n=1, name="arity 3", swap=False)
+    @example(seed=5101, n=3, name="one side symmetric, values not", swap=True)
+    def test_equals_two_laws(self, seed, n, name, swap):
+        a, b = comparison_pairs(seed)[name][:: -1 if swap else 1]
+        law_a, law_b = exact_joint_law(*a, n), exact_joint_law(*b, n)
+        tv, union = equivalence._tv_and_union(law_a, law_b)
+        expected = (tv, union, law_a.support_size, law_b.support_size)
+        assert repr(equivalence._exact_comparison(a, b, n)) == repr(expected)
+
+    def test_pairs_cover_the_cases(self):
+        """Over a few seeds the pairs show unequal laws, equal laws whose values differ only
+        in the sign of a zero, zero atoms on one side only, and -0.0 values."""
+        seen = set()
+        for seed in range(20):
+            for name, (a, b) in comparison_pairs(seed).items():
+                law_a, law_b = exact_joint_law(*a, 2), exact_joint_law(*b, 2)
+                tv, union = equivalence._tv_and_union(law_a, law_b)
+                seen.add((name, "unequal", tv > 0.0 or union > law_a.support_size))
+                zeros = [0.0 in np.asarray(s.probs) for s, _ in (a, b)]
+                seen.add(("zero atoms on one side", zeros[0] != zeros[1]))
+                seen.add(("-0.0", any(bool((np.signbit(k.values) & (k.values == 0.0)).any())
+                                      for k in a[1] if k.value_space.kind != "labels")))
+        unequal = ("cantor", "unrelated", "zero atoms", "changed", "one side symmetric, values not")
+        for name in unequal:
+            assert (name, "unequal", True) in seen, name
+        assert ("signs", "unequal", False) in seen
+        assert ("zero atoms on one side", True) in seen and ("-0.0", True) in seen
+
+    def test_caps_of_both_sides_before_any_enumeration(self, monkeypatch):
+        small, big = space("ab", (0.5, 0.5)), space("abc", (0.2, 0.3, 0.5))
+        sides = [(sp, KernelFamily((cross_kernel(sp),))) for sp in (small, big)]
+
+        def never(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(equivalence, "_assignments", never)
+        for a, b in (sides, sides[::-1]):
+            with pytest.raises(ScaleError, match=r"^3\^3 assignments exceed the enumeration cap 8"):
+                equivalence._exact_comparison(a, b, 3, cap=8)
+
+
 class TestPack:
     """Keys of ``_pack`` are equal exactly where the packed points are (a
     block's columns), also where the radix passes 2^62 and the key or a row
@@ -741,6 +848,49 @@ def test_exact_equiv_peak_bytes_per_coordinate(tmp_path):
                      "symmetric": True, "values": {"o,o": 0.5}}],
     }))
     assert run_probe(EXACT_MEMORY_PROBE, str(spec)) <= 100.0
+
+
+# ``unirep equiv`` of a spec with K = 100 atoms against one of its artifacts at n = 3 in a
+# fresh process: peak RSS growth over the RSS after the same comparison at n = 1, per
+# assignment of one side, K^3.
+EXACT_ASSIGNMENT_PROBE = STATUS_KB + """
+import io
+import sys
+from contextlib import redirect_stdout
+from unirep.cli import main
+
+spec, artifact = sys.argv[1:]
+with redirect_stdout(io.StringIO()):
+    main(["equiv", spec, artifact, "--n", "1"])
+    before_kb = status_kb("VmRSS:")
+    main(["equiv", spec, artifact, "--n", "3"])
+print((status_kb("VmHWM:") - before_kb) * 1024 / 100**3)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("via, bound", [([], 150.0), (["--via-cantor"], 175.0)])
+def test_exact_equiv_peak_bytes_per_assignment(tmp_path, via, bound):
+    # a symmetric arity-2 kernel of distinct values: all 10^6 assignments of a side are
+    # support points.  Two laws and their joint grouping took 230 B per assignment against
+    # either artifact; one grouping of both sides takes 81 against the direct artifact,
+    # whose keys are the spec's, and 125 against the Cantor artifact, with keys of its own
+    from unirep.cli import main
+
+    rng = np.random.default_rng(100)
+    atoms = [f"a{i}" for i in range(100)]
+    values = rng.random((100, 100))
+    spec = tmp_path / "k100.json"
+    spec.write_text(json.dumps({
+        "space": {"atoms": atoms, "probs": (rng.dirichlet(np.ones(100))).tolist()},
+        "generators": [[a for i, a in enumerate(atoms) if i >> bit & 1] for bit in range(7)],
+        "kernels": [{"name": "f", "arity": 2, "value_space": "unit", "symmetric": True,
+                     "values": {f"{a},{b}": values[min(i, j), max(i, j)]
+                                for i, a in enumerate(atoms) for j, b in enumerate(atoms)}}],
+    }))
+    artifact = str(tmp_path / "rep.json")
+    assert main(["represent", str(spec), *via, "--out", artifact]) == 0
+    assert run_probe(EXACT_ASSIGNMENT_PROBE, str(spec), artifact) <= bound
 
 
 class TestExchangeabilityOracle:
