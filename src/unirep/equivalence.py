@@ -2,13 +2,14 @@
 
 At small scale the decision is exact: :func:`exact_joint_law`,
 :func:`hom_density` and :func:`graph_law_exact` are sums over one
-enumerator of Omega^n, :func:`_assignments`.  Joint laws hold per-kernel
-arrays of index tuples and value positions, their value ranks packed into
-int64 keys, and :func:`tv_distance` matches two laws' support points on
-their values, as dict keys match (exact because both laws draw their
-values from identical tables; upstream modules copy values, never
-recompute them through different arithmetic).  ``unirep equiv`` builds
-no law: :func:`_exact_comparison` groups both sides' assignments at once.
+enumerator of Omega^n, :func:`_assignments`.  One grouping, :func:`_groups`,
+packs each assignment's value ranks into an int64 key: :func:`exact_joint_law`
+groups one side's assignments into a joint law, and ``unirep equiv``'s
+:func:`_exact_comparison` groups both sides' at once, building no law.
+:func:`tv_distance` matches two laws' support points on their values, as
+dict keys match (exact because both laws draw their values from
+identical tables; upstream modules copy values, never recompute them
+through different arithmetic).
 
 Beyond enumeration scale, :func:`mc_two_sample_test` compares sampled
 graph laws statistically: labeled-graph frequency chi-squared for small
@@ -72,11 +73,11 @@ def _check_cap(cap: int | None, message: str, *powers: tuple[int, int]) -> None:
         raise ScaleError(message.format(cap=cap))
 
 
-def _check_probs(probs: np.ndarray, total: float) -> None:
-    """Raise unless ``probs``, which sum to ``total``, form a probability law."""
+def _check_probs(probs: np.ndarray) -> None:
+    """Raise unless ``probs`` form a probability law: nonnegative, summing to 1 (not NaN)."""
     if (probs < 0.0).any():
         raise SpecError("joint-law probabilities must be nonnegative")
-    if abs(total - 1.0) > 1e-12:
+    if not abs((total := _fsum([probs])) - 1.0) <= 1e-12:
         raise SpecError(f"joint-law probabilities sum to {total!r}, not 1")
 
 
@@ -103,7 +104,7 @@ class JointLaw:
         self._set(n, runs, np.array(list(support.values()), dtype=float))
 
     def _set(self, n, runs, probs) -> JointLaw:
-        _check_probs(probs, math.fsum(probs.tolist()))
+        _check_probs(probs)
         vars(self).update(n=n, _runs=runs, _probs=probs)
         return self
 
@@ -176,14 +177,14 @@ def _positions(cells: np.ndarray, tuples: np.ndarray, shape: tuple) -> np.ndarra
     return sum(cells[column - 1] * math.prod(shape[i + 1 :]) for i, column in enumerate(tuples.T))
 
 
-def _sides(sides, n: int, cap: int | None, tuples: dict) -> list[tuple]:
+def _sides(sides, n: int, cap: int | None) -> list[tuple]:
     """Check each ``(space, family)`` side as :func:`exact_joint_law` does, before any is
     enumerated, and give its ``(weights, ranked)``: per kernel of arity m <= n, its ranks
     among the kernel's values on all sides (equal as dict keys are: ``-0.0 == 0.0``) and
-    its ``tuples[n, m]``, only the ascending ones if all sides declare it symmetric."""
+    its index tuples, only the ascending ones if all sides declare it symmetric."""
+    _check_n(n, 0)
     hint = "; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
     for space, family in sides:
-        _check_n(n, 0)
         if family.domain != space:
             raise SpecError("family is defined over a different space")
         size = len(space)
@@ -196,7 +197,7 @@ def _sides(sides, n: int, cap: int | None, tuples: dict) -> list[tuple]:
     ranked = [[] for _ in sides]
     for kernels in zip(*(family for _, family in sides)):
         if (m := kernels[0].arity) <= n:
-            t = tuples[n, m] = tuples[n, m] if (n, m) in tuples else _index_tuples(n, m)
+            t = _index_tuples(n, m)
             if all(k.symmetric for k in kernels):  # signed, so diff cannot wrap
                 t = t[(np.diff(t) > 0).all(axis=1)]
             ranks = _rank(np.concatenate([k.values.ravel() for k in kernels]))[0]
@@ -206,24 +207,22 @@ def _sides(sides, n: int, cap: int | None, tuples: dict) -> list[tuple]:
     return [(np.asarray(space.probs), r) for (space, _), r in zip(sides, ranked)]
 
 
-def _groups(sides, n: int, law: bool) -> tuple[np.ndarray, list, np.ndarray, int]:
-    """The probabilities and groups of the assignments of each ``(weights, ranked)`` side in
-    turn, and the group count; for a ``law``, only those of nonzero probability, and their
-    cell blocks (a row per point).  Per block, each ``(ranks, tuples)`` of ``ranked`` gives a
-    rank row per tuple; :func:`_pack` makes all rows of all sides one key per assignment."""
-    probs, cells, blocks = [], [], []
+def _groups(sides, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The probabilities and groups of all assignments of each ``(weights, ranked)`` side in
+    turn, in enumeration order, and the group count.  Per block, each ``(ranks, tuples)`` of
+    ``ranked`` gives a rank row per tuple; :func:`_pack` makes all rows of all sides one key
+    per assignment, and equal keys form a group."""
+    probs, blocks = [], []
     for weights, ranked in sides:
         for grid, prob in _assignments(weights, n):
-            keep = np.flatnonzero(prob) if law else slice(None)
-            probs.append(prob.ravel()[keep])
-            cell = np.array([np.broadcast_to(g, prob.shape).ravel()[keep] for g in grid],
-                            np.min_scalar_type(-len(weights))).reshape(n, len(probs[-1]))
+            probs.append(prob.ravel())
+            cell = np.array([np.broadcast_to(g, prob.shape).ravel() for g in grid],
+                            np.min_scalar_type(-len(weights))).reshape(n, prob.size)
             blocks.append([r.take(_positions(cell, t, r.shape)) for r, t in ranked])
-            cells += [cell] if law else []
     prob = np.concatenate(probs)
     key = _pack([np.concatenate(b, axis=1) for b in zip(*blocks)], len(prob))
     del probs, blocks  # freed before the sort, whose peak memory would add to theirs
-    return prob, cells, *_rank(key)
+    return prob, *_rank(key)
 
 
 def exact_joint_law(
@@ -231,19 +230,17 @@ def exact_joint_law(
     family: KernelFamily,
     n: int,
     cap: int | None = None,
-    tuples: dict | None = None,
 ) -> JointLaw:
     """Enumerate the exact joint law of all kernel evaluations.
 
-    Walks every atom assignment in Omega^n with its product probability and
-    drops those of probability zero, so the support holds only realizable
-    vectors; with no coordinates at this n, every vector is ``()``.  Per
-    block of :func:`_groups`, each kernel takes the ranks of its values at its
-    index tuples, one row per tuple, and :func:`_pack` makes all rows one key
-    per assignment.  Equal keys form a group, ordered by its first assignment,
-    whose cells give the values; ``np.bincount`` adds each group's probabilities
-    in enumeration order, so the law is bit for bit the one a dict keyed by
-    value tuples would build.  Calls given one ``tuples`` dict share its index tuples.
+    Walks every atom assignment in Omega^n with its product probability; the
+    support holds only realizable vectors, those of an assignment of nonzero
+    probability, and with no coordinates at this n every vector is ``()``.
+    :func:`_groups` makes assignments with equal values one group.  The groups
+    with a nonzero assignment are ordered by the first one, whose index, read as
+    n base-K digits, gives the cells and so the values; ``np.bincount`` adds each
+    group's probabilities in enumeration order (a zero adds nothing), so the law
+    is bit for bit the one a dict keyed by value tuples would build.
 
     Raises
     ------
@@ -251,14 +248,15 @@ def exact_joint_law(
         If ``|Omega|^n``, or the number of coordinates, exceeds the
         enumeration cap.
     """
-    tuples = {} if tuples is None else tuples
-    sides = _sides([(space, family)], n, cap, tuples)
-    kernels = [(k, tuples[n, k.arity]) for k in family if k.arity <= n]
-    prob, cells, group, groups = _groups(sides, n, law=True)
-    first = np.full(groups, len(group))  # not np.unique's return_index: it sorts stably, slower
-    np.minimum.at(first, group, np.arange(len(group)))  # each group's first assignment
-    order = np.argsort(first)  # the groups in order of first occurrence
-    cells = np.concatenate(cells, axis=1)[:, first[order]]
+    prob, group, groups = _groups(_sides([(space, family)], n, cap), n)
+    nz = np.flatnonzero(prob)
+    first = np.full(groups, len(prob))  # not np.unique's return_index: it sorts stably, slower
+    np.minimum.at(first, group[nz], nz)  # each group's first assignment of nonzero probability
+    # the groups in order of that assignment, without those that have none
+    order = np.argsort(first)[: np.count_nonzero(first < len(prob))]
+    # their cells: each index as n base-K digits (np.unravel_index takes at most 64 dimensions)
+    cells = first[order] // len(space) ** np.arange(n - 1, -1, -1)[:, None] % len(space)
+    kernels = [(k, _index_tuples(n, k.arity)) for k in family if k.arity <= n]
     # a kernel's values: its flat value array at the flat cells of each group's first assignment
     runs = tuple((k.name, t, k.values.ravel(), _positions(cells, t, k.values.shape))
                  for k, t in kernels)
@@ -282,37 +280,21 @@ def step_family_as_space(family: KernelFamily) -> tuple[DiscreteSpace, KernelFam
     return space, family.on_domain(space)
 
 
-def _tv_and_union(law1: JointLaw, law2: JointLaw) -> tuple[float, int]:
-    """:func:`tv_distance` and the size of the support union, from one grouping."""
-    runs = list(zip(law1._runs, law2._runs))
-    same = law1.n == law2.n and len(runs) == len(law1._runs) == len(law2._runs)
-    if not (same and all(a[0] == b[0] and np.array_equal(a[1], b[1]) for a, b in runs)):
-        raise SpecError("joint laws have mismatched key structures")
-    ranks = []
-    for (_, _, t1, i1), (_, _, t2, i2) in runs:
-        r = _rank(np.concatenate((t1, t2)))[0]  # ranks match as dict keys do: -0.0 == 0.0, 1 == 1.0
-        ranks.append(np.concatenate((r[: len(t1)][i1], r[len(t1) :][i2]), axis=1))
-    size = law1.support_size
-    group, union = _rank(_pack(ranks, size + law2.support_size))
-    mass = np.zeros((2, union))
-    mass[0, group[:size]], mass[1, group[size:]] = law1._probs, law2._probs
-    return _tv(mass), union
-
-
 def _tv(mass: np.ndarray) -> float:
     """Half the L1 distance of the rows of ``mass``, rounded once, whatever the term order."""
     return 0.5 * _fsum([np.abs(mass[0] - mass[1])])
 
 
 def _exact_comparison(side_a, side_b, n: int, cap: int | None = None) -> tuple[float, int, ...]:
-    """``_tv_and_union`` of the laws :func:`exact_joint_law` gives two ``(space, family)``
-    sides with equal kernel names and arities, and both support sizes, bit for bit, from one
-    :func:`_groups` of both sides that keeps every assignment (+0.0 leaves a mass as it is).
-    With equal cell counts and ranks, B's keys are A's: only B's probabilities are formed."""
-    (weights_a, ranked_a), (weights_b, ranked_b) = sides = _sides([side_a, side_b], n, cap, {})
+    """:func:`tv_distance` of the laws :func:`exact_joint_law` gives two ``(space, family)``
+    sides with equal kernel names and arities, the size of their support union, and both
+    support sizes, bit for bit, from one :func:`_groups` of both sides (+0.0 leaves a mass
+    as it is).  With equal cell counts and ranks, B's keys are A's: only B's probabilities
+    are formed."""
+    (weights_a, ranked_a), (weights_b, ranked_b) = sides = _sides([side_a, side_b], n, cap)
     shared = len(weights_a) == len(weights_b) and all(
         np.array_equal(a, b) for (a, _), (b, _) in zip(ranked_a, ranked_b))
-    prob, _, group, groups = _groups(sides[: 2 - shared], n, law=False)
+    prob, group, groups = _groups(sides[: 2 - shared], n)
     if shared:  # B's keys are A's
         prob = np.concatenate([prob, *(p.ravel() for _, p in _assignments(weights_b, n))])
         group = np.concatenate((group, group))
@@ -320,7 +302,7 @@ def _exact_comparison(side_a, side_b, n: int, cap: int | None = None) -> tuple[f
     mass = np.stack([np.bincount(group[:split], prob[:split], groups),
                      np.bincount(group[split:], prob[split:], groups)])
     for m in mass:
-        _check_probs(m, _fsum([m]))
+        _check_probs(m)
     return _tv(mass), int(mass.any(axis=0).sum()), *np.count_nonzero(mass, axis=1).tolist()
 
 
@@ -338,7 +320,19 @@ def tv_distance(law1: JointLaw, law2: JointLaw) -> float:
     SpecError
         If the two laws have different key structures.
     """
-    return _tv_and_union(law1, law2)[0]
+    runs = list(zip(law1._runs, law2._runs))
+    same = law1.n == law2.n and len(runs) == len(law1._runs) == len(law2._runs)
+    if not (same and all(a[0] == b[0] and np.array_equal(a[1], b[1]) for a, b in runs)):
+        raise SpecError("joint laws have mismatched key structures")
+    ranks = []
+    for (_, _, t1, i1), (_, _, t2, i2) in runs:
+        r = _rank(np.concatenate((t1, t2)))[0]  # ranks match as dict keys do: -0.0 == 0.0, 1 == 1.0
+        ranks.append(np.concatenate((r[: len(t1)][i1], r[len(t1) :][i2]), axis=1))
+    size = law1.support_size
+    group, union = _rank(_pack(ranks, size + law2.support_size))
+    mass = np.zeros((2, union))
+    mass[0, group[:size]], mass[1, group[size:]] = law1._probs, law2._probs
+    return _tv(mass)
 
 
 def law_is_exchangeable(law: JointLaw, tol: float = 1e-9) -> bool:

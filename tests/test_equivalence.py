@@ -340,6 +340,12 @@ class TestExactJointLawBitForBit:
         if trial == 0:
             assert self._check(sp, fam, 1).support == {(): 1.0}
 
+    def test_more_points_than_numpy_dimensions(self):
+        # one assignment of 100 points, 10^4 coordinates: its cells are 100 digits,
+        # more than the 64 dimensions np.unravel_index takes
+        law = self._check(*TestEnumerationCap.one_atom_family(), 100)
+        assert len(law.keys) == 10**4 and law.support_size == 1
+
 
 class TestEnumeratorBlocks:
     """Every exact output is independent of the enumerator's block: with
@@ -485,6 +491,11 @@ class TestTvDistance:
         l2 = JointLaw(1, (("f", (1,)),), {(1.0,): 0.6, (0.0,): 0.4})
         assert tv_distance(l1, l2) == 0.0
 
+    @pytest.mark.parametrize("support", [{(0.0,): math.nan}, {(0.0,): 0.5, (1.0,): math.nan}])
+    def test_nan_probabilities_refused(self, support):
+        with pytest.raises(SpecError, match="sum to nan, not 1"):
+            self._law(support)
+
     def test_mismatched_keys(self):
         l1 = self._law({(0.0,): 1.0})
         l2 = JointLaw(1, (("g", (1,)),), {(0.0,): 1.0})
@@ -570,11 +581,11 @@ def classed_case(seed):
 
 
 class TestExactComparisonOracle:
-    """The exact comparison against ``tv_distance_loop``: ``tv``,
-    ``support_equal`` and ``support_size`` (as ``cli.cmd_equiv`` takes them
-    from ``_tv_and_union``) and ``tv_distance``, equal bit for bit
-    (``repr``) on seeded random pairs of laws at n = 0-3.  Every enumerated
-    law also equals ``exact_joint_law_loop``, items and order."""
+    """``tv_distance`` against ``tv_distance_loop``, with ``support_equal``
+    and ``support_size`` from the dict-key union of the two ``support``
+    mappings, equal bit for bit (``repr``) on seeded random pairs of laws at
+    n = 0-3.  Every enumerated law also equals ``exact_joint_law_loop``,
+    items and order."""
 
     @staticmethod
     def law(sp, fam, n):
@@ -623,11 +634,9 @@ class TestExactComparisonOracle:
     def test_random_pairs(self, seed):
         for n in range(4):
             for a, b in self.pairs(5100 + seed, n):
-                expected = tv_distance_loop(a, b)
-                tv, union = equivalence._tv_and_union(a, b)
-                got = (tv, union == a.support_size == b.support_size, union)
-                assert repr(got) == repr(expected)
-                assert repr(tv_distance(a, b)) == repr(expected[0])
+                union = len(a.support.keys() | b.support.keys())
+                got = (tv_distance(a, b), union == a.support_size == b.support_size, union)
+                assert repr(got) == repr(tv_distance_loop(a, b))
 
     def test_pairs_cover_the_cases(self):
         """The pairs include disjoint supports, unequal supports with a
@@ -707,7 +716,15 @@ def comparison_pairs(seed):
 
 class TestExactComparison:
     """``_exact_comparison``, the comparison ``unirep equiv`` makes in exact mode, equals
-    ``_tv_and_union`` of the two ``exact_joint_law``\\ s and their support sizes, bit for bit."""
+    ``tv_distance`` of the two ``exact_joint_law``\\ s, the size of the dict-key union of their
+    ``support`` mappings (values matched as ``_rank`` matches them), and both support sizes,
+    bit for bit."""
+
+    @staticmethod
+    def expected(a, b, n):
+        law_a, law_b = exact_joint_law(*a, n), exact_joint_law(*b, n)
+        union = len(law_a.support.keys() | law_b.support.keys())
+        return tv_distance(law_a, law_b), union, law_a.support_size, law_b.support_size
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
@@ -716,10 +733,7 @@ class TestExactComparison:
     @example(seed=5101, n=3, name="one side symmetric, values not", swap=True)
     def test_equals_two_laws(self, seed, n, name, swap):
         a, b = comparison_pairs(seed)[name][:: -1 if swap else 1]
-        law_a, law_b = exact_joint_law(*a, n), exact_joint_law(*b, n)
-        tv, union = equivalence._tv_and_union(law_a, law_b)
-        expected = (tv, union, law_a.support_size, law_b.support_size)
-        assert repr(equivalence._exact_comparison(a, b, n)) == repr(expected)
+        assert repr(equivalence._exact_comparison(a, b, n)) == repr(self.expected(a, b, n))
 
     def test_pairs_cover_the_cases(self):
         """Over a few seeds the pairs show unequal laws, equal laws whose values differ only
@@ -727,9 +741,8 @@ class TestExactComparison:
         seen = set()
         for seed in range(20):
             for name, (a, b) in comparison_pairs(seed).items():
-                law_a, law_b = exact_joint_law(*a, 2), exact_joint_law(*b, 2)
-                tv, union = equivalence._tv_and_union(law_a, law_b)
-                seen.add((name, "unequal", tv > 0.0 or union > law_a.support_size))
+                tv, union, size, _ = self.expected(a, b, 2)
+                seen.add((name, "unequal", tv > 0.0 or union > size))
                 zeros = [0.0 in np.asarray(s.probs) for s, _ in (a, b)]
                 seen.add(("zero atoms on one side", zeros[0] != zeros[1]))
                 seen.add(("-0.0", any(bool((np.signbit(k.values) & (k.values == 0.0)).any())
