@@ -18,6 +18,7 @@ unsupported-input error, 3 scale error or memory that cannot be allocated.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ import numpy as np
 
 from .equivalence import (
     PATTERNS,
+    _contraction,
     _exact_comparison,
     hom_density,
     mc_two_sample_test,
@@ -211,6 +213,10 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_densities(args) -> int:
+    """Print each pattern's ``hom_density`` to 12 significant digits.  The digits come
+    from ``_contraction``'s x when every real within its bound b*x of x, the ends
+    rounded outward, prints the same (the rounding is monotone, so the two ends
+    decide); else, and for x = 0, from ``hom_density`` itself."""
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
     names = [p.strip() for p in args.patterns.split(",") if p.strip()]
@@ -219,7 +225,12 @@ def cmd_densities(args) -> int:
         what = f"unknown pattern {unknown[0]!r}" if unknown else "no pattern given"
         raise SpecError(f"{what}; available: {', '.join(sorted(PATTERNS))}")
     for name in names:
-        print(f"{name} {hom_density(kernel, PATTERNS[name]):.12g}")
+        x, b = _contraction(kernel, PATTERNS[name])
+        lo, hi = x - x * b, x + x * b  # NaN, and so refused, for x = 0 and b = inf
+        text = format(math.nextafter(hi, math.inf), ".12g")
+        if not (lo > 0.0 and format(math.nextafter(lo, 0.0), ".12g") == text):
+            text = format(hom_density(kernel, PATTERNS[name]), ".12g")
+        print(f"{name} {text}")
     return 0
 
 

@@ -9,7 +9,9 @@ groups one side's assignments into a joint law, and ``unirep equiv``'s
 :func:`tv_distance` matches two laws' support points on their values, as
 dict keys match (exact because both laws draw their values from
 identical tables; upstream modules copy values, never recompute them
-through different arithmetic).
+through different arithmetic).  ``unirep densities`` prints the 12 digits of
+:func:`hom_density` that :func:`_contraction`, vertex elimination with a
+counted rounding-error bound, certifies, and otherwise ``hom_density``'s own.
 
 Beyond enumeration scale, :func:`mc_two_sample_test` compares sampled
 graph laws statistically: labeled-graph frequency chi-squared for small
@@ -179,9 +181,10 @@ def _positions(cells: np.ndarray, tuples: np.ndarray, shape: tuple) -> np.ndarra
 
 def _sides(sides, n: int, cap: int | None) -> list[tuple]:
     """Check each ``(space, family)`` side as :func:`exact_joint_law` does, before any is
-    enumerated, and give its ``(weights, ranked)``: per kernel of arity m <= n, its ranks
-    among the kernel's values on all sides (equal as dict keys are: ``-0.0 == 0.0``) and
-    its index tuples, only the ascending ones if all sides declare it symmetric."""
+    enumerated, and give its ``(weights, ranked)`` on its atoms of nonzero probability
+    (any other makes an assignment +0.0): per kernel of arity m <= n, its ranks among the
+    kernel's values there on all sides (equal as dict keys are: ``-0.0 == 0.0``) and its
+    index tuples, only the ascending ones if all sides declare it symmetric."""
     _check_n(n, 0)
     hint = "; use the statistical mode (--mode mc) or raise REP_MAX_ENUM"
     for space, family in sides:
@@ -194,17 +197,18 @@ def _sides(sides, n: int, cap: int | None) -> list[tuple]:
         coordinates = sum(math.perm(n, k.arity) for k in family)
         _check_cap(cap, f"{coordinates} coordinates exceed the enumeration cap {{cap}}" + hint,
                    (coordinates, 1))
-    ranked = [[] for _ in sides]
+    ranked, kept = [[] for _ in sides], [np.flatnonzero(space.probs) for space, _ in sides]
     for kernels in zip(*(family for _, family in sides)):
         if (m := kernels[0].arity) <= n:
             t = _index_tuples(n, m)
             if all(k.symmetric for k in kernels):  # signed, so diff cannot wrap
                 t = t[(np.diff(t) > 0).all(axis=1)]
-            ranks = _rank(np.concatenate([k.values.ravel() for k in kernels]))[0]
-            ranks = np.split(ranks, np.cumsum([k.values.size for k in kernels[:-1]]))
-            for side, r, k in zip(ranked, ranks, kernels):
-                side.append((r.reshape(k.values.shape), t))
-    return [(np.asarray(space.probs), r) for (space, _), r in zip(sides, ranked)]
+            tables = [k.values[np.ix_(*[cells] * m)] for k, cells in zip(kernels, kept)]
+            ranks = _rank(np.concatenate([a.ravel() for a in tables]))[0]
+            ranks = np.split(ranks, np.cumsum([a.size for a in tables[:-1]]))
+            for side, r, a in zip(ranked, ranks, tables):
+                side.append((r.reshape(a.shape), t))
+    return [(np.asarray(space.probs)[i], r) for (space, _), r, i in zip(sides, ranked, kept)]
 
 
 def _groups(sides, n: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -236,11 +240,12 @@ def exact_joint_law(
     Walks every atom assignment in Omega^n with its product probability; the
     support holds only realizable vectors, those of an assignment of nonzero
     probability, and with no coordinates at this n every vector is ``()``.
-    :func:`_groups` makes assignments with equal values one group.  The groups
-    with a nonzero assignment are ordered by the first one, whose index, read as
-    n base-K digits, gives the cells and so the values; ``np.bincount`` adds each
-    group's probabilities in enumeration order (a zero adds nothing), so the law
-    is bit for bit the one a dict keyed by value tuples would build.
+    :func:`_groups` makes assignments to the K' atoms of nonzero probability with
+    equal values one group.  The groups with a nonzero assignment are ordered by
+    the first one, whose index, read as n base-K' digits, gives the cells and so
+    the values; ``np.bincount`` adds each group's probabilities in enumeration
+    order (a zero, as any assignment left out would add, adds nothing), so the
+    law is bit for bit the one a dict keyed by value tuples would build.
 
     Raises
     ------
@@ -254,8 +259,10 @@ def exact_joint_law(
     np.minimum.at(first, group[nz], nz)  # each group's first assignment of nonzero probability
     # the groups in order of that assignment, without those that have none
     order = np.argsort(first)[: np.count_nonzero(first < len(prob))]
-    # their cells: each index as n base-K digits (np.unravel_index takes at most 64 dimensions)
-    cells = first[order] // len(space) ** np.arange(n - 1, -1, -1)[:, None] % len(space)
+    # their cells: each index as n base-K' digits, one per atom of nonzero probability
+    # (np.unravel_index takes at most 64 dimensions)
+    kept = np.flatnonzero(space.probs)
+    cells = kept[first[order] // len(kept) ** np.arange(n - 1, -1, -1)[:, None] % len(kept)]
     kernels = [(k, _index_tuples(n, k.arity)) for k in family if k.arity <= n]
     # a kernel's values: its flat value array at the flat cells of each group's first assignment
     runs = tuple((k.name, t, k.values.ravel(), _positions(cells, t, k.values.shape))
@@ -459,6 +466,49 @@ def hom_density(kernel: Kernel, pattern: PatternGraph) -> float:
             yield prob
 
     return _fsum(terms())
+
+
+def _contraction(kernel: Kernel, pattern: PatternGraph) -> tuple[float, float]:
+    """:func:`hom_density` by elimination, and a bound b on its distance from it.
+
+    Each vertex carries its weight vector and each edge the value table.  The
+    vertex of fewest neighbours (ties: lowest index) is summed out by one
+    ``np.einsum`` over the factors holding it, which leaves one factor on its
+    neighbours.  Weights and values lie in [0,1], so every partial product of a
+    nonzero term, here or in ``hom_density``, is at least the smallest positive
+    weight to the |V| times the smallest positive value to the |E|; below 2^-1000
+    a product could underflow, and b is inf.  Otherwise each result carries a
+    relative error of at most gamma_r = r*u / (1 - r*u), u = 2^-53, over r
+    roundings: per step K - 1 additions and one fewer multiplications than
+    factors for x; for T = ``hom_density`` the |V| + |E| - 1 multiplications of
+    a term and the final rounding.  So |x - T| <= b*x for
+    b = (gamma_x + gamma_T) / (1 - gamma_x) <= r*u / (1 - 2*r*u), r their sum.
+    A factor of more than 10^7 entries is not built: b is inf then too."""
+    weights, values = _weights_and_values(kernel, "hom_density")
+    size, v, e = len(weights), pattern.num_vertices, len(pattern.edges)
+    smallest = [a.min(initial=1.0, where=a > 0.0) for a in (weights, values)]
+    if v * math.log2(smallest[0]) + e * math.log2(smallest[1]) < -1000:
+        return 0.0, math.inf
+    factors = [((u,), weights) for u in range(v)] + [(edge, values) for edge in pattern.edges]
+    roundings = v + e  # T's
+    for _ in range(v):
+        # each vertex left, with its neighbours
+        joined = {u: set().union(*(s for s, _ in factors if u in s)) for s, _ in factors for u in s}
+        u = min(joined, key=lambda u: (len(joined[u]), u))
+        out = sorted(joined[u] - {u})
+        if len(out) > 31 or size ** len(out) > _DEFAULT_CAP:  # at most 32 of numpy's 64 axes
+            return 0.0, math.inf
+        label = {w: i for i, w in enumerate((u, *out))}  # einsum takes 52 labels
+        held = [(a, [label[w] for w in s]) for s, a in factors if u in s]
+        factors = [(s, a) for s, a in factors if u not in s]
+        operands = [x for pair in held for x in pair]
+        # three or more factors go pairwise, the last pair through BLAS
+        factors.append((out, np.einsum(*operands, list(range(1, len(out) + 1)),
+                                       optimize=len(held) > 2)))
+        roundings += size - 1 + len(held) - 1
+    scalars = [float(a) for _, a in factors]  # one per connected component
+    roundings += max(len(scalars) - 1, 0)
+    return math.prod(scalars), roundings * 2.0**-53 / (1.0 - roundings * 2.0**-52)
 
 
 def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarray:

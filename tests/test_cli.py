@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 from itertools import combinations_with_replacement, product
@@ -20,6 +21,7 @@ import unirep.cli
 import unirep.kernels
 import unirep.specfile
 from unirep import (
+    PATTERNS,
     cantor_encode,
     cantor_represent_family,
     represent_family,
@@ -885,6 +887,82 @@ class TestDensities:
         )
 
 
+@st.composite
+def density_specs(draw):
+    """A symmetric unit kernel on up to 30 atoms (a space) or cells (a partition), its
+    weights and values with exact zeros and ones and, among the floats, subnormals."""
+    size = draw(st.integers(1, 30))
+    unit = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    weights = draw(st.lists(unit, min_size=size, max_size=size).filter(any))
+    pairs = list(combinations_with_replacement(range(size), 2))
+    values = draw(st.lists(unit, min_size=len(pairs), max_size=len(pairs)))
+    total = math.fsum(weights)
+    kernel = {"name": "f", "arity": 2, "value_space": "unit", "symmetric": True}
+    if draw(st.booleans()):
+        atoms = [f"a{i}" for i in range(size)]
+        kernel["values"] = {f"{atoms[i]},{atoms[j]}": v for (i, j), v in zip(pairs, values)}
+        return {"space": {"atoms": atoms, "probs": [w / total for w in weights]}, "kernels": [kernel]}
+    cuts = [math.fsum(weights[:i]) / total for i in range(1, size)]
+    kernel["values"] = {f"{i},{j}": v for (i, j), v in zip(pairs, values)}
+    partition = {"breakpoints": [0.0, *cuts, 1.0], "cells": [f"c{i}" for i in range(size)]}
+    return {"partition": partition, "kernels": [kernel]}
+
+
+class TestDensityLines:
+    """Each ``densities`` line is ``hom_density``'s value to 12 significant digits,
+    whether its digits are certified from the contraction or come from the fallback,
+    which is ``hom_density`` itself."""
+
+    ALL = "edge,p3,triangle,c4,k4"
+
+    @staticmethod
+    def lines(doc, patterns):
+        """The command's stdout on ``doc``, the lines ``hom_density`` gives, and the
+        patterns the command passed to ``hom_density``."""
+        calls, real = [], unirep.cli.hom_density
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            spec = write_spec(Path(tmp), doc)
+            kernel = load_spec(spec).family.kernels[0]
+            mp.setattr(unirep.cli, "hom_density", lambda k, p: calls.append(p) or real(k, p))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["densities", spec, "--patterns", patterns]) == 0
+        expected = "".join(f"{name} {real(kernel, PATTERNS[name]):.12g}\n"
+                           for name in patterns.split(","))
+        return out.getvalue(), expected, [name for name in patterns.split(",")
+                                          if PATTERNS[name] in calls]
+
+    @given(density_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_lines_are_hom_density(self, doc):
+        out, expected, _ = self.lines(doc, self.ALL)
+        assert out == expected
+
+    def test_boundary_falls_back(self):
+        # one cell, so the edge density is W: three floats above the one nearest the
+        # 12-digit boundary 0.1234567890125, within the bound (about five) of it but past
+        # the float each end is rounded outward by, so the digits come from hom_density
+        w = math.nextafter(math.nextafter(math.nextafter(0.1234567890125, 1.0), 1.0), 1.0)
+        out, expected, fell_back = self.lines(const_spec(w), "edge,triangle")
+        assert out == expected and fell_back == ["edge"]
+        assert self.lines(const_spec(0.3), "edge,triangle")[2] == []
+
+    def test_underflow_falls_back(self):
+        # the p3 term 10^-320 is subnormal; the triangle, c4 and k4 terms underflow to 0
+        out, expected, fell_back = self.lines(const_spec(1e-160), self.ALL)
+        assert out == expected and fell_back == ["p3", "triangle", "c4", "k4"]
+        assert out.splitlines()[1] == "p3 9.99988867183e-321"  # a subnormal
+
+    def test_zero_density_falls_back(self):
+        # a bipartite kernel has no triangle and no 4-clique
+        doc = {"space": {"atoms": ["a", "b"], "probs": [0.5, 0.5]},
+               "kernels": [{"name": "f", "arity": 2, "value_space": "unit", "symmetric": True,
+                            "values": {"a,a": 0.0, "a,b": 1.0, "b,b": 0.0}}]}
+        out, expected, fell_back = self.lines(doc, self.ALL)
+        assert out == expected and fell_back == ["triangle", "k4"]
+        assert out == "edge 0.5\np3 0.25\ntriangle 0\nc4 0.125\nk4 0\n"
+
+
 class TestEncode:
     def test_codes_and_sigma_atoms(self, tmp_path, capsys):
         doc = {
@@ -1433,13 +1511,18 @@ def test_commands_dispatch_by_name(tmp_path, monkeypatch):
 
 
 def test_plain_command_line_never_imports_argparse(tmp_path):
-    """A plain command line runs without loading argparse (or gettext, which it loads);
-    a rejected value still raises argparse's ``ArgumentTypeError`` with its message."""
-    argv = ["encode", write_spec(tmp_path, DEMO_SPEC), "--out", str(tmp_path / "c.json")]
+    """Plain command lines run without loading argparse (or gettext, which it loads), and
+    ``densities`` without fractions or decimal; a rejected value still raises argparse's
+    ``ArgumentTypeError`` with its message."""
+    spec = write_spec(tmp_path, DEMO_SPEC)
+    argvs = [["encode", spec, "--out", str(tmp_path / "c.json")],
+             ["densities", spec, "--patterns", "edge,p3,triangle,c4,k4"]]
     code = textwrap.dedent(f"""
         import sys, unirep.cli
-        assert unirep.cli.main({argv!r}) == 0
-        assert not {{"argparse", "gettext"}} & set(sys.modules), sorted(sys.modules)
+        for argv in {argvs!r}:
+            assert unirep.cli.main(argv) == 0
+        unloaded = {{"argparse", "gettext", "fractions", "decimal"}}
+        assert not unloaded & set(sys.modules), sorted(sys.modules)
         import argparse
         for convert, text in ((unirep.cli._positive_int, "0"), (unirep.cli._open_unit_float, "1")):
             try:
@@ -1451,5 +1534,5 @@ def test_plain_command_line_never_imports_argparse(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().splitlines() == [
+    assert proc.stdout.decode().splitlines()[5:] == [  # after the five density lines
         "expected an integer >= 1, got '0'", "expected a number in (0, 1), got '1'"]

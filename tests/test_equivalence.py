@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations, product
@@ -40,6 +41,7 @@ from unirep.equivalence import _chi2_sf, _fsum, _mask_counts, _observations, _pa
 from unirep.sampling import derive_seed, graph_bitmask, sample_graph_edges
 from unirep.specfile import parse_spec
 
+from test_bench_hooks import load
 from util import (
     LABELS3,
     REAL,
@@ -339,6 +341,34 @@ class TestExactJointLawBitForBit:
             assert list(law.support) == list(self._check(sp_step, fam_step, n).support)
         if trial == 0:
             assert self._check(sp, fam, 1).support == {(): 1.0}
+
+    def test_zero_probability_atoms_leave_before_enumeration(self, monkeypatch):
+        """The seed-1 bench ``mixed`` spec with every other atom at probability 0: its law, and
+        its comparison with its representation, equal their oracles bit for bit, and only the
+        15^3 assignments to the atoms left are enumerated; the cap still counts all 30."""
+        workloads = load("workloads", monkeypatch)
+        doc = workloads.mixed_spec(random.Random("exact-pipeline:1"))
+        probs = doc["space"]["probs"]
+        probs[1::2] = [0.0] * len(probs[1::2])
+        doc["space"]["probs"] = [p / math.fsum(probs) for p in probs]
+        spec = parse_spec(doc)
+        rep = step_family_as_space(represent_family(spec.space, spec.family))
+        sides = [(spec.space, spec.family), rep]
+        laws = [JointLaw(3, *exact_joint_law_loop(*side, 3)) for side in sides]
+        union = len(laws[0].support.keys() | laws[1].support.keys())
+        expected = (tv_distance(*laws), union, *(law.support_size for law in laws))
+        enumerated, real = [], equivalence._assignments
+
+        def counted(weights, n, per=1):
+            enumerated.append(len(weights))
+            return real(weights, n, per)
+
+        monkeypatch.setattr(equivalence, "_assignments", counted)
+        self._check(*sides[0], 3)
+        assert repr(equivalence._exact_comparison(*sides, 3)) == repr(expected)
+        assert set(enumerated) == {15}
+        with pytest.raises(ScaleError, match=r"^30\^3 assignments exceed the enumeration cap 3375;"):
+            exact_joint_law(*sides[0], 3, cap=15**3)
 
     def test_more_points_than_numpy_dimensions(self):
         # one assignment of 100 points, 10^4 coordinates: its cells are 100 digits,
@@ -986,6 +1016,55 @@ class TestHomDensity:
             PatternGraph(2, ((0, 0),))
         with pytest.raises(SpecError):
             PatternGraph(2, ((0, 1), (1, 0)))
+
+
+class TestContraction:
+    """``_contraction``'s x is within b*x of ``hom_density``, and b is inf where a term
+    could underflow or a factor would pass 10^7 entries."""
+
+    # no vertex, an isolated vertex, two components, and a 4-cycle with a chord
+    EXTRA = (PatternGraph(0, ()), PatternGraph(1, ()), PatternGraph(4, ((0, 1), (2, 3))),
+             PatternGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))))
+
+    @staticmethod
+    def kernels():
+        """Random kernels on up to 30 atoms or cells, with zero weights and values 0 and 1."""
+        rng = np.random.default_rng(39)
+        kernels = oracle_kernels()
+        for trial in range(20):
+            size = int(rng.integers(1, 31))
+            probs = rng.dirichlet(np.ones(size))
+            probs[rng.random(size) < 0.2] = 0.0
+            probs = probs / probs.sum() if probs.sum() else np.full(size, 1.0 / size)
+            values = rng.random((size, size))
+            exact = rng.random((size, size)) < 0.1
+            values[exact] = rng.integers(0, 2, int(exact.sum()))
+            sp = space([f"a{k}" for k in range(size)], probs)
+            kernel = Kernel("f", 2, UNIT, sp, np.triu(values) + np.triu(values, 1).T, True)
+            kernels.append(kernel if trial % 2 else represent_family(sp, KernelFamily((kernel,))).kernels[0])
+        return kernels
+
+    def test_within_the_bound(self):
+        for k in self.kernels():
+            for pattern in (*PATTERNS.values(), *self.EXTRA):
+                x, b = equivalence._contraction(k, pattern)
+                assert abs(x - hom_density(k, pattern)) <= b * x and b < 1e-13, (k, pattern)
+
+    def test_no_bound_where_a_term_could_underflow(self):
+        # one cell: the p3 term 10^-320 is subnormal, the triangle term 10^-480 is 0
+        k = const_graph_kernel(1e-160)
+        x, b = equivalence._contraction(k, PATTERNS["edge"])
+        assert x == 1e-160 and b < 1e-15
+        for name in ("p3", "triangle", "c4", "k4"):
+            assert equivalence._contraction(k, PATTERNS[name])[1] == math.inf
+
+    def test_no_bound_past_ten_million_entries(self):
+        # k4 leaves a factor on three vertices: 216^3 entries, past 10^7; c4 one on two
+        sp = space([f"a{k}" for k in range(216)], np.full(216, 1 / 216))
+        k = Kernel("f", 2, UNIT, sp, np.full((216, 216), 0.5), symmetric=True)
+        assert equivalence._contraction(k, PATTERNS["k4"])[1] == math.inf
+        x, b = equivalence._contraction(k, PATTERNS["c4"])
+        assert x == pytest.approx(0.0625, rel=1e-13) and b < 1e-13
 
 
 class TestGraphLawExact:
