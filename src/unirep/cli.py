@@ -67,22 +67,35 @@ def _indented(obj, depth: int = 0) -> str:
     the dict ``{"c0,...,c(m-1)": value}`` of its entries (:func:`_table`).
     ``indent`` selects CPython's pure-Python encoder, so each other container
     of scalars goes to the C encoder in one call, with the line break and
-    indent in its item separator; only levels holding containers are joined."""
+    indent in its item separator.  Every level appends its pieces to one list,
+    joined once, so no nested text is copied per level."""
+    pieces = []
+    _indent_into(pieces, obj, depth)
+    return "".join(pieces)
+
+
+def _indent_into(pieces: list, obj, depth: int):
+    """Append the pieces of :func:`_indented` of ``obj`` at ``depth`` to ``pieces``."""
     if isinstance(obj, np.ndarray):
-        return _table(obj, depth)
+        pieces.append(_table(obj, depth))
+        return
     if not isinstance(obj, (dict, list, tuple)) or not obj:  # a scalar or an empty container
-        return json.dumps(obj)
+        pieces.append(json.dumps(obj))
+        return
     pad = "\n" + "  " * (depth + 1)
-    sep = "," + pad
-    values = obj.values() if isinstance(obj, dict) else obj
+    keyed = isinstance(obj, dict)
+    ends = "{}" if keyed else "[]"
+    values = obj.values() if keyed else obj
     if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in values):
-        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
-    elif isinstance(obj, dict):
-        body = sep.join(f"{json.dumps(k)}: {_indented(v, depth + 1)}" for k, v in obj.items())
+        pieces += ends[0], pad, json.dumps(obj, separators=("," + pad, ": "))[1:-1]
     else:
-        body = sep.join(_indented(v, depth + 1) for v in obj)
-    ends = "{}" if isinstance(obj, dict) else "[]"
-    return ends[0] + pad + body + "\n" + "  " * depth + ends[1]
+        for k, item in enumerate(obj.items() if keyed else obj):
+            pieces.append("," + pad if k else ends[0] + pad)
+            if keyed:
+                pieces.append(json.dumps(item[0]) + ": ")
+                item = item[1]
+            _indent_into(pieces, item, depth + 1)
+    pieces.append("\n" + "  " * depth + ends[1])
 
 
 def _table(values: np.ndarray, depth: int) -> str:
@@ -101,7 +114,7 @@ def _table(values: np.ndarray, depth: int) -> str:
 
 def _write_json(obj, out: str):
     """Write ``obj`` as indented JSON and a newline to ``out`` (``-``: stdout)."""
-    _write([(_indented(obj) + "\n").encode()], out)
+    _write([_indented(obj).encode(), b"\n"], out)
 
 
 def _edge_lines(blocks, n: int):

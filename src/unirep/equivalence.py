@@ -40,7 +40,15 @@ import numpy as np
 from . import sampling
 from .errors import ArityError, PowerError, RangeError, ScaleError, SpecError
 from .kernels import Kernel, KernelFamily
-from .sampling import _check_n, _index_tuples, derive_seed, pair_list, sample_graph, sample_graph_edges
+from .sampling import (
+    _block_words,
+    _check_n,
+    _index_tuples,
+    _seed_blocks,
+    derive_seed,
+    pair_list,
+    sample_graph,
+)
 from .spaces import DiscreteSpace, IntervalPartition
 
 __all__ = [
@@ -544,34 +552,91 @@ def graph_law_exact(kernel: Kernel, n: int, cap: int | None = None) -> np.ndarra
     return law
 
 
-def _observations(side, n: int, seeds, chi2: bool):
-    """One side's observations for ``seeds``: labeled-graph
-    bitmasks (chi2), else float64 rows of edge counts and of triangle counts
-    ``sum((U @ U) * U)`` over the strict upper-triangle adjacency U, from edge-indicator
-    rows (column p for pair p of :func:`pair_list`) drawn in blocks of about
-    ``sampling._BLOCK`` pairs, so that memory stays bounded.  U is float32 while
-    C(n, 3) <= 2^24, as every sum is then an integer that float32 holds exactly.
-    A callable side gets each seed as a Python int."""
-    pairs = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, k=1)
+def _graph_words(side, n: int, seeds) -> np.ndarray:
+    """The graphs of ``side`` at ``seeds`` as ``(len(seeds), n, ceil(n / 64))``
+    little-endian uint64 words, each vertex's forward neighbours as
+    :func:`~unirep.sampling._block_words` packs them: a kernel side's drawn
+    one row block at a time, a callable side's OR-ed in from its edges, each
+    seed passed as a Python int."""
+    words = np.zeros((len(seeds), n, -(-n // 64)), "<u8")
+    if isinstance(side, Kernel):
+        for r0, block in _seed_blocks(side, n, seeds, _block_words):
+            words[:, r0 : r0 + block.shape[1]] = block
+        return words
+    for graph, s in zip(words, map(int, seeds)):
+        i, j = side(s).edges.T.astype(np.uint64) - np.uint64(1)
+        np.bitwise_or.at(graph, (i, j >> 6), np.left_shift(1, j & 63, dtype="<u8"))
+    return words
+
+
+def _masks(words: np.ndarray) -> np.ndarray:
+    """Each graph's labeled-graph bitmask, bit p for pair p of :func:`pair_list`
+    (n <= 11): row i's forward neighbours shifted to where the pairs ``(i, j)`` start."""
+    n = words.shape[1]
+    masks = np.zeros(len(words), np.uint64)
+    for i in range(n):
+        masks |= words[:, i, 0] >> np.uint64(i + 1) << np.uint64(i * (2 * n - 1 - i) // 2)
+    return masks.view(np.int64)
+
+
+def _dense_triangles(words: np.ndarray) -> np.ndarray:
+    """Each graph's triangle count ``sum((U @ U) * U)`` over its strict upper adjacency
+    U, unpacked for as many graphs at a time as keep n^2 entries each within
+    ``sampling._BLOCK``.  U is float32 while C(n, 3) <= 2^24, as every sum is then an
+    integer that float32 holds exactly."""
+    graphs, n = words.shape[:2]
     exact = np.float32 if math.comb(n, 3) <= 1 << 24 else np.float64
-    step = max(1, sampling._BLOCK // max(pairs, 1))
-    observed = []
-    for block in (seeds[lo : lo + step] for lo in range(0, len(seeds), step)):
-        if isinstance(side, Kernel):
-            rows = sample_graph_edges(side, n, block)
-        else:
-            rows = np.zeros((len(block), pairs), dtype=bool)
-            for row, s in zip(rows, map(int, block)):
-                i, j = side(s).edges.T
-                row[(i - 1) * (2 * n - i) // 2 + j - i - 1] = True
-        if chi2:
-            observed.append(rows @ (1 << np.arange(pairs)))
-            continue
-        up = np.zeros((len(rows), n, n), exact)
-        up[:, iu, ju] = rows
-        observed.append(np.stack((rows.sum(axis=1), np.einsum("rij,rij->r", up @ up, up))))
-    return np.concatenate(observed, axis=-1)
+    step = max(1, sampling._BLOCK // (n * n))
+    counts = []
+    for lo in range(0, graphs, step):
+        packed = words[lo : lo + step].view(np.uint8)
+        up = np.unpackbits(packed, axis=-1, count=n, bitorder="little").astype(exact)
+        counts.append(np.einsum("rij,rij->r", up @ up, up))
+    return np.concatenate(counts)
+
+
+def _sparse_triangles(words: np.ndarray) -> np.ndarray:
+    """Each graph's triangle count as the sum over its edges (i, j), i < j, of
+    popcount(N+(i) & N+(j)), their common forward neighbours, in float64 (exact
+    below 2^53).  Only nonzero words are unpacked, and as many words and edges at a
+    time as keep ``sampling._BLOCK`` words gathered."""
+    graphs, n, width = words.shape
+    rows, flat = words.reshape(-1, width), words.reshape(-1)
+    nonzero = np.flatnonzero(flat)
+    step = max(1, sampling._BLOCK // width)
+    counts = np.zeros(graphs)
+    for lo in range(0, len(nonzero), step):
+        at = nonzero[lo : lo + step]
+        bit = np.flatnonzero(np.unpackbits(flat[at].view(np.uint8), bitorder="little").view(bool))
+        i, col = np.divmod(at[bit >> 6], width)  # the row of (graph, i) and j's word in it
+        j = i - i % n + (col << 6) + (bit & 63)
+        for e in range(0, len(i), step):
+            a, b = i[e : e + step], j[e : e + step]
+            common = np.bitwise_count(rows.take(a, 0) & rows.take(b, 0)).sum(axis=1)
+            counts += np.bincount(a // n, common, graphs)
+    return counts
+
+
+def _counts(words: np.ndarray) -> np.ndarray:
+    """The float64 rows of edge counts (popcounts) and triangle counts of the graphs
+    in ``words``.  Triangles come from :func:`_sparse_triangles` where three times
+    the edges times (n + 700) fall below graphs times n^3, as an edge costs it about
+    3(n + 700) of the multiply-adds of :func:`_dense_triangles` (measured on one
+    core, n = 8 to 1000), else from that.  Both are exact, so the choice changes no bit."""
+    graphs, n = words.shape[:2]
+    edges = np.bitwise_count(words).sum(axis=(1, 2))
+    sparse = 3 * int(edges.sum()) * (n + 700) < graphs * n**3
+    triangles = (_sparse_triangles if sparse else _dense_triangles)(words)
+    return np.stack((edges, triangles)).astype(float)
+
+
+def _observations(side, n: int, seeds, chi2: bool):
+    """One side's observations for ``seeds``: labeled-graph bitmasks (chi2), else the
+    :func:`_counts` rows.  Seeds are drawn in passes of as many as keep their
+    n * ceil(n / 64) words of :func:`_graph_words` within ``sampling._BLOCK``, or one."""
+    step = max(1, sampling._BLOCK // (n * -(-n // 64)))
+    passes = (_graph_words(side, n, seeds[lo : lo + step]) for lo in range(0, len(seeds), step))
+    return np.concatenate([(_masks if chi2 else _counts)(words) for words in passes], axis=-1)
 
 
 _CHI2_FLOOR = 5.0

@@ -21,8 +21,13 @@ format.
 One private core, :func:`_draw_edges`, draws every graph edge, for one
 seed (:func:`_graph_blocks`, whose per-row hits ``unirep sample`` writes as
 they are drawn and :func:`sample_graph` joins) or a column of seeds at once
-(:func:`sample_graph_edges`, bit-identical row by row), one block of
-about ``_BLOCK`` coins (or one row) at a time, each drawn as it is asked for.
+(:func:`_seed_blocks`, bit-identical seed by seed), one block of about
+``_BLOCK`` coins (or one row) at a time, each drawn as it is asked for.  Its
+``take`` gets one seed's block as the ascending flat indices of its edges,
+and a seed column's as bool decisions with the pairs below the diagonal
+cleared: :func:`sample_graph_edges` keeps their upper triangles
+(:func:`_block_pairs`), and the Monte-Carlo comparison packs them into per-graph
+words of forward neighbours (:func:`_block_words`).
 It compares each coin's 53 bits with an integer threshold per kernel
 value, which decides exactly as the float compare ``u < w`` would.  The
 hash's first fold is made once per vertex, and on sparse kernels a test of
@@ -63,6 +68,7 @@ _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
 _BLOCK = 1 << 16  # the work of one block: coins here, terms or pairs in equivalence
+_BYTE_BITS = np.uint64(0x0102040810204080)  # see _block_words
 _REJECT_TOP = 58  # _draw_edges tests candidates up to a 2^(top-64) = 1/64 share (measured)
 
 
@@ -249,13 +255,15 @@ def _row_blocks(n: int, seeds: int):
 
 
 def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take):
-    """``take(r0, shape, hit)`` of each row block ``[r0, r1)`` of the vertices on the
-    first axis of ``cells``, in row order: ``hit`` lists the ascending flat indices in
-    ``shape`` of the ``[t, c, ...]`` with ``unit_uniform(seed, 1, i, j) < values[cells[i-1],
-    cells[j-1]]`` at ``i = r0 + t + 1``, ``j = r0 + c + 2``.  For one seed none has ``c < t``
-    (``j <= i``), as no pair below the diagonal is drawn; for a seed row ``take`` drops those.
-    The compare is made in integers, with the same decisions: the coin's high
-    53 bits m against ``ceil(w * 2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
+    """``take`` of each row block ``[r0, r1)`` of the vertices on the first axis of
+    ``cells``, in row order.  Pair ``[t, c, ...]`` of a block is ``(i, j)``, ``i = r0 + t +
+    1``, ``j = r0 + c + 2``, and an edge where ``unit_uniform(seed, 1, i, j) <
+    values[cells[i-1], cells[j-1]]``.  For one seed, ``take(r0, shape, hit)`` gets the
+    ascending flat indices in ``shape`` of the edges, none with ``c < t`` (``j <= i``), as
+    no pair below the diagonal is drawn.  For a seed row, ``take(r0, edge)`` gets the
+    block's decisions as bools, those with ``c < t`` cleared.  The compare is made in
+    integers, with the same decisions: the coin's high 53 bits m against ``ceil(w *
+    2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
     ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
     (seeds last, so each broadcast runs along them).  The result is a lazy ``map``:
     each block is drawn as it is iterated, so a consumer that hands each on holds
@@ -281,15 +289,20 @@ def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take):
             t, c, *s = np.unravel_index(hit, y.shape)
             m = _fold(y.reshape(-1)[hit], 31) >> np.uint64(11)
             edge = m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]
-            return take(r0, y.shape, hit[edge & (c >= t)])
+            if cells.ndim == 1:
+                return take(r0, y.shape, hit[edge & (c >= t)])
+            edge, hit = np.zeros(y.shape, bool), hit[edge & (c >= t)]
+            edge.reshape(-1)[hit] = True
+            return take(r0, edge)
         x = _fold(y, 31)
         x >>= np.uint64(11)
         if cells.ndim == 1:  # one seed: a row gather, then the columns, none below the diagonal
             at = np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1)
             at[:, : r1 - r0][np.tri(r1 - r0, r1 - r0, -1, bool)] = 0
-        else:  # a seed row: one flat take
-            at = np.take(thr, cells[r0:r1, None] * len(thr) + cells[r0 + 1:])
-        return take(r0, y.shape, np.flatnonzero(x < at))
+            return take(r0, y.shape, np.flatnonzero(x < at))
+        edge = x < np.take(thr, cells[r0:r1, None] * len(thr) + cells[r0 + 1:])  # one flat take
+        edge[:, : r1 - r0][np.tri(r1 - r0, r1 - r0, -1, bool)] = False
+        return take(r0, edge)
 
     return map(block, _row_blocks(n, np.size(seed)))
 
@@ -308,12 +321,36 @@ def _block_edges(r0, shape, hit):
     return np.column_stack((np.repeat(np.arange(r0 + 1, r0 + 1 + len(counts)), counts), j))
 
 
-def _block_pairs(r0, shape, hit):
+def _block_pairs(r0, edge):
     """The pairs of one row block of :func:`_draw_edges` per seed, in pair order, as
-    bools: ``True`` scattered at ``hit`` into a zeroed block, then its upper triangle."""
-    edge = np.zeros(shape, bool)
-    edge.reshape(-1)[hit] = True
-    return edge[np.triu(np.ones(shape[:2], bool))]
+    bools: the upper triangle of its decisions."""
+    return edge[np.triu(np.ones(edge.shape[:2], bool))]
+
+
+def _block_words(r0, edge):
+    """``(r0, words)`` of one row block ``[r0, r0 + t)`` of :func:`_draw_edges` per seed on
+    n vertices: ``words[r, s]`` is row ``r0 + s + 1``'s forward neighbours in seed r's graph
+    as ``ceil(n / 64)`` little-endian uint64 words, bit ``j % 64`` of word ``j // 64`` for
+    vertex ``j + 1``.  Each 8 bools, read as one uint64 of bytes b_k in {0, 1}, times
+    ``0x0102040810204080`` hold ``sum(b_k << k)`` in their top byte, with no carry; for
+    n <= 8 a row is that one byte, and so already its word."""
+    t, c, seeds = edge.shape
+    n = r0 + 1 + c
+    bits = np.zeros((seeds, t, 8 if n <= 8 else -(-n // 64) * 64), bool)
+    bits[:, :, r0 + 1 : n] = edge.transpose(2, 0, 1)
+    eights = bits.view(np.uint64)
+    with np.errstate(over="ignore"):
+        eights *= _BYTE_BITS
+    eights >>= np.uint64(56)
+    return r0, eights if n <= 8 else eights.astype(np.uint8).view("<u8")
+
+
+def _seed_blocks(kernel: Kernel, n: int, seeds, take):
+    """``take`` of the row blocks of :func:`_draw_edges` for ``kernel``'s graphs on n vertices
+    at a row of ``seeds``, taken mod 2^64 as by :func:`sample_graph`, each drawn as iterated."""
+    _check_graph_kernel(kernel)
+    row = _u64(seeds)
+    return _draw_edges(kernel.values, _latent_draws(kernel.domain, n, row)[2], row, take)
 
 
 def _graph_blocks(kernel: Kernel, n: int, seed: int, take=_block_edges):
@@ -350,11 +387,8 @@ def sample_graph_edges(kernel: Kernel, n: int, seeds) -> np.ndarray:
     pair p of :func:`pair_list` is an edge of ``sample_graph(kernel, n, seeds[r])``.
     Seeds are taken mod 2^64, as there; an integer array is cast as a whole.  Its
     memory grows with its size, so draw long seed arrays in blocks."""
-    _check_graph_kernel(kernel)
-    row = _u64(seeds)
-    cells = _latent_draws(kernel.domain, n, row)[2]
-    blocks = _draw_edges(kernel.values, cells, row, _block_pairs)
-    return np.ascontiguousarray(np.concatenate([np.empty((0, len(row)), bool), *blocks]).T)
+    blocks = _seed_blocks(kernel, n, seeds, _block_pairs)
+    return np.ascontiguousarray(np.concatenate([np.empty((0, np.size(seeds)), bool), *blocks]).T)
 
 
 def _index_tuples(n: int, m: int) -> np.ndarray:

@@ -183,7 +183,7 @@ def lookup_cell(partition: IntervalPartition, u: float) -> int:
     Returns the 0-based ``k`` with ``breakpoints[k] <= u <
     breakpoints[k+1]``, skipping empty cells (a point equal to a
     collapsed breakpoint belongs to the first nonempty cell starting
-    there).  Binary search, O(log K).
+    there).  One point of :func:`lookup_cells`.
 
     Raises
     ------
@@ -194,9 +194,30 @@ def lookup_cell(partition: IntervalPartition, u: float) -> int:
 
 
 def lookup_cells(partition: IntervalPartition, u: np.ndarray) -> np.ndarray:
-    """:func:`lookup_cell` of every entry of ``u``."""
+    """:func:`lookup_cell` of every entry of ``u``, ``searchsorted(breakpoints, u,
+    "right") - 1`` exactly, by a guide table (Chen and Asau's indexed search): point u
+    is in bucket ``floor(u * T)`` of :func:`_guide`, T the power of two nearest below
+    sqrt(K * points) so that the table costs about what the points do, and only the
+    points in the at most K - 1 buckets that hold a breakpoint are searched."""
     bp = np.asarray(partition.breakpoints, dtype=float)
-    return np.searchsorted(bp, unit_points(u), side="right") - 1
+    u = unit_points(u)
+    size = 1 << max(math.isqrt(u.size * (len(bp) - 1)).bit_length() - 1, 0)
+    flat = u.reshape(-1)
+    cells = _guide(bp, size).take((flat * size).astype(np.intp))
+    mixed = np.flatnonzero(cells < 0)
+    cells[mixed] = np.searchsorted(bp, flat[mixed], "right") - 1
+    return cells.reshape(u.shape)
+
+
+def _guide(bp: np.ndarray, size: int) -> np.ndarray:
+    """The cell of every point of bucket ``[b / size, (b + 1) / size)``, for each b below
+    a power of two ``size``, or -1 where a breakpoint lies inside the bucket.  Both
+    ends are exact floats and the cell is nondecreasing in u, so the bucket has one
+    cell iff the cell of ``b / size`` is that of the float just below ``(b + 1) / size``."""
+    ends = np.arange(size + 1) / size
+    guide = np.searchsorted(bp, ends[:-1], "right") - 1
+    guide[guide != np.searchsorted(bp, np.nextafter(ends[1:], 0.0), "right") - 1] = -1
+    return guide
 
 
 def unit_points(u) -> np.ndarray:

@@ -936,6 +936,44 @@ def test_exact_equiv_peak_bytes_per_assignment(tmp_path, via, bound):
     assert run_probe(EXACT_ASSIGNMENT_PROBE, str(spec), artifact) <= bound
 
 
+# ``unirep equiv --mode mc --runs 2`` of a spec with itself at n = 2000 in a fresh process:
+# peak RSS growth in MB over the RSS after the same comparison at n = 50.
+MC_MEMORY_PROBE = STATUS_KB + """
+import io
+import sys
+from contextlib import redirect_stdout
+from unirep.cli import main
+
+argv = ["equiv", sys.argv[1], sys.argv[1], "--mode", "mc", "--runs", "2", "--seed", "1", "--n"]
+with redirect_stdout(io.StringIO()):
+    main(argv + ["50"])
+    before_kb = status_kb("VmRSS:")
+    main(argv + ["2000"])
+print((status_kb("VmHWM:") - before_kb) / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_mc_equiv_peak_at_n_2000(tmp_path):
+    # a sparse 64-cell kernel of edge density 10 / n: each graph is kept as 2000 * 32 bit
+    # words (0.5 MB) and its triangles counted per edge; this took 2.1 MB, where a float64
+    # adjacency and its U @ U took 105 MB.  The bound is that reading plus 10 MB
+    rng = np.random.default_rng(2000)
+    probs = rng.dirichlet(np.ones(64))
+    values = rng.uniform(0.5, 1.5, (64, 64))
+    values = np.triu(values) + np.triu(values, 1).T
+    values *= 10 / 2000 / (probs @ values @ probs)
+    atoms = [f"c{i}" for i in range(64)]
+    spec = tmp_path / "sparse.json"
+    spec.write_text(json.dumps({
+        "space": {"atoms": atoms, "probs": probs.tolist()},
+        "kernels": [{"name": "w", "arity": 2, "value_space": "unit", "symmetric": True,
+                     "values": {f"{a},{b}": values[i, j]
+                                for i, a in enumerate(atoms) for j, b in enumerate(atoms)}}],
+    }))
+    assert run_probe(MC_MEMORY_PROBE, str(spec)) <= 12.0
+
+
 class TestExchangeabilityOracle:
     """``law_is_exchangeable`` permutes value columns; ``law_is_exchangeable_loop``
     rebuilds a dict per permutation.  They agree."""
@@ -1206,20 +1244,38 @@ class TestMcKernelSides:
 
     @pytest.mark.parametrize("block", (1, 7, 100))
     def test_observation_blocks_honour_the_budget(self, monkeypatch, block):
-        # a kernel side draws its seeds in runs of max(1, budget // pairs), read
-        # from sampling._BLOCK as _observations runs
+        # each side is drawn in passes of at most max(1, budget // (n * ceil(n / 64)))
+        # seeds, its bit words, covering the seeds once and in order; within a pass each
+        # _draw_edges block holds at most the budget in coins, or one row
         table, _ = self._kernels()
         seeds = derive_seed(3, 0, np.arange(50, dtype=np.uint64))
-        real, sizes = equivalence.sample_graph_edges, []
-        monkeypatch.setattr(equivalence, "sample_graph_edges",
-                            lambda k, n, s: sizes.append(len(s)) or real(k, n, s))
+        real_words, real_draw = equivalence._graph_words, sampling._draw_edges
+        passes, blocks = [], []
+
+        def graph_words(side, n, ss):
+            passes.append(ss.tolist())
+            return real_words(side, n, ss)
+
+        def draw_edges(values, cells, seed, take):
+            def counted(r0, edge):
+                blocks.append(edge.shape)
+                return take(r0, edge)
+            return real_draw(values, cells, seed, counted if np.ndim(seed) else take)
+
+        monkeypatch.setattr(equivalence, "_graph_words", graph_words)
+        monkeypatch.setattr(sampling, "_draw_edges", draw_edges)
         monkeypatch.setattr(sampling, "_BLOCK", block)
-        for n in (1, 3, 8):
-            step = max(1, block // max(n * (n - 1) // 2, 1))
-            for chi2 in (True, False):
-                sizes.clear()
-                _observations(table, n, seeds, chi2)
-                assert sum(sizes) == 50 and sizes[0] == min(step, 50) and max(sizes) <= step
+        for n in (1, 3, 8, 70):
+            step = max(1, block // (n * -(-n // 64)))
+            side = lambda s, n=n: sample_graph(table, n, s)  # noqa: E731
+            for sampler, chi2 in product((table, side), (True, False) if n <= 8 else (False,)):
+                passes.clear()
+                blocks.clear()
+                _observations(sampler, n, seeds, chi2)
+                assert sum(passes, []) == seeds.tolist()
+                assert max(map(len, passes)) <= step and len(passes) == -(-50 // step)
+                assert all(t * c * r <= block or t == 1 for t, c, r in blocks)
+                assert sum(t for t, _, _ in blocks) == len(passes) * (n - 1) * (sampler is table)
 
     def test_statistics_with_kernel_side(self):
         table, step = self._kernels()
@@ -1308,6 +1364,59 @@ def test_complete_graph_counts_at_the_float32_edge(n):
         got = _observations(side, n, [3, 4], chi2=False)
         assert got.dtype == np.float64
         assert got.tolist() == [[math.comb(n, 2)] * 2, [math.comb(n, 3)] * 2]
+
+
+def _upper_words(upper: np.ndarray) -> np.ndarray:
+    """The ``(graphs, n, ceil(n / 64))`` forward-neighbour words of strict upper
+    adjacency bools, as ``equivalence._graph_words`` packs them."""
+    graphs, n, _ = upper.shape
+    bits = np.zeros((graphs, n, -(-n // 64) * 64), bool)
+    bits[:, :, :n] = upper
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+
+def _triples(upper: np.ndarray) -> int:
+    """Brute force: the triples i < j < k of one graph with all three edges, row i's
+    pairs of forward neighbours (j, k) that are themselves an edge."""
+    return sum(int((np.outer(row, row) & upper).sum()) for row in upper)
+
+
+@st.composite
+def upper_graphs(draw):
+    """Strict upper adjacencies of a few random graphs on 3 to 80 vertices, or on
+    466 or 467 (the float32 edge of the dense counter), dense or sparse."""
+    n = draw(st.one_of(st.integers(3, 80), st.sampled_from((466, 467))))
+    p = draw(st.sampled_from((0.0, 1.0 / n, 3.0 / n, 0.2, 0.5, 0.9, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.triu(rng.random((draw(st.integers(1, 3)), n, n)) < p, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(upper=upper_graphs())
+@example(upper=np.triu(np.ones((2, 467, 467), bool), 1))
+@example(upper=np.triu(np.ones((1, 466, 466), bool), 1))
+def test_triangle_counters_match_triple_count(upper):
+    # both counters, and the observations, against a brute-force count, graph by graph
+    words = _upper_words(upper)
+    expected = [_triples(graph) for graph in upper]
+    assert equivalence._dense_triangles(words).tolist() == expected
+    assert equivalence._sparse_triangles(words).tolist() == expected
+    edges, triangles = equivalence._counts(words)
+    assert edges.tolist() == upper.sum(axis=(1, 2)).tolist() and triangles.tolist() == expected
+
+
+def test_counter_rule_sends_cases_to_both_counters(monkeypatch):
+    # random graphs on 3 to 80 vertices at densities from 1/n to 1 meet both counters
+    picked = set()
+    for name in ("_dense_triangles", "_sparse_triangles"):
+        real = getattr(equivalence, name)
+        spy = lambda w, name=name, real=real: picked.add(name) or real(w)  # noqa: E731
+        monkeypatch.setattr(equivalence, name, spy)
+    rng = np.random.default_rng(32)
+    for n in (3, 10, 31, 80):
+        for p in (1.0 / n, 0.5, 1.0):
+            equivalence._counts(_upper_words(np.triu(rng.random((2, n, n)) < p, 1)))
+    assert picked == {"_dense_triangles", "_sparse_triangles"}
 
 
 def _unique_buckets(obs_a, obs_b):

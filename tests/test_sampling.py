@@ -558,28 +558,37 @@ class TestCoinRejection:
             assert np.array_equal(got[0][0], got[1][0])
             assert all(np.array_equal(a, b) for a, b in zip(got[0][1], got[1][1]))
 
-    def test_both_paths_hand_on_flat_indices(self, monkeypatch):
+    def test_both_paths_hand_on_the_take_contract(self, monkeypatch):
         # the rejection path (top = 63 below 1/2) and the full compare both give
-        # ``take`` the ascending flat indices of a block's edges, for one seed
-        # and for a column of them; for one seed none lies below the diagonal
+        # ``take`` the ascending flat indices of a block's edges for one seed,
+        # none below the diagonal, and a block of bool decisions for a column
+        # of seeds, the same from both paths, with those below the diagonal cleared
         sp = space([f"c{a}" for a in range(3)], [0.2, 0.3, 0.5])
         values = np.array([[0.01, 0.3, 0.2], [0.3, 0.001, 0.45], [0.2, 0.45, 0.02]])
         assert rejection_top(math.ceil(0.45 * 2**53)) == 63
         seeds = derive_seed(6, 0, np.arange(3, dtype=np.uint64))
         monkeypatch.setattr(sampling, "_BLOCK", 200)
+        decisions = []
         for reject_top in (63, 0):
             monkeypatch.setattr(sampling, "_REJECT_TOP", reject_top)
-            for seed in (5, seeds):
-                cells = sampling._latent_draws(sp, 60, seed)[2]
-                take = lambda r0, shape, hit: (shape, hit)  # noqa: E731
-                hits = list(sampling._draw_edges(values, cells, seed, take))
-                assert len(hits) > 1 and any(len(hit) for _, hit in hits)
-                for shape, hit in hits:
-                    assert hit.dtype.kind == "i" and hit.ndim == 1
-                    assert (np.diff(hit) > 0).all() and hit.min(initial=0) >= 0
-                    assert hit.max(initial=-1) < np.prod(shape)
-                    if np.ndim(seed) == 0:
-                        assert (hit % shape[1] >= hit // shape[1]).all()
+            cells = sampling._latent_draws(sp, 60, 5)[2]
+            take = lambda r0, shape, hit: (shape, hit)  # noqa: E731
+            hits = list(sampling._draw_edges(values, cells, 5, take))
+            assert len(hits) > 1 and any(len(hit) for _, hit in hits)
+            for shape, hit in hits:
+                assert hit.dtype.kind == "i" and hit.ndim == 1
+                assert (np.diff(hit) > 0).all() and hit.min(initial=0) >= 0
+                assert hit.max(initial=-1) < np.prod(shape)
+                assert (hit % shape[1] >= hit // shape[1]).all()
+            cells = sampling._latent_draws(sp, 60, seeds)[2]
+            blocks = list(sampling._draw_edges(values, cells, seeds, lambda r0, edge: (r0, edge)))
+            assert len(blocks) > 1 and any(edge.any() for _, edge in blocks)
+            for (r0, edge), (r1, _) in zip(blocks, blocks[1:] + [(59, None)]):
+                assert edge.dtype == bool and edge.shape == (r1 - r0, 59 - r0, 3)
+                assert not np.tril(np.moveaxis(edge[:, : r1 - r0], 2, 0), -1).any()
+            decisions.append(blocks)
+        assert all(r0 == r1 and np.array_equal(a, b)
+                   for (r0, a), (r1, b) in zip(*decisions))
 
     @settings(max_examples=1000, deadline=None)
     @given(

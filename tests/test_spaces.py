@@ -21,6 +21,7 @@ from unirep import (
     transport_map,
     validate_space,
 )
+from unirep import spaces
 from unirep.spaces import lookup_cells
 
 from util import breakpoints_oracle, random_pwl_cdf, space
@@ -165,6 +166,41 @@ class TestLookupCell:
         oracle = [bisect_right(part.breakpoints, x) - 1 for x in u.tolist()]
         assert lookup_cells(part, u).tolist() == oracle
         assert [lookup_cell(part, x) for x in u.tolist()] == oracle
+
+    @staticmethod
+    def _partitions():
+        """One cell, dyadic breakpoints, empty cells first, inside and last, and random
+        partitions with a fifth of their cells empty, K up to 10^4."""
+        rng = np.random.default_rng(32)
+        probs = [(1.0,), (0.25, 0.25, 0.0, 0.5), (0.0, 0.1, 0.0, 0.9, 0.0)]
+        for k in (2, 7, 64, 1000, 10**4):
+            p = rng.dirichlet(np.ones(k)) * (rng.random(k) >= 0.2)
+            p[rng.integers(k)] += 1.0 - p.sum()  # renormalized exactly, away from 0
+            probs.append(tuple(p.tolist()))
+        return [interval_partition(space([f"a{i}" for i in range(len(p))], p)) for p in probs]
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_guide_table_equals_searchsorted(self, case):
+        # every breakpoint, the floats on either side of it, 0, the largest float below 1
+        # and random points, looked up in numbers that give tables of 1 to 2^14 buckets
+        part = self._partitions()[case]
+        bp = np.array(part.breakpoints)
+        ends = [0.0, np.nextafter(1.0, 0.0)]
+        u = np.concatenate((bp, np.nextafter(bp, 0.0), np.nextafter(bp, 1.0), ends,
+                            np.random.default_rng(case).random(1000)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = np.searchsorted(bp, u, "right") - 1
+        for points in (u[-1:], u[:7], u, np.repeat(u, 50)):
+            assert np.array_equal(lookup_cells(part, points), np.searchsorted(bp, points, "right") - 1)
+        assert [lookup_cell(part, x) for x in u[:50].tolist()] == expected[:50].tolist()
+        # a bucket is searched iff a breakpoint lies strictly inside it, and no other is
+        jumps = np.unique(bp[(bp > 0.0) & (bp < 1.0)])
+        for size in (1 << e for e in range(15)):
+            guide, at = spaces._guide(bp, size), jumps * size
+            inside = np.unique(np.floor(at[at % 1 != 0])).astype(int)
+            assert np.flatnonzero(guide < 0).tolist() == inside.tolist()
+            pure = np.flatnonzero(guide >= 0)
+            assert np.array_equal(guide[pure], np.searchsorted(bp, pure / size, "right") - 1)
 
     @pytest.mark.parametrize("bad", [1.0, -0.25, float("nan")])
     def test_domain_error_names_plain_float(self, bad):
