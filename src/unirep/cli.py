@@ -41,7 +41,7 @@ from .representation import (
     represent_family,
     sigma_atoms,
 )
-from .sampling import _block_rows, _graph_blocks
+from .sampling import _graph_blocks
 from .specfile import SpecDocument, _cell_records, _decimals, _represented, load_spec
 
 __all__ = ["main"]
@@ -117,20 +117,25 @@ def _write_json(obj, out: str):
     _write([_indented(obj).encode(), b"\n"], out)
 
 
-def _edge_lines(blocks, n: int):
-    """The ``"i j\n"`` lines of ``blocks`` (the ``(r0, counts, j)`` of :func:`_block_rows`,
-    vertices in 1..n, drawn as iterated) as bytes, one chunk per block.  Each block fills
-    fixed-width records with whole numbers from :func:`_decimals`, each row's i repeated
-    and the j gathered; one ``bytes.translate`` deletes the NULs, which a block holds
-    unless its first row ``r0 + 1``, and so every vertex in it (j > i), has full width."""
+def _edge_lines(batches, n: int):
+    """The ``"i j\n"`` lines of ``batches`` (the ``(r0, counts, j)`` of
+    :func:`~unirep.sampling._graph_rows`, vertices in 1..n, drawn as iterated) as bytes, one
+    chunk per batch.  Each batch fills fixed-width records with whole numbers from
+    :func:`_decimals`, each row's i repeated and the j gathered, in one record buffer whose
+    spaces and newlines are written when it grows; one ``bytes.translate`` deletes the NULs,
+    which a batch holds unless its first row ``r0 + 1``, and so every vertex in it (j > i),
+    has full width."""
     table = _decimals(n)
     full = 10 ** (table.dtype.itemsize - 1)
     line = np.dtype([("i", table.dtype), ("sp", "u1"), ("j", table.dtype), ("nl", "u1")])
-    for r0, counts, j in blocks:
-        buf = np.empty(len(j), dtype=line)
-        buf["i"], buf["j"] = np.repeat(table[r0 + 1 : r0 + 1 + len(counts)], counts), table[j]
-        buf["sp"], buf["nl"] = ord(" "), ord("\n")
-        yield buf.tobytes() if r0 + 1 >= full else buf.tobytes().translate(None, b"\0")
+    buf = np.empty(0, dtype=line)
+    for r0, counts, j in batches:
+        if len(j) > len(buf):
+            buf = np.empty(max(len(j), 2 * len(buf)), dtype=line)
+            buf["sp"], buf["nl"] = ord(" "), ord("\n")
+        records = buf[: len(j)]
+        records["i"], records["j"] = np.repeat(table[r0 + 1 : r0 + 1 + len(counts)], counts), table[j]
+        yield records.tobytes() if r0 + 1 >= full else records.tobytes().translate(None, b"\0")
 
 
 def _select_kernel(family: KernelFamily, name: str | None) -> Kernel:
@@ -170,12 +175,12 @@ def cmd_sample(args) -> int:
             raise SpecError(f"--out and --latents name the same file {args.latents!r}")
     doc = load_spec(args.spec)
     kernel = _select_kernel(doc.require("family"), args.kernel)
-    draws, blocks = _graph_blocks(kernel, args.n, args.seed, _block_rows)
+    draws, batches = _graph_blocks(kernel, args.n, args.seed)
     if args.latents is not None:  # draws[1]: the uniforms
         lines = "".join(f"{i} {x!r}\n" for i, x in enumerate(draws[1].tolist(), start=1))
         if args.latents != "-":  # before the edges, so an unwritable path opens no --out
             _write([lines.encode()], args.latents)
-    _write(_edge_lines(blocks, args.n), args.out)
+    _write(_edge_lines(batches, args.n), args.out)
     if args.latents == "-":
         _write([lines.encode()], "-")
     return 0

@@ -18,17 +18,23 @@ an integer array.  Streams keep draw families disjoint:
 Vertex indices are 1-based throughout, matching the edge-list output
 format.
 
-One private core, :func:`_draw_edges`, draws every graph edge, for one
-seed (:func:`_graph_blocks`, whose per-row hits ``unirep sample`` writes as
-they are drawn and :func:`sample_graph` joins) or a column of seeds at once
-(:func:`_seed_blocks`, bit-identical seed by seed), one block of about
-``_BLOCK`` coins (or one row) at a time, each drawn as it is asked for.  Its
-``take`` gets one seed's block as the ascending flat indices of its edges,
-and a seed column's as bool decisions with the pairs below the diagonal
-cleared: :func:`sample_graph_edges` keeps their upper triangles
-(:func:`_block_pairs`), and the Monte-Carlo comparison packs them into per-graph
-words of forward neighbours (:func:`_block_words`).
-It compares each coin's 53 bits with an integer threshold per kernel
+Graph edges are drawn one row block of about ``_BLOCK`` coins (or one row) at
+a time, each as it is asked for, for one seed or a column of seeds at once
+(bit-identical seed by seed).  :func:`_hashed` hashes every block into one
+scratch set per call, two uint64 arrays and a bool array of ``max(_BLOCK,
+seeds * (n - 1))`` entries, so no block allocates or frees the size of its
+coins.  For one seed, :func:`_graph_rows` hands the edges on as ``(r0,
+counts, j)`` batches of rows: :func:`sample_graph` joins them and ``unirep
+sample`` writes each as it is drawn (through :func:`_graph_blocks`).  The full
+compare hands on each block as a batch; the rejection test holds the
+candidates of the blocks (a flat index and a state, 16 B each) and decides
+them together once ``_BLOCK`` are held, and after the last block.  For a seed
+column, :func:`_draw_edges` (through :func:`_seed_blocks`) gives its ``take``
+each block's bool decisions with the pairs below the diagonal cleared:
+:func:`sample_graph_edges` keeps their upper triangles (:func:`_block_pairs`),
+and the Monte-Carlo comparison packs them into per-graph words of forward
+neighbours (:func:`_block_words`).
+Both compare each coin's 53 bits with an integer threshold per kernel
 value, which decides exactly as the float compare ``u < w`` would.  The
 hash's first fold is made once per vertex, and on sparse kernels a test of
 the state's top bits rejects most pairs before the last fold and the
@@ -70,6 +76,10 @@ _TWO53 = float(1 << 53)
 _BLOCK = 1 << 16  # the work of one block: coins here, terms or pairs in equivalence
 _BYTE_BITS = np.uint64(0x0102040810204080)  # see _block_words
 _REJECT_TOP = 58  # _draw_edges tests candidates up to a 2^(top-64) = 1/64 share (measured)
+# numpy's ufunc buffer, in elements, for the broadcast xor of _hashed: numpy 2.4 copies every
+# operand through its buffer when the rows are shorter than a third of it, which made that
+# xor 3x slower on rows under 2731 pairs at the default 8192 (measured; results are unchanged)
+_XOR_BUFFER = 256
 
 
 def _u64(v):
@@ -82,18 +92,19 @@ def _u64(v):
     return a.astype(np.uint64, copy=False)
 
 
-def _fold(x, shift: int):
-    """``x ^= x >> shift``, in place on an array ``x``."""
-    x ^= x >> np.uint64(shift)
+def _fold(x, shift: int, tmp=None):
+    """``x ^= x >> shift``, in place on an array ``x``; the shift goes to ``tmp`` if given."""
+    x ^= np.right_shift(x, np.uint64(shift), out=tmp)
     return x
 
 
-def _middle(x):
-    """The avalanche of :func:`_mix` between its first and last fold, in place."""
+def _middle(x, tmp=None):
+    """The avalanche of :func:`_mix` between its first and last fold, in place; its one
+    shifted copy goes to ``tmp`` if given."""
     # uint64 wraparound is the point here; silence overflow accounting
     with np.errstate(over="ignore"):
         x *= _MULT1
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=tmp)
         x *= _MULT2
     return x
 
@@ -254,71 +265,124 @@ def _row_blocks(n: int, seeds: int):
         r0 = r1
 
 
-def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take):
-    """``take`` of each row block ``[r0, r1)`` of the vertices on the first axis of
-    ``cells``, in row order.  Pair ``[t, c, ...]`` of a block is ``(i, j)``, ``i = r0 + t +
-    1``, ``j = r0 + c + 2``, and an edge where ``unit_uniform(seed, 1, i, j) <
-    values[cells[i-1], cells[j-1]]``.  For one seed, ``take(r0, shape, hit)`` gets the
-    ascending flat indices in ``shape`` of the edges, none with ``c < t`` (``j <= i``), as
-    no pair below the diagonal is drawn.  For a seed row, ``take(r0, edge)`` gets the
-    block's decisions as bools, those with ``c < t`` cleared.  The compare is made in
-    integers, with the same decisions: the coin's high 53 bits m against ``ceil(w *
-    2^53)``, as m / 2^53 < w iff m < ceil(w 2^53).
-    ``seed`` is an int or a ``(R,)`` uint64 row, one per column of ``cells``
-    (seeds last, so each broadcast runs along them).  The result is a lazy ``map``:
-    each block is drawn as it is iterated, so a consumer that hands each on holds
-    one at a time.  The ``(seed, 1, i)`` state is hashed per vertex.
-
-    Two exact steps keep every decision and byte: the first fold, linear under
-    xor, is made once per row state and column ``j``; and as the last fold
-    keeps the highest set bit of the state y before it, ``m < T <= max T``
-    implies ``y < 2^top``, ``top = bit_length(max T) + 11``, so when ``top <=
-    _REJECT_TOP`` only those candidates get the last fold and a threshold."""
-    n = len(cells)
+def _coins(values: np.ndarray, n: int, seed):
+    """What every row block of :func:`_graph_rows` and :func:`_draw_edges` shares: the
+    ``(seed, 1, i)`` state of each vertex and each column ``j``, both after the first fold
+    (linear under xor, so made once per vertex); the threshold ``ceil(w * 2^53)`` of each kernel
+    value; and the rejection bound ``2^top``, ``top = bit_length(max T) + 11``, or ``None``
+    when ``top > _REJECT_TOP``.  As the last fold keeps the highest set bit of the state y before
+    it, ``m < T <= max T`` implies ``y < 2^top``: no state at or above the bound is an edge."""
     j = _vertices(n, seed)
-    row, col = _fold(_mix(seed, 1, j), 30), _fold(j, 30)
     thr = np.ceil(values * _TWO53).astype(np.uint64)
     top = int(thr.max()).bit_length() + 11
     bound = np.uint64(1 << top) if top <= _REJECT_TOP else None
+    return _fold(_mix(seed, 1, j), 30), _fold(j, 30), thr, bound
 
-    def block(rows):
-        r0, r1 = rows
-        y = _middle(row[r0:r1, None] ^ col[r0 + 1:])
+
+def _hashed(row: np.ndarray, col: np.ndarray, seeds: int):
+    """Each row block ``[r0, r1)`` of :func:`_row_blocks` of the pairs on ``n = len(row)``
+    vertices as ``(r0, r1, y, tmp, lt)``: the states ``y`` of its pairs before the last
+    fold (from the per-vertex states of :func:`_coins`), shaped ``(r1 - r0, n - 1 - r0)``
+    and then a seed axis if ``row`` has one, and a free uint64 and bool array of that shape.
+    All three are views of one scratch set of ``max(_BLOCK, seeds * (n - 1))`` entries
+    each, made once per call and overwritten by the next block, so that no block allocates
+    or frees memory the size of its coins."""
+    n = len(row)
+    size = max(_BLOCK, seeds * (n - 1))
+    scratch = tuple(np.empty(size, t) for t in (np.uint64, np.uint64, bool))
+    for r0, r1 in _row_blocks(n, seeds):
+        shape = (r1 - r0, n - 1 - r0) + row.shape[1:]
+        y, tmp, lt = (a[: (r1 - r0) * (n - 1 - r0) * seeds].reshape(shape) for a in scratch)
+        with np.errstate():  # which restores numpy's ufunc buffer size on exit
+            np.setbufsize(_XOR_BUFFER)
+            np.bitwise_xor(row[r0:r1, None], col[r0 + 1:], out=y)
+        yield r0, r1, _middle(y, tmp), tmp, lt
+
+
+def _graph_rows(values: np.ndarray, cells: np.ndarray, seed: int):
+    """The edges of one seed's graph on the vertices of ``cells`` as ``(r0, counts, j)``
+    batches in row order, each drawn as iterated: row ``i = r0 + t + 1`` has the ``counts[t]``
+    edges ``(i, j)`` next in ``j``, ascending, and the batches' rows run on from row 1 to
+    n - 1.  Pair ``(i, j)``, i < j, is an edge where ``unit_uniform(seed, 1, i, j) <
+    values[cells[i-1], cells[j-1]]``, decided as by :func:`_draw_edges`.
+
+    The row blocks are hashed by :func:`_hashed` into one scratch set.  The full compare
+    hands on each block as one batch.  Below the rejection bound, each block's candidates
+    (flat indices and states) are held, and the last fold, the threshold and the diagonal
+    are applied to them (:func:`_held_rows`) once ``_BLOCK`` are held, and after the last
+    block, as one batch of the rows held."""
+    n = len(cells)
+    row, col, thr, bound = _coins(values, n, seed)
+    held, first, count = [], 0, 0
+    for r0, r1, y, tmp, lt in _hashed(row, col, 1):
+        rows, width = y.shape
+        if bound is None:  # every pair: the last fold and its threshold, none below the diagonal
+            _fold(y, 31, tmp)
+            y >>= np.uint64(11)
+            at = np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1, out=tmp, mode="clip")
+            at[:, :rows][np.tri(rows, rows, -1, bool)] = 0
+            hit = np.flatnonzero(np.less(y, at, out=lt))
+            starts = np.arange(0, (rows + 1) * width, width)  # flat index of each row's start
+            counts = np.diff(np.searchsorted(hit, starts))
+            yield r0, counts, np.subtract(hit, np.repeat(starts[:-1] - (r0 + 2), counts), out=hit)
+            continue
+        hit = np.flatnonzero(np.less(y, bound, out=lt))
+        held.append((r0, width, hit, y.reshape(-1)[hit]))
+        count += len(hit)
+        if count >= _BLOCK or r1 == n - 1:
+            yield _held_rows(held, first, r1, cells, thr)
+            held, first, count = [], r1, 0
+
+
+def _held_rows(held, r0, r1, cells, thr):
+    """The ``(r0, counts, j)`` batch of :func:`_graph_rows` for rows ``[r0, r1)`` from the
+    candidates held for them: per row block its first row, its width, the flat indices of its
+    candidates and their states.  Each candidate gets the last fold and its threshold, and
+    those below the diagonal (``c < t``, so ``j <= i``) are dropped."""
+    starts, widths, hits, states = zip(*held)
+    sizes = [len(hit) for hit in hits]
+    i, j = np.divmod(np.concatenate(hits), np.repeat(widths, sizes))  # row t, column c
+    start = np.repeat(starts, sizes)
+    i += start  # now i = start + t and j = start + c + 1: vertices i + 1 and j + 1 in cells
+    j += start
+    j += 1
+    m = _fold(np.concatenate(states), 31)
+    m >>= np.uint64(11)
+    edge = m < thr[cells[i], cells[j]]
+    edge &= j > i
+    j = j[edge]
+    j += 1
+    return r0, np.bincount(i[edge] - r0, minlength=r1 - r0), j
+
+
+def _draw_edges(values: np.ndarray, cells: np.ndarray, seed, take):
+    """``take(r0, edge)`` of each row block ``[r0, r1)`` of the graphs of a ``(R,)`` uint64 row
+    of seeds, one per column of ``cells`` (seeds last, so each broadcast runs along them), in
+    row order.  ``edge[t, c, s]`` decides pair ``(i, j)``, ``i = r0 + t + 1``, ``j = r0 + c +
+    2``, for seed ``s``: an edge where ``unit_uniform(seed, 1, i, j) < values[cells[i-1, s],
+    cells[j-1, s]]``, and ``False`` where ``c < t`` (``j <= i``).  The compare is made in
+    integers, with the same decisions: the coin's high 53 bits m against ``ceil(w * 2^53)``,
+    as m / 2^53 < w iff m < ceil(w 2^53); below the rejection bound of :func:`_coins` only
+    the candidates get the last fold and a threshold.  Each block is hashed by :func:`_hashed`
+    and drawn as it is iterated, so a consumer that hands each on holds one at a time."""
+    n = len(cells)
+    row, col, thr, bound = _coins(values, n, seed)
+    for r0, r1, y, tmp, lt in _hashed(row, col, np.size(seed)):
         if bound is not None:  # exact: pairs at or above the bound are never edges
-            hit = np.flatnonzero(y < bound)
-            t, c, *s = np.unravel_index(hit, y.shape)
+            hit = np.flatnonzero(np.less(y, bound, out=lt))
+            t, c, s = np.unravel_index(hit, y.shape)
             m = _fold(y.reshape(-1)[hit], 31) >> np.uint64(11)
-            edge = m < thr[cells[(t + r0, *s)], cells[(c + r0 + 1, *s)]]
-            if cells.ndim == 1:
-                return take(r0, y.shape, hit[edge & (c >= t)])
+            edge = m < thr[cells[t + r0, s], cells[c + r0 + 1, s]]
             edge, hit = np.zeros(y.shape, bool), hit[edge & (c >= t)]
             edge.reshape(-1)[hit] = True
-            return take(r0, edge)
-        x = _fold(y, 31)
-        x >>= np.uint64(11)
-        if cells.ndim == 1:  # one seed: a row gather, then the columns, none below the diagonal
-            at = np.take(thr[cells[r0:r1]], cells[r0 + 1:], axis=1)
-            at[:, : r1 - r0][np.tri(r1 - r0, r1 - r0, -1, bool)] = 0
-            return take(r0, y.shape, np.flatnonzero(x < at))
-        edge = x < np.take(thr, cells[r0:r1, None] * len(thr) + cells[r0 + 1:])  # one flat take
+            yield take(r0, edge)
+            continue
+        _fold(y, 31, tmp)
+        y >>= np.uint64(11)
+        at = np.add(cells[r0:r1, None] * len(thr), cells[r0 + 1:], out=tmp.view(np.int64))
+        edge = y < np.take(thr, at)  # one flat take
         edge[:, : r1 - r0][np.tri(r1 - r0, r1 - r0, -1, bool)] = False
-        return take(r0, edge)
-
-    return map(block, _row_blocks(n, np.size(seed)))
-
-
-def _block_rows(r0, shape, hit):
-    """``(r0, counts, j)`` of one row block of :func:`_draw_edges` for one seed: row
-    ``i = r0 + t + 1`` holds the ``counts[t]`` edges ``(i, j)`` next in ``j``, in pair order."""
-    starts = np.arange(0, (shape[0] + 1) * shape[1], shape[1])  # flat index of each row's start
-    counts = np.diff(np.searchsorted(hit, starts))
-    return r0, counts, hit - np.repeat(starts[:-1] - (r0 + 2), counts)
-
-
-def _block_edges(r0, shape, hit):
-    """The ``(e, 2)`` edges of one row block of :func:`_draw_edges` for one seed, in pair order."""
-    r0, counts, j = _block_rows(r0, shape, hit)
-    return np.column_stack((np.repeat(np.arange(r0 + 1, r0 + 1 + len(counts)), counts), j))
+        yield take(r0, edge)
 
 
 def _block_pairs(r0, edge):
@@ -353,12 +417,12 @@ def _seed_blocks(kernel: Kernel, n: int, seeds, take):
     return _draw_edges(kernel.values, _latent_draws(kernel.domain, n, row)[2], row, take)
 
 
-def _graph_blocks(kernel: Kernel, n: int, seed: int, take=_block_edges):
-    """The :func:`_latent_draws` of :func:`sample_graph`, after all its checks, and ``take`` of
-    its row blocks (by default their ``(e, 2)`` edges) in row order, each drawn as iterated."""
+def _graph_blocks(kernel: Kernel, n: int, seed: int):
+    """The :func:`_latent_draws` of :func:`sample_graph`, after all its checks, and the
+    ``(r0, counts, j)`` batches of :func:`_graph_rows` of its edges, each drawn as iterated."""
     _check_graph_kernel(kernel)
     draws = _latent_draws(kernel.domain, n, seed)
-    return draws, _draw_edges(kernel.values, draws[2], seed, take)
+    return draws, _graph_rows(kernel.values, draws[2], seed)
 
 
 def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomGraph:
@@ -377,8 +441,10 @@ def sample_graph(kernel: Kernel, n: int, seed: int, threads: int = 1) -> RandomG
         If the kernel is not a symmetric arity-2 kernel with values in
         [0,1].
     """
-    (partition, u, cells), blocks = _graph_blocks(kernel, n, seed)
-    edges = np.concatenate([np.empty((0, 2), np.int64), *blocks])
+    (partition, u, cells), batches = _graph_blocks(kernel, n, seed)
+    rows = [(np.zeros(0, np.int64),) * 2] + [(counts, j) for _, counts, j in batches]
+    counts, j = (np.concatenate(parts) for parts in zip(*rows))
+    edges = np.column_stack((np.repeat(np.arange(1, len(counts) + 1), counts), j))
     return RandomGraph(n, edges, Latents(u, cells, tuple(partition.cell_labels[c] for c in cells)))
 
 

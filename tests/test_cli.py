@@ -32,7 +32,12 @@ from unirep.cli import _indented, main
 from unirep.sampling import pair_list
 from unirep.specfile import load_spec
 
-from util import dump_represented_oracle, edge_lines_oracle, edge_row_blocks
+from util import (
+    dump_represented_oracle,
+    edge_lines_oracle,
+    edge_row_blocks,
+    sample_graph_pairwise,
+)
 
 DEMO_SPEC = {
     "space": {"atoms": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]},
@@ -409,7 +414,7 @@ class TestEdgeList:
         edges = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
         blocks = edge_row_blocks(edges, n, np.linspace(0, n - 1, 8).astype(int)[:-1])
         assert len(blocks) == 7
-        monkeypatch.setattr(unirep.cli, "_graph_blocks", lambda kernel, n, seed, take: (None, blocks))
+        monkeypatch.setattr(unirep.cli, "_graph_blocks", lambda kernel, n, seed: (None, blocks))
         spec = write_spec(tmp_path, DEMO_SPEC)
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", str(n), "--out", str(out)]) == 0
@@ -425,6 +430,27 @@ class TestEdgeList:
         out = tmp_path / "g.txt"
         assert main(["sample", spec, "--n", "10", "--out", str(out)]) == 0
         assert out.read_bytes() == edge_lines_oracle(pair_list(10)).encode()
+
+    @pytest.mark.parametrize("doc", [SPARSE_SPEC, DEMO_SPEC], ids=["sparse", "dense"])
+    def test_batch_boundaries_do_not_change_edges(self, tmp_path, monkeypatch, doc):
+        # the sparse kernel takes the rejection path, whose candidates are held across
+        # row blocks: blocks of 1, 7 and 100 coins decide them in many batches, of one
+        # row or of several, and 4096 in one batch, its last, spanning every block; the
+        # dense kernel's full compare hands on one batch per block
+        spec = write_spec(tmp_path, doc)
+        kernel = load_spec(spec).family.kernels[0]
+        n, seed, out = 300, 11, tmp_path / "g.txt"
+        expected = sample_graph_pairwise(kernel, n, seed)
+        assert len(expected)
+        for block in (1, 7, 100, 4096):
+            monkeypatch.setattr(unirep.sampling, "_BLOCK", block)
+            blocks = len(list(unirep.sampling._row_blocks(n, 1)))
+            batches = len(list(unirep.sampling._graph_blocks(kernel, n, seed)[1]))
+            assert batches == blocks if doc is DEMO_SPEC else batches < blocks
+            assert batches > 1 or block == 4096 and doc is SPARSE_SPEC
+            assert sample_graph(kernel, n, seed).edges.tolist() == expected.tolist(), block
+            assert main(["sample", spec, "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+            assert out.read_bytes() == edge_lines_oracle(expected).encode(), block
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(case=edge_writer_cases())

@@ -39,6 +39,7 @@ from util import (
     REAL,
     STATUS_KB,
     UNIT,
+    batch_edges,
     const_graph_kernel,
     derive_seed_scalar,
     random_family,
@@ -370,23 +371,48 @@ class TestRowBlocks:
                         assert r1 == r0 + 1 or seeds * (r1 - r0) * (n - 1 - r0) <= block
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 30), st.integers(0, 30),
-           st.sets(st.integers(0, 30 * 60 - 1)))
-    @example(0, 1, 0, set())
-    @example(10**6, 30, 0, set(range(900)))
-    def test_block_rows_equal_the_divmod_form(self, r0, rows, extra, flat):
-        # per-row counts and columns of any ascending flat hits in a block of
-        # shape (rows, cols), cols >= rows, against t, c = divmod(hit, cols)
-        cols = rows + extra
-        hit = np.array(sorted(v for v in flat if v < rows * cols), dtype=np.intp)
-        got_r0, counts, j = sampling._block_rows(r0, (rows, cols), hit)
-        t, c = np.divmod(hit, cols)
+    @given(st.integers(0, 10**6), st.lists(st.integers(1, 30), min_size=1, max_size=4),
+           st.integers(0, 30), st.data())
+    @example(0, [1], 0, None)
+    @example(10**6, [30, 1], 0, None)
+    def test_held_rows_equal_the_divmod_form(self, r0, rows, extra, data):
+        # per-row counts and columns of the candidates held from consecutive row
+        # blocks, each of ``count`` rows and n - 1 - its first row columns, given
+        # as ascending flat indices with states y, against t, c = divmod(hit, cols):
+        # an edge where c >= t and the last fold's m < T
+        n = r0 + sum(rows) + extra + 1
+        threshold = 2**52 if data is None else data.draw(st.integers(0, 2**53))
+        held, expected, start = [], [], r0
+        for count in rows:
+            cols = n - 1 - start
+            flat = set(range(count * cols)) if data is None else data.draw(
+                st.sets(st.integers(0, count * cols - 1), max_size=60))
+            hit = np.array(sorted(flat), dtype=np.intp)
+            states = [0 if data is None else data.draw(st.integers(0, 2**64 - 1)) for _ in hit]
+            held.append((start, cols, hit, np.array(states, np.uint64)))
+            for h, y in zip(hit.tolist(), states):
+                t, c = divmod(h, cols)
+                if c >= t and last_fold_bits(y) < threshold:
+                    expected.append((start + t + 1, start + c + 2))
+            start += count
+        cells, thr = np.zeros(n, np.intp), np.array([[threshold]], np.uint64)
+        got_r0, counts, j = sampling._held_rows(held, r0, start, cells, thr)
+        i = [edge[0] for edge in expected]
         assert got_r0 == r0
-        assert counts.tolist() == np.bincount(t, minlength=rows).tolist()
-        assert j.dtype == np.int64 and j.tolist() == (c + r0 + 2).tolist()
-        edges = sampling._block_edges(r0, (rows, cols), hit)
-        assert edges.dtype == np.int64 and edges.shape == (len(hit), 2)
-        assert edges.tolist() == np.column_stack((t + r0 + 1, c + r0 + 2)).tolist()
+        per_row = np.bincount(np.array(i, int) - r0 - 1, minlength=start - r0)
+        assert counts.tolist() == per_row.tolist()
+        assert j.dtype == np.int64 and j.tolist() == [edge[1] for edge in expected]
+
+    def test_draws_leave_numpy_buffer_size(self):
+        # the hash sets a small ufunc buffer for its broadcast xor inside an
+        # errstate: a consumer of the blocks, and the caller after them, see
+        # numpy's own size
+        k = self.kernel()
+        size = np.getbufsize()
+        for _ in sampling._graph_blocks(k, 60, 3)[1]:
+            assert np.getbufsize() == size
+        sample_graph_edges(k, 60, derive_seed(4, 0, np.arange(2, dtype=np.uint64)))
+        assert np.getbufsize() == size
 
     def test_sample_graph_matches_oracle(self, monkeypatch):
         k = self.kernel()
@@ -558,28 +584,32 @@ class TestCoinRejection:
             assert np.array_equal(got[0][0], got[1][0])
             assert all(np.array_equal(a, b) for a, b in zip(got[0][1], got[1][1]))
 
-    def test_both_paths_hand_on_the_take_contract(self, monkeypatch):
-        # the rejection path (top = 63 below 1/2) and the full compare both give
-        # ``take`` the ascending flat indices of a block's edges for one seed,
-        # none below the diagonal, and a block of bool decisions for a column
-        # of seeds, the same from both paths, with those below the diagonal cleared
+    def test_both_paths_hand_on_the_rows_and_take_contracts(self, monkeypatch):
+        # the rejection path (top = 63 below 1/2) and the full compare both hand on
+        # one seed's edges as (r0, counts, j) batches of consecutive rows, each row's
+        # j ascending and above its i, the same edges from both paths; and a column
+        # of seeds' blocks to ``take`` as bool decisions, the same from both paths,
+        # with those below the diagonal cleared
         sp = space([f"c{a}" for a in range(3)], [0.2, 0.3, 0.5])
         values = np.array([[0.01, 0.3, 0.2], [0.3, 0.001, 0.45], [0.2, 0.45, 0.02]])
         assert rejection_top(math.ceil(0.45 * 2**53)) == 63
         seeds = derive_seed(6, 0, np.arange(3, dtype=np.uint64))
         monkeypatch.setattr(sampling, "_BLOCK", 200)
-        decisions = []
+        edges, decisions = [], []
         for reject_top in (63, 0):
             monkeypatch.setattr(sampling, "_REJECT_TOP", reject_top)
             cells = sampling._latent_draws(sp, 60, 5)[2]
-            take = lambda r0, shape, hit: (shape, hit)  # noqa: E731
-            hits = list(sampling._draw_edges(values, cells, 5, take))
-            assert len(hits) > 1 and any(len(hit) for _, hit in hits)
-            for shape, hit in hits:
-                assert hit.dtype.kind == "i" and hit.ndim == 1
-                assert (np.diff(hit) > 0).all() and hit.min(initial=0) >= 0
-                assert hit.max(initial=-1) < np.prod(shape)
-                assert (hit % shape[1] >= hit // shape[1]).all()
+            batches = list(sampling._graph_rows(values, cells, 5))
+            assert len(batches) > 1 and any(len(j) for _, _, j in batches)
+            lengths = [len(counts) for _, counts, _ in batches]
+            assert [r0 for r0, _, _ in batches] == np.cumsum([0, *lengths[:-1]]).tolist()
+            assert sum(lengths) == 59
+            for r0, counts, j in batches:
+                assert counts.dtype.kind == "i" and j.dtype == np.int64 and counts.sum() == len(j)
+                i = np.repeat(np.arange(r0 + 1, r0 + 1 + len(counts)), counts)
+                assert (j > i).all() and (j <= 60).all()
+                assert (np.diff(j)[np.diff(i) == 0] > 0).all()
+            edges.append(batch_edges(batches).tolist())
             cells = sampling._latent_draws(sp, 60, seeds)[2]
             blocks = list(sampling._draw_edges(values, cells, seeds, lambda r0, edge: (r0, edge)))
             assert len(blocks) > 1 and any(edge.any() for _, edge in blocks)
@@ -587,6 +617,8 @@ class TestCoinRejection:
                 assert edge.dtype == bool and edge.shape == (r1 - r0, 59 - r0, 3)
                 assert not np.tril(np.moveaxis(edge[:, : r1 - r0], 2, 0), -1).any()
             decisions.append(blocks)
+        k = Kernel("f", 2, UNIT, sp, values, symmetric=True)
+        assert edges[0] == edges[1] == sample_graph_pairwise(k, 60, 5).tolist()
         assert all(r0 == r1 and np.array_equal(a, b)
                    for (r0, a), (r1, b) in zip(*decisions))
 
@@ -733,6 +765,18 @@ print((status_kb("VmHWM:") - before_kb) * 1024 / (n * (n - 1) // 2))
 """
 
 
+# ``unirep sample --n 4000 --out FILE --latents FILE`` in a fresh process, cold:
+# nothing was allocated and freed before it.  The minor page faults taken in ``main``.
+COLD_FAULTS_PROBE = """
+import resource, sys
+from unirep.cli import main
+
+spec, out, latents = sys.argv[1:]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(["sample", spec, "--n", "4000", "--seed", "1", "--out", out, "--latents", latents])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_sample_graph_peak_bytes_per_pair():
     # under 1 B: a row block's coins, probabilities and temporaries are a
@@ -760,3 +804,24 @@ def test_cli_sample_peak_bytes_per_pair(tmp_path, threads):
                 for t in (threads, "1"))
     assert got <= 4.0
     assert abs(got - one) <= 0.1 * one
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_cli_sample_cold_minor_faults(tmp_path):
+    # under 2000 on a 64-cell kernel of edge density 10/n: one scratch set per
+    # graph, and the candidates of every row block decided in one batch; when
+    # each row block allocated its own coins and freed them, the allocator gave
+    # them back to the system and took them again, 27.7 K faults for 127 blocks
+    rng = np.random.default_rng(64)
+    atoms = [f"c{a}" for a in range(64)]
+    p = 10 / 4000
+    values = {f"{atoms[a]},{atoms[b]}": float(rng.uniform(0.5 * p, 1.5 * p))
+              for a in range(64) for b in range(a, 64)}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "space": {"atoms": atoms, "probs": (rng.dirichlet(np.full(64, 8.0))).tolist()},
+        "kernels": [{"name": "w", "arity": 2, "value_space": "unit",
+                     "symmetric": True, "values": values}],
+    }))
+    faults = run_probe(COLD_FAULTS_PROBE, str(spec), str(tmp_path / "g.txt"), str(tmp_path / "x.txt"))
+    assert faults < 2000

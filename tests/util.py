@@ -140,6 +140,16 @@ def edge_row_blocks(edges, n, starts):
     return blocks
 
 
+def batch_edges(batches):
+    """The ``(E, 2)`` int64 edges of ``(r0, counts, j)`` row batches, one
+    pair at a time: row ``r0 + t + 1`` holds the next ``counts[t]`` of ``j``."""
+    edges = []
+    for r0, counts, j in batches:
+        rows = [r0 + 1 + t for t, count in enumerate(counts.tolist()) for _ in range(count)]
+        edges += zip(rows, j.tolist())
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
 def dump_represented_oracle(family):
     """The artifact document, its keys built one ``map(str, key)`` per tuple."""
     partition = family.domain
